@@ -226,16 +226,7 @@ pub fn constructive_embedding(
                         // to grow), tie-broken pseudo-randomly.
                         let free_nbrs = hw.neighbors(q).iter().filter(|&&nb| !used[nb]).count();
                         (usize::MAX - free_nbrs, q ^ (seed as usize))
-                    });
-                let Some(root) = root else {
-                    if std::env::var_os("QMKP_EMBED_DEBUG").is_some() {
-                        qmkp_obs::message(&format!(
-                            "constructive: var {v} (deg {}): no free anchor adjacent to chain {u}",
-                            lg_adj[v].len()
-                        ));
-                    }
-                    return None;
-                };
+                    })?;
                 used[root] = true;
                 chain_v.push(root);
                 continue;
@@ -256,18 +247,7 @@ pub fn constructive_embedding(
                         && dist[q] != u32::MAX
                         && hw.neighbors(q).iter().any(|&nb| chains[u].contains(&nb))
                 })
-                .min_by_key(|&q| dist[q]);
-            let Some(end) = end else {
-                if std::env::var_os("QMKP_EMBED_DEBUG").is_some() {
-                    let done = chains.iter().filter(|c| !c.is_empty()).count();
-                    qmkp_obs::message(&format!(
-                        "constructive: var {v} (deg {}, step {step}) cannot route to chain {u}                          (len {}) after {done} embedded",
-                        lg_adj[v].len(),
-                        chains[u].len()
-                    ));
-                }
-                return None;
-            };
+                .min_by_key(|&q| dist[q])?;
             // The endpoint joins u's chain (so u's reach grows with its
             // logical degree); the interior of the path joins v.
             let mut q = end;
@@ -293,14 +273,7 @@ pub fn constructive_embedding(
     for c in &mut emb.chains {
         c.sort_unstable();
     }
-    if emb.is_valid(logical_edges, hw) {
-        Some(emb)
-    } else {
-        if std::env::var_os("QMKP_EMBED_DEBUG").is_some() {
-            qmkp_obs::message("constructive: completed assignment failed validation");
-        }
-        None
-    }
+    emb.is_valid(logical_edges, hw).then_some(emb)
 }
 
 /// A random free qubit with all-free cell neighbours when possible.

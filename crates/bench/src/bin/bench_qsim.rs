@@ -1,17 +1,15 @@
 //! Emits `BENCH_qsim.json`: compiled-kernel vs interpreted simulation
 //! times for the dense backend (width-20 layered circuit) and the sparse
-//! backend (a qTKP oracle circuit), with their speedups. Both compile
-//! modes are measured — linear fusion and the gate-DAG scheduler
-//! (commute + layered dispatch) — plus the overhead of running the
-//! scheduled circuits under a fully-armed `RtContext` (deadline + byte +
-//! op ceilings, all generous).
+//! backend (a qTKP oracle circuit), with their speedups, plus the
+//! overhead of running the compiled circuits under a fully-armed
+//! `RtContext` (deadline + byte + op ceilings, all generous).
 //!
 //! Three **guards** make this a regression gate, exiting non-zero when:
 //! * either backend's budgeted run costs more than
 //!   `MAX_BUDGET_OVERHEAD`× its unbudgeted run,
 //! * the sparse backend's scheduled speedup over the interpreter drops
-//!   below `MIN_SPARSE_SCHEDULED_SPEEDUP` (the pre-scheduler compiled
-//!   speedup — the DAG pass must never lose ground to linear fusion), or
+//!   below `MIN_SPARSE_SCHEDULED_SPEEDUP` (the speedup the compiler
+//!   reached before it gained the DAG scheduler), or
 //! * enabling the `qmkp_obs::metrics` registry costs more than
 //!   `MAX_METRICS_OVERHEAD`× the metrics-disabled dense scheduled run
 //!   (per-kernel histograms must stay out of the hot path's way).
@@ -21,9 +19,7 @@
 
 use qmkp_core::oracle::Oracle;
 use qmkp_obs::{RunReport, Session};
-use qmkp_qsim::{
-    Circuit, CompileOptions, CompiledCircuit, DenseState, Gate, QuantumState, SparseState,
-};
+use qmkp_qsim::{Circuit, CompiledCircuit, DenseState, Gate, QuantumState, SparseState};
 use qmkp_rt::{Budget, RtContext};
 use std::time::{Duration, Instant};
 
@@ -33,8 +29,8 @@ const SAMPLES: usize = 9;
 const MAX_BUDGET_OVERHEAD: f64 = 1.5;
 
 /// Floor on the sparse backend's interpreted/scheduled speedup: the
-/// linear pipeline reached 4.04× on this instance, and the DAG scheduler
-/// must at least match it.
+/// compiler without the DAG scheduler reached 4.04× on this instance,
+/// and the scheduled compile must at least match it.
 const MIN_SPARSE_SCHEDULED_SPEEDUP: f64 = 4.04;
 
 /// Metrics-enabled / metrics-disabled wall-clock ratio above which the
@@ -90,31 +86,13 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_qsim.json".to_string());
 
-    // Dense backend: width-20 layered circuit, both compile modes.
+    // Dense backend: width-20 layered circuit.
     let dense_width = 20;
     let dense_circ = layered_circuit(dense_width, 6);
-    let dense_linear_circ = CompiledCircuit::compile_with(
-        &dense_circ,
-        CompileOptions {
-            dag_scheduler: false,
-        },
-    )
-    .expect("bench circuits compile");
-    let dense_sched_circ = CompiledCircuit::compile_with(
-        &dense_circ,
-        CompileOptions {
-            dag_scheduler: true,
-        },
-    )
-    .expect("bench circuits compile");
+    let dense_sched_circ = CompiledCircuit::compile(&dense_circ).expect("bench circuits compile");
     let dense_interpreted = median_secs(|| {
         let mut s = DenseState::zero(dense_width).unwrap();
         s.run_interpreted(&dense_circ).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
-    let dense_compiled = median_secs(|| {
-        let mut s = DenseState::zero(dense_width).unwrap();
-        s.run_compiled(&dense_linear_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
     let dense_scheduled = median_secs(|| {
@@ -160,28 +138,10 @@ fn main() {
         sparse_circ.push_unchecked(Gate::H(q));
     }
     sparse_circ.extend(oracle.u_check()).unwrap();
-    let sparse_linear_circ = CompiledCircuit::compile_with(
-        &sparse_circ,
-        CompileOptions {
-            dag_scheduler: false,
-        },
-    )
-    .expect("bench circuits compile");
-    let sparse_sched_circ = CompiledCircuit::compile_with(
-        &sparse_circ,
-        CompileOptions {
-            dag_scheduler: true,
-        },
-    )
-    .expect("bench circuits compile");
+    let sparse_sched_circ = CompiledCircuit::compile(&sparse_circ).expect("bench circuits compile");
     let sparse_interpreted = median_secs(|| {
         let mut s = SparseState::zero(sparse_circ.width());
         s.run_interpreted(&sparse_circ).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
-    let sparse_compiled = median_secs(|| {
-        let mut s = SparseState::zero(sparse_circ.width());
-        s.run_compiled(&sparse_linear_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
     let sparse_scheduled = median_secs(|| {
@@ -196,8 +156,6 @@ fn main() {
         std::hint::black_box(s.probability(0));
     });
 
-    // Budgeted runs execute the scheduled circuit, so the overhead ratio
-    // compares against the scheduled baseline.
     let dense_overhead = dense_budgeted / dense_scheduled;
     let sparse_overhead = sparse_budgeted / sparse_scheduled;
     let dense_sched_stats = dense_sched_circ.stats();
@@ -208,33 +166,27 @@ fn main() {
          \"dense\": {{\n    \
          \"circuit\": \"layered_circuit(width={dw}, sup=6)\",\n    \
          \"gates\": {dg},\n    \
-         \"fused_ops\": {dops},\n    \
          \"scheduled_ops\": {dsops},\n    \
          \"layers\": {dlay},\n    \
          \"commuted_diagonals\": {dcom},\n    \
          \"interpreted_s\": {di:.6},\n    \
-         \"compiled_s\": {dc:.6},\n    \
          \"scheduled_s\": {dsc:.6},\n    \
          \"budgeted_s\": {db:.6},\n    \
          \"budget_overhead\": {dov:.3},\n    \
          \"unmetered_s\": {dum:.6},\n    \
          \"metered_s\": {dme:.6},\n    \
          \"metrics_overhead\": {dmov:.3},\n    \
-         \"speedup\": {dsp:.2},\n    \
          \"scheduled_speedup\": {dssp:.2}\n  }},\n  \
          \"sparse\": {{\n    \
          \"circuit\": \"H^n + qTKP U_check (paper_fig1_graph, k=2, t=4, width={sw})\",\n    \
          \"gates\": {sg},\n    \
-         \"fused_ops\": {sops},\n    \
          \"scheduled_ops\": {ssops},\n    \
          \"layers\": {slay},\n    \
          \"commuted_diagonals\": {scom},\n    \
          \"interpreted_s\": {si:.6},\n    \
-         \"compiled_s\": {sc:.6},\n    \
          \"scheduled_s\": {ssc:.6},\n    \
          \"budgeted_s\": {sb:.6},\n    \
          \"budget_overhead\": {sov:.3},\n    \
-         \"speedup\": {ssp:.2},\n    \
          \"scheduled_speedup\": {sssp:.2}\n  }},\n  \
          \"samples\": {samples},\n  \
          \"max_budget_overhead\": {max_ov},\n  \
@@ -243,32 +195,26 @@ fn main() {
          \"parallel_feature\": {par}\n}}\n",
         dw = dense_width,
         dg = dense_circ.len(),
-        dops = dense_linear_circ.len(),
         dsops = dense_sched_circ.len(),
         dlay = dense_sched_stats.layers,
         dcom = dense_sched_stats.commuted_diagonals,
         di = dense_interpreted,
-        dc = dense_compiled,
         dsc = dense_scheduled,
         db = dense_budgeted,
         dov = dense_overhead,
         dum = dense_unmetered,
         dme = dense_metered,
         dmov = metrics_overhead,
-        dsp = dense_interpreted / dense_compiled,
         dssp = dense_interpreted / dense_scheduled,
         sw = sparse_circ.width(),
         sg = sparse_circ.len(),
-        sops = sparse_linear_circ.len(),
         ssops = sparse_sched_circ.len(),
         slay = sparse_sched_stats.layers,
         scom = sparse_sched_stats.commuted_diagonals,
         si = sparse_interpreted,
-        sc = sparse_compiled,
         ssc = sparse_scheduled,
         sb = sparse_budgeted,
         sov = sparse_overhead,
-        ssp = sparse_interpreted / sparse_compiled,
         sssp = sparse_interpreted / sparse_scheduled,
         samples = SAMPLES,
         max_ov = MAX_BUDGET_OVERHEAD,
@@ -285,11 +231,6 @@ fn main() {
             .config("samples", SAMPLES)
             .config("parallel_feature", qmkp_qsim::parallel_enabled())
             .outcome("dense_interpreted_s", format!("{dense_interpreted:.6}"))
-            .outcome("dense_compiled_s", format!("{dense_compiled:.6}"))
-            .outcome(
-                "dense_speedup",
-                format!("{:.2}", dense_interpreted / dense_compiled),
-            )
             .outcome(
                 "dense_scheduled_speedup",
                 format!("{:.2}", dense_interpreted / dense_scheduled),
@@ -297,11 +238,6 @@ fn main() {
             .outcome("dense_budget_overhead", format!("{dense_overhead:.3}"))
             .outcome("dense_metrics_overhead", format!("{metrics_overhead:.3}"))
             .outcome("sparse_interpreted_s", format!("{sparse_interpreted:.6}"))
-            .outcome("sparse_compiled_s", format!("{sparse_compiled:.6}"))
-            .outcome(
-                "sparse_speedup",
-                format!("{:.2}", sparse_interpreted / sparse_compiled),
-            )
             .outcome(
                 "sparse_scheduled_speedup",
                 format!("{:.2}", sparse_interpreted / sparse_scheduled),
@@ -320,8 +256,8 @@ fn main() {
         }
     }
 
-    // Guard 2: the DAG scheduler must hold the sparse backend's compiled
-    // speedup — losing ground to linear fusion is a regression.
+    // Guard 2: the sparse backend must hold its compiled speedup over the
+    // interpreter.
     let sparse_sched_speedup = sparse_interpreted / sparse_scheduled;
     if sparse_sched_speedup < MIN_SPARSE_SCHEDULED_SPEEDUP {
         eprintln!(

@@ -344,20 +344,14 @@ mod tests {
     #[test]
     fn real_scheduled_run_round_trips_with_layer_slices() {
         use qmkp_obs::Sink;
-        use qmkp_qsim::{Circuit, CompileOptions, CompiledCircuit, DenseState, Gate, QuantumState};
+        use qmkp_qsim::{Circuit, CompiledCircuit, DenseState, Gate, QuantumState};
         let mut c = Circuit::new(6);
         for q in 0..3 {
             c.push(Gate::H(q)).unwrap();
         }
         c.push(Gate::ccnot(0, 1, 3)).unwrap();
         c.push(Gate::ccnot(1, 2, 4)).unwrap();
-        let compiled = CompiledCircuit::compile_with(
-            &c,
-            CompileOptions {
-                dag_scheduler: true,
-            },
-        )
-        .unwrap();
+        let compiled = CompiledCircuit::compile(&c).unwrap();
         let path = std::env::temp_dir().join(format!(
             "chrome_trace_roundtrip_{}.jsonl",
             std::process::id()

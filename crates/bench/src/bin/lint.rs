@@ -49,9 +49,8 @@ const ALLOWLIST: &[(&str, &str, usize, &str)] = &[
     (
         "core/src/grover.rs",
         ".expect(",
-        2,
-        "compile cannot fail for validated oracles; a scheduled run \
-         without a context cannot be interrupted",
+        1,
+        "compile cannot fail for validated oracles",
     ),
     (
         "core/src/oracle.rs",
@@ -78,12 +77,6 @@ const ALLOWLIST: &[(&str, &str, usize, &str)] = &[
         "unlimited-context wrapper: only invalid configuration can fail",
     ),
     (
-        "lint/src/structural.rs",
-        ".expect(",
-        1,
-        "pop() follows a successful last() on the same stack",
-    ),
-    (
         "serve/src/cache.rs",
         ".expect(",
         6,
@@ -102,8 +95,8 @@ const ALLOWLIST: &[(&str, &str, usize, &str)] = &[
 /// Directories (or single `.rs` files) scanned by `lint source`, relative
 /// to the workspace root. The runtime, annealer, and facade crates carry
 /// *zero* allowlist entries: their fallible paths all return
-/// [`qmkp_rt::RtError`]; the analyzer crate carries one provably-benign
-/// entry and the serving crate's are confined to lock handling. The
+/// [`qmkp_rt::RtError`]. The analyzer crate carries none either, and the
+/// serving crate's are confined to lock handling. The
 /// metrics module is listed as a file because it is the obs crate's hot
 /// path — poisoned-lock recovery there uses
 /// `unwrap_or_else(|e| e.into_inner())`, never a panic.

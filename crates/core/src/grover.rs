@@ -5,11 +5,13 @@ use crate::compiled::GroverCircuits;
 use crate::oracle::Oracle;
 use qmkp_graph::VertexSet;
 use qmkp_qsim::{
-    BackendState, Circuit, CompiledCircuit, Gate, QuantumState, Register, SimError, SparseState,
+    BackendState, Circuit, CompiledCircuit, Gate, LayerObserver, QuantumState, Register, SimError,
+    SparseState,
 };
 use qmkp_rt::RtContext;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,6 +140,70 @@ impl SectionTimes {
     pub fn buckets(&self) -> &BTreeMap<String, Duration> {
         &self.buckets
     }
+
+    /// Records one section duration into the bucket, the
+    /// `core.grover.section.<name>` span (when tracing is on), and the
+    /// labeled `core.grover.section` histogram — one duration, three
+    /// views that cannot drift apart.
+    fn record(&mut self, name: &str, d: Duration) {
+        self.add(name, d);
+        if qmkp_obs::enabled() {
+            qmkp_obs::span_closed(&format!("core.grover.section.{name}"), d);
+        }
+        qmkp_obs::metrics::observe_duration("core.grover.section", &[("section", name)], d);
+    }
+}
+
+/// The Grover driver's executor observer: splits each layer's measured
+/// time across the sections its ops absorbed, in proportion to the
+/// schedule's per-op attribution weights (surviving kernel steps per
+/// section). Shares are floor-divided nanoseconds with the remainder on
+/// the last bucket, so the bucket sum equals the measured layer time
+/// *exactly* — the obs drift property (span sum ==
+/// `SectionTimes::total()`) stays an equality.
+struct SectionAttribution<'a> {
+    compiled: &'a CompiledCircuit,
+    times: &'a mut SectionTimes,
+    /// Section → weight of the current layer, in first-seen order so the
+    /// remainder lands deterministically.
+    weights: Vec<(usize, usize)>,
+}
+
+impl LayerObserver for SectionAttribution<'_> {
+    fn layer(&mut self, ops: Range<usize>, elapsed: Duration) {
+        self.weights.clear();
+        for attr in &self.compiled.schedule().attributions[ops] {
+            for &(sec, w) in attr {
+                match self.weights.iter_mut().find(|(s, _)| *s == sec) {
+                    Some((_, total)) => *total += w,
+                    None => self.weights.push((sec, w)),
+                }
+            }
+        }
+        let total: u128 = self.weights.iter().map(|&(_, w)| w as u128).sum();
+        if total == 0 {
+            return;
+        }
+        let nanos = elapsed.as_nanos();
+        let mut used: u128 = 0;
+        for (i, &(sec, w)) in self.weights.iter().enumerate() {
+            let share = if i + 1 == self.weights.len() {
+                nanos - used
+            } else {
+                nanos * w as u128 / total
+            };
+            used += share;
+            // Unsectioned ids (and anything out of range) land in
+            // "other"; `U_check` and `U_check†` share buckets via
+            // `†`-stripping.
+            let name = self
+                .compiled
+                .sections()
+                .get(sec)
+                .map_or("other", |s| s.name.trim_end_matches('†'));
+            self.times.record(name, Duration::from_nanos(share as u64));
+        }
+    }
 }
 
 /// The optimal Grover iteration count `⌊(π/4)·√(N/M)⌋` for `N = 2^n`
@@ -202,12 +268,10 @@ pub fn diffusion_circuit(width: usize, vertices: &Register) -> Circuit {
 /// The three circuits of an iteration (`U_check`, `U_check†`, diffusion)
 /// are compiled once at construction — mask-precomputed and fused into
 /// kernel ops — and the compiled forms are reused every iteration. Wall
-/// time is still attributed per oracle section. With the DAG scheduler on
-/// (the default) fused ops span section boundaries, so each scheduled
-/// layer's measured time is split across the sections it absorbed in
-/// proportion to their surviving kernel steps (the schedule's per-op
-/// attribution weights); linear compiles never fuse across section
-/// boundaries and keep the exact per-range timing.
+/// time is still attributed per oracle section: fused ops span section
+/// boundaries, so each layer's measured time is split across the
+/// sections it absorbed in proportion to their surviving kernel steps
+/// (the schedule's per-op attribution weights).
 pub struct GroverDriver<O: PhaseOracle = Oracle, S: QuantumState = SparseState> {
     oracle: O,
     state: S,
@@ -329,20 +393,10 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     /// *same* durations accumulated into [`SectionTimes`] — the two
     /// accounting paths cannot drift.
     pub fn iterate(&mut self) {
-        let span = qmkp_obs::span("core.grover.iteration");
-        Self::run_sectioned(&mut self.state, &self.circuits.u_check, &mut self.times);
-        let flip = self.oracle.flip_gate();
-        let start = Instant::now();
-        self.state.apply(&flip);
-        let elapsed = start.elapsed();
-        self.times.add("flip", elapsed);
-        qmkp_obs::span_closed("core.grover.section.flip", elapsed);
-        Self::section_metric("flip", elapsed);
-        Self::run_sectioned(&mut self.state, &self.circuits.u_check_inv, &mut self.times);
-        Self::run_sectioned(&mut self.state, &self.circuits.diffusion, &mut self.times);
-        self.iterations_done += 1;
-        self.iteration_gauges();
-        span.finish();
+        let outcome = self.iteration(None);
+        // Without a context nothing polls or charges, and the circuits
+        // were compiled for this oracle's width.
+        debug_assert!(outcome.is_ok(), "uninterruptible iteration failed");
     }
 
     /// Runs `count` iterations.
@@ -353,7 +407,8 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     }
 
     /// Budget-aware Grover iteration: polls the context at iteration
-    /// granularity and charges each compiled op against the op budget, so
+    /// granularity, and every compiled layer consults the `qsim.run.op`
+    /// failpoint and charges its ops against the op budget, so
     /// cancellation and deadlines surface between kernel passes. Consults
     /// the `core.grover.iterate` failpoint on entry.
     ///
@@ -368,41 +423,42 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     pub fn iterate_ctx(&mut self, ctx: &RtContext) -> Result<(), SimError> {
         qmkp_rt::failpoint::check("core.grover.iterate")?;
         ctx.check()?;
-        let span = qmkp_obs::span("core.grover.iteration");
-        let result = self.iterate_ctx_inner(ctx);
-        span.finish();
-        result
+        self.iteration(Some(ctx))
     }
 
-    fn iterate_ctx_inner(&mut self, ctx: &RtContext) -> Result<(), SimError> {
-        Self::run_sectioned_ctx(
-            &mut self.state,
-            &self.circuits.u_check,
-            &mut self.times,
-            ctx,
-        )?;
+    /// The body both [`GroverDriver::iterate`] and
+    /// [`GroverDriver::iterate_ctx`] run: the three compiled circuits go
+    /// through the simulator's executor under [`SectionAttribution`], the
+    /// flip gate is timed on its own.
+    fn iteration(&mut self, ctx: Option<&RtContext>) -> Result<(), SimError> {
+        let _span = qmkp_obs::span("core.grover.iteration");
+        let (state, times, circuits) = (&mut self.state, &mut self.times, &self.circuits);
+        Self::run_attributed(state, &circuits.u_check, times, ctx)?;
         let flip = self.oracle.flip_gate();
         let start = Instant::now();
-        self.state.apply(&flip);
-        let elapsed = start.elapsed();
-        self.times.add("flip", elapsed);
-        qmkp_obs::span_closed("core.grover.section.flip", elapsed);
-        Self::section_metric("flip", elapsed);
-        Self::run_sectioned_ctx(
-            &mut self.state,
-            &self.circuits.u_check_inv,
-            &mut self.times,
-            ctx,
-        )?;
-        Self::run_sectioned_ctx(
-            &mut self.state,
-            &self.circuits.diffusion,
-            &mut self.times,
-            ctx,
-        )?;
+        state.apply(&flip);
+        times.record("flip", start.elapsed());
+        Self::run_attributed(state, &circuits.u_check_inv, times, ctx)?;
+        Self::run_attributed(state, &circuits.diffusion, times, ctx)?;
         self.iterations_done += 1;
         self.iteration_gauges();
         Ok(())
+    }
+
+    /// Runs one compiled circuit through the executor, attributing each
+    /// layer's time to the oracle sections it absorbed.
+    fn run_attributed(
+        state: &mut S,
+        compiled: &CompiledCircuit,
+        times: &mut SectionTimes,
+        ctx: Option<&RtContext>,
+    ) -> Result<(), SimError> {
+        let mut attribution = SectionAttribution {
+            compiled,
+            times,
+            weights: Vec::new(),
+        };
+        state.run_observed(compiled, ctx, &mut attribution)
     }
 
     /// Runs `count` budget-aware iterations.
@@ -448,199 +504,6 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
             qmkp_obs::gauge("core.grover.support", support as f64);
         }
         qmkp_obs::gauge("core.grover.mem_bytes", self.state.memory_bytes() as f64);
-    }
-
-    /// Folds one section duration into the labeled metrics histogram
-    /// (`core.grover.section`, label `section=<name>`), alongside the
-    /// span/`SectionTimes` accounting. One relaxed load when metrics are
-    /// off.
-    fn section_metric(name: &str, d: Duration) {
-        qmkp_obs::metrics::observe_duration("core.grover.section", &[("section", name)], d);
-    }
-
-    /// The bucket name of a schedule attribution's section id:
-    /// [`qmkp_qsim::UNSECTIONED`] (or anything out of range) lands in
-    /// "other"; `U_check` and `U_check†` share buckets via `†`-stripping.
-    fn bucket_name(compiled: &CompiledCircuit, id: usize) -> &str {
-        compiled
-            .sections()
-            .get(id)
-            .map(|s| s.name.trim_end_matches('†'))
-            .unwrap_or("other")
-    }
-
-    /// Applies a DAG-scheduled compiled circuit layer by layer, splitting
-    /// each layer's measured time across the sections it absorbed in
-    /// proportion to the schedule's per-op attribution weights. Shares are
-    /// floor-divided nanoseconds with the remainder on the last bucket, so
-    /// the bucket sum equals the measured layer time *exactly* — the obs
-    /// drift property (span sum == `SectionTimes::total()`) stays an
-    /// equality. With a context, each layer is one poll of the
-    /// `qsim.run.op` failpoint and one op-weight charge, matching the
-    /// kernel path's granularity.
-    fn run_scheduled(
-        state: &mut S,
-        compiled: &CompiledCircuit,
-        schedule: &qmkp_qsim::Schedule,
-        times: &mut SectionTimes,
-        ctx: Option<&RtContext>,
-    ) -> Result<(), SimError> {
-        let ops = compiled.ops();
-        let narrow = compiled.narrow_ops();
-        let traced = qmkp_obs::enabled();
-        for layer in &schedule.layers {
-            if let Some(ctx) = ctx {
-                qmkp_rt::failpoint::check("qsim.run.op")?;
-                ctx.charge_ops(layer.len() as u64)?;
-            }
-            let start = Instant::now();
-            match narrow {
-                Some(nops) => state.apply_layer64(&nops[layer.clone()]),
-                None => state.apply_layer(&ops[layer.clone()]),
-            }
-            let elapsed = start.elapsed();
-            // Fold the layer's per-op attributions into section → weight,
-            // keeping first-seen order so the remainder lands
-            // deterministically.
-            let mut weights: Vec<(usize, usize)> = Vec::new();
-            for attr in &schedule.attributions[layer.clone()] {
-                for &(sec, w) in attr {
-                    match weights.iter_mut().find(|(s, _)| *s == sec) {
-                        Some((_, total)) => *total += w,
-                        None => weights.push((sec, w)),
-                    }
-                }
-            }
-            let total: u128 = weights.iter().map(|&(_, w)| w as u128).sum();
-            if total == 0 {
-                continue;
-            }
-            let nanos = elapsed.as_nanos();
-            let mut used: u128 = 0;
-            for (i, &(sec, w)) in weights.iter().enumerate() {
-                let share = if i + 1 == weights.len() {
-                    nanos - used
-                } else {
-                    nanos * w as u128 / total
-                };
-                used += share;
-                let d = Duration::from_nanos(share as u64);
-                let name = Self::bucket_name(compiled, sec);
-                times.add(name, d);
-                if traced {
-                    qmkp_obs::span_closed(&format!("core.grover.section.{name}"), d);
-                }
-                Self::section_metric(name, d);
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies a compiled circuit, timing each section's op range (and any
-    /// ops between sections as "other"). `U_check` and `U_check†` share
-    /// buckets: the trailing `†` is stripped from section names.
-    fn run_sectioned(state: &mut S, compiled: &CompiledCircuit, times: &mut SectionTimes) {
-        if let Some(schedule) = compiled.schedule() {
-            Self::run_scheduled(state, compiled, schedule, times, None)
-                .expect("no context, no interruption");
-            return;
-        }
-        let ops = compiled.ops();
-        // Paper-scale registers fit in 64 bits; run the u64-specialised
-        // kernels whenever the compiler emitted them.
-        let narrow = compiled.narrow_ops();
-        let mut pos = 0;
-        let mut run_range = |range: std::ops::Range<usize>, name: &str| {
-            if range.is_empty() {
-                return;
-            }
-            let start = Instant::now();
-            match narrow {
-                Some(nops) => {
-                    for op in &nops[range.clone()] {
-                        state.apply_op64(op);
-                    }
-                }
-                None => {
-                    for op in &ops[range] {
-                        state.apply_op(op);
-                    }
-                }
-            }
-            let elapsed = start.elapsed();
-            times.add(name, elapsed);
-            if qmkp_obs::enabled() {
-                qmkp_obs::span_closed(&format!("core.grover.section.{name}"), elapsed);
-            }
-            Self::section_metric(name, elapsed);
-        };
-        for section in compiled.sections() {
-            debug_assert!(
-                section.range.start >= pos,
-                "sections must be ordered and disjoint"
-            );
-            run_range(pos..section.range.start, "other");
-            run_range(section.range.clone(), section.name.trim_end_matches('†'));
-            pos = section.range.end;
-        }
-        run_range(pos..ops.len(), "other");
-    }
-
-    /// Budget-aware variant of [`GroverDriver::run_sectioned`]: each
-    /// section's op range is charged against the op budget (one charge per
-    /// range — section granularity keeps the fast path untouched) before
-    /// it runs, and the context is polled between ranges.
-    fn run_sectioned_ctx(
-        state: &mut S,
-        compiled: &CompiledCircuit,
-        times: &mut SectionTimes,
-        ctx: &RtContext,
-    ) -> Result<(), SimError> {
-        if let Some(schedule) = compiled.schedule() {
-            return Self::run_scheduled(state, compiled, schedule, times, Some(ctx));
-        }
-        let ops = compiled.ops();
-        let narrow = compiled.narrow_ops();
-        let mut pos = 0;
-        let mut run_range = |range: std::ops::Range<usize>, name: &str| -> Result<(), SimError> {
-            if range.is_empty() {
-                return Ok(());
-            }
-            // Same site the per-op kernel path consults: one poll per
-            // section range, matching the op-budget charge granularity.
-            qmkp_rt::failpoint::check("qsim.run.op")?;
-            ctx.charge_ops(range.len() as u64)?;
-            let start = Instant::now();
-            match narrow {
-                Some(nops) => {
-                    for op in &nops[range.clone()] {
-                        state.apply_op64(op);
-                    }
-                }
-                None => {
-                    for op in &ops[range] {
-                        state.apply_op(op);
-                    }
-                }
-            }
-            let elapsed = start.elapsed();
-            times.add(name, elapsed);
-            if qmkp_obs::enabled() {
-                qmkp_obs::span_closed(&format!("core.grover.section.{name}"), elapsed);
-            }
-            Self::section_metric(name, elapsed);
-            Ok(())
-        };
-        for section in compiled.sections() {
-            debug_assert!(
-                section.range.start >= pos,
-                "sections must be ordered and disjoint"
-            );
-            run_range(pos..section.range.start, "other")?;
-            run_range(section.range.clone(), section.name.trim_end_matches('†'))?;
-            pos = section.range.end;
-        }
-        run_range(pos..ops.len(), "other")
     }
 
     /// The probability distribution over vertex-register basis states

@@ -89,7 +89,7 @@ pub struct Diagnostic {
     /// How bad the finding is.
     pub severity: Severity,
     /// Stable machine-readable identifier (kebab-case), e.g.
-    /// `ancilla-dirty`, `resource-width`, `peephole-cancel`.
+    /// `ancilla-dirty`, `resource-width`, `dead-gate`.
     pub code: &'static str,
     /// Where the finding points.
     pub span: Span,
@@ -219,8 +219,8 @@ mod tests {
 
     #[test]
     fn spanless_diagnostic_renders_one_line() {
-        let d = Diagnostic::note("peephole-cancel", Span::default(), "2 gates cancel");
-        assert_eq!(d.to_string(), "note[peephole-cancel]: 2 gates cancel");
+        let d = Diagnostic::note("dead-gate", Span::default(), "2 gates never fire");
+        assert_eq!(d.to_string(), "note[dead-gate]: 2 gates never fire");
     }
 
     #[test]

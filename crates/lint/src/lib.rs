@@ -23,7 +23,7 @@
 //!   drift apart unnoticed.
 //! * **Structural diagnostics** ([`structural`]): malformed gates,
 //!   register aliasing, and the exact cancellation/fusion opportunities
-//!   the compile pipeline will exploit — cross-checkable against
+//!   the compiler's DAG scheduler will exploit — cross-checkable against
 //!   [`qmkp_qsim::compile::CompileStats`] via
 //!   [`report::cross_check_compile`].
 //!
@@ -52,7 +52,6 @@ pub use diagnostic::{has_errors, render, Diagnostic, Severity, Span};
 pub use report::{analyze, cross_check_compile, AnalysisReport};
 pub use resource::{audit, circuit_depth, qtkp_oracle_model, ResourceModel, SectionBudget};
 pub use structural::{
-    check_registers, peephole_estimate, scheduled_peephole_estimate, structural_diagnostics,
-    PeepholeEstimate,
+    check_registers, scheduled_peephole_estimate, structural_diagnostics, PeepholeEstimate,
 };
 pub use symbolic::{analyze_symbolic, SymbolicAnalysis, SymbolicOutcome, Witness};

@@ -11,9 +11,7 @@
 use crate::ancilla::{verify_ancillas, AncillaSpec, ProofMethod};
 use crate::diagnostic::{self, Diagnostic, Severity};
 use crate::resource::{audit, circuit_depth, ResourceModel};
-use crate::structural::{
-    peephole_estimate, scheduled_peephole_estimate, structural_diagnostics, PeepholeEstimate,
-};
+use crate::structural::{scheduled_peephole_estimate, structural_diagnostics, PeepholeEstimate};
 use qmkp_obs::json::{number, quote};
 use qmkp_qsim::compile::CompileStats;
 use qmkp_qsim::Circuit;
@@ -43,10 +41,9 @@ pub struct AnalysisReport {
     pub inputs_checked: u64,
     /// Per-section gate counts, in circuit order.
     pub sections: Vec<(String, usize)>,
-    /// Cancellation/fusion opportunities the *linear* compile pipeline
-    /// would exploit — a conservative floor every compile mode reaches.
-    /// The DAG scheduler's deeper rewrites are verified separately by
-    /// [`cross_check_compile`] against the actual compile's stats.
+    /// Cancellations, merges and commutes the compiler's DAG scheduler
+    /// would perform; [`cross_check_compile`] verifies the same estimate
+    /// against an actual compile's stats.
     pub peephole: PeepholeEstimate,
 }
 
@@ -178,7 +175,7 @@ pub fn analyze(
     if let Some(model) = model {
         diagnostics.extend(audit(circuit, model));
     }
-    let peephole = peephole_estimate(circuit, &mut diagnostics);
+    let peephole = scheduled_peephole_estimate(circuit);
 
     diagnostic::export_counters(&diagnostics);
     AnalysisReport {
@@ -199,20 +196,14 @@ pub fn analyze(
     }
 }
 
-/// Cross-checks the analyzer's peephole estimate against the stats the
-/// compiler actually reported for the same circuit. A mismatch means the
+/// Cross-checks the analyzer's peephole estimate (a replay of the DAG
+/// scheduler's sink/fuse/cancel state machine,
+/// [`scheduled_peephole_estimate`]) against the stats the compiler
+/// actually reported for the same circuit. A mismatch means the
 /// analyzer's model of the compiler has drifted — exactly the silent
-/// divergence this check exists to catch. `stats.scheduled` selects
-/// which mirror to replay: the linear run-splitting model, or the DAG
-/// scheduler's sink/fuse/cancel state machine
-/// ([`scheduled_peephole_estimate`]).
+/// divergence this check exists to catch.
 pub fn cross_check_compile(circuit: &Circuit, stats: &CompileStats) -> Vec<Diagnostic> {
-    let est = if stats.scheduled {
-        scheduled_peephole_estimate(circuit)
-    } else {
-        let mut scratch = Vec::new();
-        peephole_estimate(circuit, &mut scratch)
-    };
+    let est = scheduled_peephole_estimate(circuit);
     let mut diagnostics = Vec::new();
     let mut check = |what: &'static str, code: &'static str, predicted: usize, actual: usize| {
         if predicted != actual {

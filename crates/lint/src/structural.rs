@@ -10,18 +10,14 @@
 //! * **Register aliasing** proves a layout's named registers are pairwise
 //!   disjoint and inside the circuit width — overlapping registers are
 //!   how a "scratch" write silently clobbers a counter.
-//! * **Peephole estimation** mirrors the `qmkp-qsim` compile pipeline's
-//!   cancellation and merge rules gate-for-gate, so its counts can be
-//!   cross-checked against [`qmkp_qsim::CompileStats`] — a drift between
-//!   the two means the analyzer and the compiler no longer model the same
-//!   circuit semantics.
+//! * **Peephole estimation** mirrors the `qmkp-qsim` DAG scheduler's
+//!   cancellation, merge and commute rules gate-for-gate, so its counts
+//!   can be cross-checked against [`qmkp_qsim::CompileStats`] — a drift
+//!   between the two means the analyzer and the compiler no longer model
+//!   the same circuit semantics.
 
 use crate::diagnostic::{Diagnostic, Span};
 use qmkp_qsim::{validate_gate, Circuit, CompileError, Gate, Register};
-
-/// At most this many individual `peephole-cancel` notes are emitted per
-/// circuit (the totals are always exact in [`PeepholeEstimate`]).
-const MAX_PEEPHOLE_NOTES: usize = 8;
 
 /// Runs the syntactic checks over every gate.
 ///
@@ -103,23 +99,21 @@ pub fn check_registers(registers: &[&Register], width: usize) -> Vec<Diagnostic>
     diagnostics
 }
 
-/// What the compile pipeline's peepholes would remove, predicted
-/// statically. Field-for-field comparable with the corresponding
+/// What the compiler's peepholes would remove, predicted statically.
+/// Field-for-field comparable with the corresponding
 /// [`qmkp_qsim::CompileStats`] fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeepholeEstimate {
-    /// Gates an adjacent-inverse-flip cancellation would remove (each
+    /// Gates an inverse-flip cancellation would remove (each
     /// cancellation removes two gates; cascades are followed).
     pub cancelled_flips: usize,
-    /// Phase gates that would merge into their predecessor's step.
+    /// Phase gates that would merge into a pending same-pattern step.
     pub merged_phases: usize,
-    /// Single-qubit gates that would fuse into their predecessor's 2×2
-    /// product.
+    /// Single-qubit gates that would fuse into a pending 2×2 product on
+    /// the same qubit.
     pub merged_singles: usize,
-    /// Diagonal steps the DAG scheduler would sink past an arriving
-    /// permutation step by mask conjugation. Always zero for the linear
-    /// pipeline ([`peephole_estimate`]); only
-    /// [`scheduled_peephole_estimate`] predicts it.
+    /// Diagonal steps the scheduler would sink past an arriving
+    /// permutation step by mask conjugation.
     pub commuted_diagonals: usize,
 }
 
@@ -188,17 +182,16 @@ fn conjugate_masks(d: (u128, u128), f: (u128, u128, u128)) -> Option<(u128, u128
     None
 }
 
-/// Predicts the *DAG scheduler's* peephole effects (`compile_with` with
-/// `dag_scheduler` on — the default compile mode) without compiling.
+/// Predicts the DAG scheduler's peephole effects (what
+/// `CompiledCircuit::compile` removes) without compiling.
 ///
 /// The scheduler fuses across section boundaries and sinks diagonals
-/// past permutation ladders by conjugation, so its counts legitimately
-/// differ from [`peephole_estimate`]'s linear model. This mirror replays
-/// the scheduler's streaming state machine at the mask level: a pending
-/// permutation ladder, a pending diagonal run, and pending single-qubit
-/// kernels (tracked by qubit only), with the same flush/conjugate/cancel
-/// arrival rules. [`crate::report::cross_check_compile`] picks between
-/// the two mirrors from `CompileStats::scheduled`.
+/// past permutation ladders by conjugation. This mirror replays its
+/// streaming state machine at the mask level: a pending permutation
+/// ladder, a pending diagonal run, and pending single-qubit kernels
+/// (tracked by qubit only), with the same flush/conjugate/cancel arrival
+/// rules. [`crate::report::cross_check_compile`] compares it against the
+/// compiler's reported stats.
 pub fn scheduled_peephole_estimate(circuit: &Circuit) -> PeepholeEstimate {
     // The mask mirror shares the compiler's u128 basis encoding; wider
     // circuits never compile, so there is nothing to predict (and
@@ -280,137 +273,13 @@ pub fn scheduled_peephole_estimate(circuit: &Circuit) -> PeepholeEstimate {
     est
 }
 
-/// Predicts the *linear* compile pipeline's peephole effects without
-/// compiling, appending a capped set of `peephole-cancel` notes for the
-/// cancelled pairs. The returned totals mirror
-/// `CompileStats::{cancelled_flips, merged_phases, merged_singles}` of a
-/// linear compile exactly (same run-splitting at section boundaries,
-/// same cascade behaviour), which
-/// [`crate::report::cross_check_compile`] relies on when
-/// `CompileStats::scheduled` is false; scheduled compiles are mirrored
-/// by [`scheduled_peephole_estimate`] instead. The linear model is the
-/// one [`crate::report::analyze`] reports: it is a conservative floor
-/// every compile mode reaches, and its gate-indexed notes stay
-/// meaningful to a human reader.
-pub fn peephole_estimate(circuit: &Circuit, diagnostics: &mut Vec<Diagnostic>) -> PeepholeEstimate {
-    // See `scheduled_peephole_estimate`: beyond the compiler's 128-qubit
-    // cap there is no compile to predict.
-    if circuit.width() > 128 {
-        return PeepholeEstimate::default();
-    }
-    let mut est = PeepholeEstimate::default();
-    let mut notes = 0usize;
-
-    // Run boundaries: section starts/ends, exactly as the compiler sees.
-    let mut boundaries: Vec<usize> = circuit
-        .sections()
-        .iter()
-        .flat_map(|s| [s.range.start, s.range.end])
-        .collect();
-    boundaries.sort_unstable();
-    boundaries.dedup();
-
-    // Open-run state, mirroring the compiler's accumulators. The flip
-    // stack carries (masks, source gate index) so cancelled pairs can be
-    // reported by index.
-    let mut flip_run: Vec<((u128, u128, u128), usize)> = Vec::new();
-    let mut phase_run: Option<(u128, u128)> = None;
-    let mut in_flip_run = false;
-    let mut in_phase_run = false;
-    let mut fusable_single: Option<usize> = None;
-
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        if boundaries.binary_search(&i).is_ok() {
-            flip_run.clear();
-            phase_run = None;
-            in_flip_run = false;
-            in_phase_run = false;
-            fusable_single = None;
-        }
-        if let Some(masks) = flip_masks(gate) {
-            if !in_flip_run {
-                flip_run.clear();
-            }
-            in_flip_run = true;
-            in_phase_run = false;
-            fusable_single = None;
-            if flip_run.last().map(|(m, _)| *m) == Some(masks) {
-                let (_, partner) = flip_run.pop().expect("non-empty: last() matched");
-                est.cancelled_flips += 2;
-                if notes < MAX_PEEPHOLE_NOTES {
-                    notes += 1;
-                    diagnostics.push(Diagnostic::note(
-                        "peephole-cancel",
-                        Span::at_gate(i),
-                        format!(
-                            "gates #{partner} and #{i} are adjacent inverses; \
-                             the compile peephole removes both"
-                        ),
-                    ));
-                }
-            } else {
-                flip_run.push((masks, i));
-            }
-        } else if let Some(masks) = phase_masks(gate) {
-            if !in_phase_run {
-                phase_run = None;
-            }
-            in_phase_run = true;
-            in_flip_run = false;
-            fusable_single = None;
-            if phase_run == Some(masks) {
-                est.merged_phases += 1;
-            }
-            phase_run = Some(masks);
-        } else {
-            // Single-qubit non-diagonal (H / Ry).
-            in_flip_run = false;
-            in_phase_run = false;
-            let q = gate.qubits()[0];
-            if fusable_single == Some(q) {
-                est.merged_singles += 1;
-            }
-            fusable_single = Some(q);
-        }
-    }
-    if est.cancelled_flips > 0 && notes == MAX_PEEPHOLE_NOTES {
-        diagnostics.push(Diagnostic::note(
-            "peephole-cancel",
-            Span::default(),
-            format!(
-                "… {} gate(s) cancel in total (further pair notes suppressed)",
-                est.cancelled_flips
-            ),
-        ));
-    }
-    est
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmkp_qsim::{CompileOptions, CompiledCircuit, QubitAllocator};
+    use qmkp_qsim::{CompiledCircuit, QubitAllocator};
 
-    fn linear_stats(c: &Circuit) -> qmkp_qsim::CompileStats {
-        CompiledCircuit::compile_with(
-            c,
-            CompileOptions {
-                dag_scheduler: false,
-            },
-        )
-        .unwrap()
-        .stats()
-    }
-
-    fn scheduled_stats(c: &Circuit) -> qmkp_qsim::CompileStats {
-        CompiledCircuit::compile_with(
-            c,
-            CompileOptions {
-                dag_scheduler: true,
-            },
-        )
-        .unwrap()
-        .stats()
+    fn compile_stats(c: &Circuit) -> qmkp_qsim::CompileStats {
+        CompiledCircuit::compile(c).unwrap().stats()
     }
 
     #[test]
@@ -455,39 +324,10 @@ mod tests {
 
     /// The estimate must track `CompileStats` exactly — build a circuit
     /// exercising cascaded cancellation, phase merging, single fusion and
-    /// section boundaries, and compare.
+    /// a section boundary (which the trailing `H(1)` fuses across), and
+    /// compare.
     #[test]
-    fn estimate_matches_compile_stats() {
-        let mut c = Circuit::new(4);
-        c.push_unchecked(Gate::cnot(0, 1));
-        c.push_unchecked(Gate::ccnot(0, 1, 2));
-        c.push_unchecked(Gate::ccnot(0, 1, 2)); // cancels, cascading
-        c.push_unchecked(Gate::cnot(0, 1)); // …to here
-        c.begin_section("s");
-        c.push_unchecked(Gate::X(3));
-        c.push_unchecked(Gate::X(3)); // cancels inside the section
-        c.push_unchecked(Gate::Phase(0, 0.2));
-        c.push_unchecked(Gate::Phase(0, 0.3)); // merges
-        c.push_unchecked(Gate::H(1));
-        c.push_unchecked(Gate::Ry(1, 0.5)); // fuses
-        c.end_section();
-        c.push_unchecked(Gate::H(1)); // section boundary blocks fusion
-
-        let mut diags = Vec::new();
-        let est = peephole_estimate(&c, &mut diags);
-        let stats = linear_stats(&c);
-        assert_eq!(est.cancelled_flips, stats.cancelled_flips);
-        assert_eq!(est.merged_phases, stats.merged_phases);
-        assert_eq!(est.merged_singles, stats.merged_singles);
-        assert_eq!(est.cancelled_flips, 6);
-        assert!(diags.iter().any(|d| d.code == "peephole-cancel"));
-    }
-
-    /// Same circuit, scheduled pipeline: the DAG mirror must track the
-    /// scheduler's (deeper) counts — the trailing `H(1)` fuses across the
-    /// section end, which the linear model above cannot see.
-    #[test]
-    fn scheduled_estimate_matches_scheduled_compile_stats() {
+    fn scheduled_estimate_matches_compile_stats() {
         let mut c = Circuit::new(4);
         c.push_unchecked(Gate::cnot(0, 1));
         c.push_unchecked(Gate::ccnot(0, 1, 2));
@@ -504,8 +344,8 @@ mod tests {
         c.push_unchecked(Gate::H(1)); // fuses across the boundary here
 
         let est = scheduled_peephole_estimate(&c);
-        let stats = scheduled_stats(&c);
-        assert!(stats.scheduled);
+        let stats = compile_stats(&c);
+        assert_eq!(est.cancelled_flips, 6);
         assert_eq!(est.cancelled_flips, stats.cancelled_flips);
         assert_eq!(est.merged_phases, stats.merged_phases);
         assert_eq!(est.merged_singles, stats.merged_singles);
@@ -515,7 +355,7 @@ mod tests {
 
     /// A diagonal sandwiched between equal flips: the scheduler sinks the
     /// phase through the second flip (one commuted diagonal) and cancels
-    /// the pair — the signature rewrite the linear model cannot express.
+    /// the pair across the section boundary — its signature rewrite.
     #[test]
     fn scheduled_estimate_predicts_sinking_and_cancellation() {
         let mut c = Circuit::new(3);
@@ -526,43 +366,10 @@ mod tests {
         c.end_section();
 
         let est = scheduled_peephole_estimate(&c);
-        let stats = scheduled_stats(&c);
+        let stats = compile_stats(&c);
         assert_eq!(est.cancelled_flips, stats.cancelled_flips);
         assert_eq!(est.commuted_diagonals, stats.commuted_diagonals);
         assert_eq!(est.cancelled_flips, 2);
         assert_eq!(est.commuted_diagonals, 1);
-    }
-
-    #[test]
-    fn section_boundary_blocks_cancellation_in_estimate() {
-        let mut c = Circuit::new(3);
-        c.push_unchecked(Gate::ccnot(0, 1, 2));
-        c.begin_section("s");
-        c.push_unchecked(Gate::ccnot(0, 1, 2));
-        c.end_section();
-        let mut diags = Vec::new();
-        let est = peephole_estimate(&c, &mut diags);
-        assert_eq!(est.cancelled_flips, 0);
-        let stats = linear_stats(&c);
-        assert_eq!(est.cancelled_flips, stats.cancelled_flips);
-        // The DAG scheduler, by contrast, cancels straight through the
-        // boundary — and the scheduled mirror predicts that too.
-        let sched = scheduled_peephole_estimate(&c);
-        assert_eq!(sched.cancelled_flips, 2);
-        assert_eq!(sched.cancelled_flips, scheduled_stats(&c).cancelled_flips);
-    }
-
-    #[test]
-    fn note_flood_is_capped() {
-        let mut c = Circuit::new(1);
-        for _ in 0..30 {
-            c.push_unchecked(Gate::X(0));
-        }
-        let mut diags = Vec::new();
-        let est = peephole_estimate(&c, &mut diags);
-        assert_eq!(est.cancelled_flips, 30);
-        let notes = diags.iter().filter(|d| d.code == "peephole-cancel").count();
-        assert!(notes <= MAX_PEEPHOLE_NOTES + 1);
-        assert!(diags.last().unwrap().message.contains("30 gate(s)"));
     }
 }

@@ -6,8 +6,9 @@
 //! * the symbolic XOR-affine verdict agrees with exhaustive enumeration
 //!   on arbitrary sectioned circuits (the differential test that keeps
 //!   the abstract domain honest);
-//! * the peephole estimate agrees gate-for-gate with what the real
-//!   compiler reports, on arbitrary sectioned circuits;
+//! * the peephole estimate (the DAG scheduler's mirror) agrees
+//!   gate-for-gate with what the real compiler reports, on arbitrary
+//!   sectioned circuits;
 //! * ASAP depth is sandwiched between the busiest-qubit count and the
 //!   gate count;
 //! * a resource audit built from a circuit's own section counts passes,
@@ -16,8 +17,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use qmkp_lint::{
-    analyze, circuit_depth, cross_check_compile, peephole_estimate, verify_ancillas, AncillaReport,
-    AncillaSpec, ProofMethod, ResourceModel, SectionBudget, Severity,
+    analyze, circuit_depth, cross_check_compile, scheduled_peephole_estimate, verify_ancillas,
+    AncillaReport, AncillaSpec, ProofMethod, ResourceModel, SectionBudget, Severity,
 };
 use qmkp_qsim::{Circuit, CompiledCircuit, Gate};
 
@@ -92,8 +93,6 @@ proptest! {
     /// Every qubit the enumeration catches dirty, the symbolic pass must
     /// also catch (it may catch *more*: enumeration stops at the first
     /// violating input, the symbolic pass witnesses every dirty qubit).
-    /// The CI scheduler matrix reruns this under both
-    /// `QMKP_QSIM_SCHEDULER` modes.
     #[test]
     fn symbolic_verdict_matches_exhaustive_enumeration(
         width in 3usize..=10,
@@ -262,8 +261,7 @@ fn peephole_estimate_counts_cancellation_in_sandwich() {
     c.push_unchecked(Gate::ccnot(0, 1, 2));
     c.push_unchecked(Gate::ccnot(0, 1, 2));
     c.push_unchecked(Gate::cnot(0, 1));
-    let mut diags = Vec::new();
-    let est = peephole_estimate(&c, &mut diags);
+    let est = scheduled_peephole_estimate(&c);
     assert_eq!(est.cancelled_flips, 4);
     let compiled = CompiledCircuit::compile(&c).unwrap();
     assert_eq!(est.cancelled_flips, compiled.stats().cancelled_flips);

@@ -120,8 +120,8 @@ fn wide_violations_fall_back_to_concrete_evaluation_when_symbolic_is_off() {
 
 #[test]
 fn the_full_analyzer_handles_width_300() {
-    // `analyze` also runs structural checks and the peephole mirrors,
-    // which share the compiler's u128 masks — they must degrade to a
+    // `analyze` also runs structural checks and the peephole mirror,
+    // which shares the compiler's u128 masks — it must degrade to a
     // zero estimate beyond 128 qubits instead of overflowing.
     let (c, spec) = wide_sandwich();
     let report = analyze("wide-300", &c, &spec, None);

@@ -1,4 +1,5 @@
-//! Circuit compilation: lowering a [`Circuit`] to fused kernel ops.
+//! Circuit compilation: lowering a [`Circuit`] to fused, layered kernel
+//! ops.
 //!
 //! Interpreting a circuit gate-by-gate makes one full pass over the state
 //! per gate and re-examines each gate's control list (a heap-allocated
@@ -9,24 +10,29 @@
 //! 1. **Mask precompilation** — every control list is folded once into a
 //!    `(care, want)` bit-mask pair, so the per-basis-state test collapses
 //!    to one AND and one compare ([`MaskedFlip`], [`MaskedPhase`]).
-//! 2. **Permutation-segment fusion** — maximal runs of classical-
-//!    reversible gates (X / MCX) become a single [`CompiledOp::Permutation`]
-//!    applied in one pass over the state; likewise runs of diagonal gates
-//!    (Z / Phase / CPhase / MCZ) fuse into one [`CompiledOp::Diagonal`].
-//!    Runs never cross section boundaries, so per-section timing (the
-//!    paper's Table IV attribution) stays exact.
+//! 2. **DAG scheduling** ([`crate::dag`]) — classical-reversible gates
+//!    (X / MCX) fuse into permutation ladders applied in one pass
+//!    ([`Op::Permutation`]), diagonal gates (Z / Phase / CPhase / MCZ)
+//!    into one [`Op::Diagonal`] pass. Diagonals commute past ladders by
+//!    mask conjugation, so compute/uncompute mirrors cancel even across
+//!    intervening phases and section boundaries; per-section cost
+//!    attribution (the paper's Table IV) survives as per-op weights in
+//!    the [`crate::dag::Schedule`], which also cuts the ops into
+//!    support-disjoint layers the backends dispatch one pass each.
 //! 3. The remaining gates (H / Ry) lower to a general real-free 2×2 kernel
-//!    ([`SingleQubit`]) applied as a butterfly pass. Consecutive
-//!    single-qubit kernels on the *same* qubit fuse into one matrix
-//!    product, so e.g. an `Ry` sandwiched between Hadamards costs one
-//!    state pass instead of three.
+//!    ([`SingleQubit`]) applied as a butterfly pass. Single-qubit kernels
+//!    on the *same* qubit fuse into one matrix product, so e.g. an `Ry`
+//!    sandwiched between Hadamards costs one state pass instead of three.
 //!
-//! Kernel steps are generic over the basis-key integer ([`BasisKey`]):
-//! every instance in the paper fits in 64 bits, so circuits of width ≤ 64
-//! are additionally lowered to u64-specialised steps
-//! ([`MaskedFlip64`] / [`MaskedPhase64`], exposed via
-//! [`CompiledCircuit::narrow_ops`]) that the backends prefer — half the
-//! register pressure of the `u128` fallback kept for wider registers.
+//! Kernel steps are generic over the basis-key integer ([`BasisKey`]).
+//! Registers of 65-128 qubits run on `u128` keys, and that covers every
+//! qTKP oracle: the paper's fig-1 oracle is already 68 qubits wide, and
+//! every probe the benchmark runs is at least that wide. Circuits of
+//! width ≤ 64 — the dense backend's registers, quantum counting's phase
+//! register, and small test circuits — are additionally lowered to
+//! u64-specialised steps ([`MaskedFlip64`] / [`MaskedPhase64`], exposed
+//! via [`CompiledCircuit::narrow_ops`]) that the backends prefer, at half
+//! the register pressure of the `u128` steps.
 //!
 //! Compilation is fallible ([`CompileError`]): a circuit wider than the
 //! 128-bit basis encoding, or one whose gates reference out-of-range or
@@ -40,6 +46,7 @@
 use crate::circuit::{Circuit, Section};
 use crate::complex::Complex;
 use crate::gate::Gate;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Widest register the compiler (and the sparse backend) can encode: one
@@ -48,9 +55,10 @@ pub const MAX_COMPILE_WIDTH: usize = 128;
 
 /// Integer type carrying a basis state in the kernel hot loops.
 ///
-/// Implemented for `u64` (the fast path: every paper instance fits) and
-/// `u128` (the fallback for registers of 65-128 qubits). Backends and
-/// kernel steps are generic over this trait so both widths share one
+/// Implemented for `u64` (registers of width ≤ 64: the dense backend,
+/// quantum counting, small test circuits) and `u128` (registers of
+/// 65-128 qubits, which includes every qTKP oracle). Backends and kernel
+/// steps are generic over this trait so both widths share one
 /// implementation.
 pub trait BasisKey:
     Copy
@@ -82,6 +90,13 @@ pub trait BasisKey:
     fn split_lo_hi(self) -> (u64, u64);
     /// Inverse of [`BasisKey::split_lo_hi`].
     fn from_lo_hi(lo: u64, hi: u64) -> Self;
+    /// `ops` with u64 masks: borrowed when `Self` is `u64`, truncated
+    /// copies otherwise. Lets a backend run ops of either width on its
+    /// own key width.
+    fn ops_as_u64(ops: &[Op<Self>]) -> Cow<'_, [Op<u64>]>;
+    /// `ops` with u128 masks: borrowed when `Self` is `u128`, widened
+    /// copies otherwise.
+    fn ops_as_u128(ops: &[Op<Self>]) -> Cow<'_, [Op<u128>]>;
 }
 
 impl BasisKey for u64 {
@@ -111,6 +126,12 @@ impl BasisKey for u64 {
     fn from_lo_hi(lo: u64, _hi: u64) -> Self {
         lo
     }
+    fn ops_as_u64(ops: &[Op<u64>]) -> Cow<'_, [Op<u64>]> {
+        Cow::Borrowed(ops)
+    }
+    fn ops_as_u128(ops: &[Op<u64>]) -> Cow<'_, [Op<u128>]> {
+        Cow::Owned(ops.iter().map(Op::widen).collect())
+    }
 }
 
 impl BasisKey for u128 {
@@ -139,6 +160,12 @@ impl BasisKey for u128 {
     #[inline]
     fn from_lo_hi(lo: u64, hi: u64) -> Self {
         (lo as u128) | ((hi as u128) << 64)
+    }
+    fn ops_as_u64(ops: &[Op<u128>]) -> Cow<'_, [Op<u64>]> {
+        Cow::Owned(ops.iter().map(Op::narrow).collect())
+    }
+    fn ops_as_u128(ops: &[Op<u128>]) -> Cow<'_, [Op<u128>]> {
+        Cow::Borrowed(ops)
     }
 }
 
@@ -495,9 +522,8 @@ pub struct CompileStats {
     /// Kernel steps across all emitted ops (each `Single` counts as one).
     pub kernel_steps: usize,
     /// Gates removed by inverse-flip cancellation (each cancellation
-    /// removes two source gates). The linear pass only cancels adjacent
-    /// pairs; the DAG scheduler also cancels across commuting
-    /// intermediates.
+    /// removes two source gates), including pairs that meet only after
+    /// the scheduler commuted intermediates out of the way.
     pub cancelled_flips: usize,
     /// Phase gates folded into an existing step of the same pattern.
     pub merged_phases: usize,
@@ -505,116 +531,46 @@ pub struct CompileStats {
     pub merged_singles: usize,
     /// Whether u64-specialised kernels were emitted (width ≤ 64).
     pub narrow: bool,
-    /// Whether the DAG scheduler produced this compile (vs linear fusion).
-    pub scheduled: bool,
     /// Diagonal steps conjugated past a later flip by the scheduler's
     /// commute rewrite (counted once per diagonal per sunk flip).
     pub commuted_diagonals: usize,
-    /// Dispatch layers in the schedule (0 for linear compiles).
+    /// Dispatch layers in the schedule.
     pub layers: usize,
     /// Kernel steps in the longest fused permutation ladder.
     pub longest_ladder: usize,
 }
 
-/// Compilation mode knobs.
-///
-/// [`CompileOptions::default`] reads the `QMKP_QSIM_SCHEDULER`
-/// environment variable: the DAG scheduler is ON unless the variable is
-/// set to `0`, `false` or `off` (case-insensitive) — the toggle the CI
-/// `scheduler` matrix leg flips to prove both compile paths agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Run the gate-DAG scheduling pass ([`crate::dag`]) instead of
-    /// linear segment fusion.
-    pub dag_scheduler: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            dag_scheduler: scheduler_enabled_by_env(),
-        }
-    }
-}
-
-/// The `QMKP_QSIM_SCHEDULER` default: on unless explicitly disabled.
-pub fn scheduler_enabled_by_env() -> bool {
-    match std::env::var("QMKP_QSIM_SCHEDULER") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    }
-}
-
-/// A circuit lowered to fused kernel ops, with section tags carried over
-/// as op-index ranges.
+/// A circuit lowered to fused kernel ops, with its dispatch schedule and
+/// section tags carried over as covering op-index ranges.
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     width: usize,
     ops: Vec<CompiledOp>,
     /// The same ops with u64 masks, present when `width ≤ 64`. Backends
-    /// prefer these: every paper instance fits in 64 bits.
+    /// prefer these; qTKP oracles are wider and run the `u128` ops.
     narrow_ops: Option<Vec<CompiledOp64>>,
     sections: Vec<Section>,
     source_gates: usize,
     stats: CompileStats,
-    /// The layer structure and per-op section attribution, present when
-    /// the DAG scheduler compiled this circuit.
-    schedule: Option<crate::dag::Schedule>,
+    /// The layer structure and per-op section attribution.
+    schedule: crate::dag::Schedule,
 }
 
 impl CompiledCircuit {
-    /// Compiles a circuit with [`CompileOptions::default`] — the DAG
-    /// scheduler unless `QMKP_QSIM_SCHEDULER` disables it.
+    /// Compiles a circuit: validates it, runs the DAG scheduler
+    /// ([`crate::dag`]) over the lowered gates, and layers the result.
+    /// Diagonals sink past permutations, ladders fuse and cancel across
+    /// section boundaries, and the result carries a
+    /// [`crate::dag::Schedule`] of support-disjoint dispatch layers with
+    /// per-op section weights.
     ///
     /// # Errors
     /// Fails with a [`CompileError`] if the circuit is wider than 128
     /// qubits or a gate references out-of-range or duplicated qubits; a
     /// malformed circuit is reported, never panicked on.
     pub fn compile(circuit: &Circuit) -> Result<Self, CompileError> {
-        Self::compile_with(circuit, CompileOptions::default())
-    }
-
-    /// Compiles a circuit in an explicit mode.
-    ///
-    /// Linear mode lowers every gate and fuses maximal same-class runs of
-    /// permutation and diagonal gates, closing runs at section boundaries
-    /// so per-section attribution stays exact. Scheduler mode
-    /// ([`crate::dag`]) reorders commuting gates instead: diagonals sink
-    /// past permutations, ladders fuse and cancel across section
-    /// boundaries, and the result carries a [`crate::dag::Schedule`] of
-    /// support-disjoint dispatch layers with per-op section weights.
-    ///
-    /// # Errors
-    /// Same contract as [`CompiledCircuit::compile`].
-    pub fn compile_with(circuit: &Circuit, options: CompileOptions) -> Result<Self, CompileError> {
         crate::validate::validate_circuit(circuit)?;
         let span = qmkp_obs::span("qsim.compile");
-        let compiled = if options.dag_scheduler {
-            Self::compile_scheduled(circuit)
-        } else {
-            Self::compile_linear(circuit)
-        };
-        if qmkp_obs::enabled_for("qsim.compile") {
-            let stats = compiled.stats;
-            qmkp_obs::counter("qsim.compile.gates", stats.source_gates as u64);
-            qmkp_obs::counter("qsim.compile.ops", stats.ops as u64);
-            qmkp_obs::counter("qsim.compile.cancelled", stats.cancelled_flips as u64);
-            qmkp_obs::counter("qsim.compile.merged", stats.merged_phases as u64);
-            qmkp_obs::counter("qsim.compile.merged_singles", stats.merged_singles as u64);
-            qmkp_obs::counter("qsim.compile.narrow", stats.narrow as u64);
-            qmkp_obs::counter("qsim.compile.scheduled", stats.scheduled as u64);
-            qmkp_obs::counter("qsim.compile.commuted", stats.commuted_diagonals as u64);
-            qmkp_obs::counter("qsim.compile.layers", stats.layers as u64);
-        }
-        span.finish();
-        Ok(compiled)
-    }
-
-    /// The DAG-scheduled compile path (validation already done).
-    fn compile_scheduled(circuit: &Circuit) -> Self {
         let out = crate::dag::schedule_compile(circuit);
         let narrow_ops = (circuit.width() <= u64::BITS as usize)
             .then(|| out.ops.iter().map(Op::narrow).collect::<Vec<_>>());
@@ -626,168 +582,36 @@ impl CompiledCircuit {
             merged_phases: out.merged_phases,
             merged_singles: out.merged_singles,
             narrow: narrow_ops.is_some(),
-            scheduled: true,
             commuted_diagonals: out.commuted_diagonals,
             layers: out.schedule.layers.len(),
             longest_ladder: longest_ladder(&out.ops),
         };
-        CompiledCircuit {
+        if qmkp_obs::enabled_for("qsim.compile") {
+            qmkp_obs::counter("qsim.compile.gates", stats.source_gates as u64);
+            qmkp_obs::counter("qsim.compile.ops", stats.ops as u64);
+            qmkp_obs::counter("qsim.compile.cancelled", stats.cancelled_flips as u64);
+            qmkp_obs::counter("qsim.compile.merged", stats.merged_phases as u64);
+            qmkp_obs::counter("qsim.compile.merged_singles", stats.merged_singles as u64);
+            qmkp_obs::counter("qsim.compile.narrow", stats.narrow as u64);
+            qmkp_obs::counter("qsim.compile.commuted", stats.commuted_diagonals as u64);
+            qmkp_obs::counter("qsim.compile.layers", stats.layers as u64);
+        }
+        span.finish();
+        Ok(CompiledCircuit {
             width: circuit.width(),
             ops: out.ops,
             narrow_ops,
             sections: out.sections,
             source_gates: circuit.len(),
             stats,
-            schedule: Some(out.schedule),
-        }
+            schedule: out.schedule,
+        })
     }
 
-    /// The linear segment-fusion compile path (validation already done).
-    fn compile_linear(circuit: &Circuit) -> Self {
-        let mut cancelled_flips = 0usize;
-        let mut merged_phases = 0usize;
-        let mut merged_singles = 0usize;
-        // Gate indices at which a fused run must end (exclusive starts
-        // and ends of every section).
-        let mut boundaries: Vec<usize> = circuit
-            .sections()
-            .iter()
-            .flat_map(|s| [s.range.start, s.range.end])
-            .collect();
-        boundaries.sort_unstable();
-        boundaries.dedup();
-
-        let mut ops: Vec<CompiledOp> = Vec::new();
-        // Open run, if any: accumulating flips or phases.
-        let mut open: Option<CompiledOp> = None;
-        // Index of the trailing `Single` op while it is still fusable —
-        // cleared at section boundaries and whenever any other op lands
-        // after it.
-        let mut fusable_single: Option<usize> = None;
-        // For each gate, the op index it was folded into.
-        let mut gate_to_op: Vec<usize> = Vec::with_capacity(circuit.len());
-
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if boundaries.binary_search(&g).is_ok() {
-                if let Some(run) = open.take() {
-                    ops.push(run);
-                }
-                fusable_single = None;
-            }
-            match (lower_gate(gate), &mut open) {
-                (Op::Permutation(step), Some(Op::Permutation(steps))) => {
-                    // Peephole: each step is an involution, so a step equal
-                    // to its predecessor composes to the identity. Oracle
-                    // circuits are full of such pairs — every compute /
-                    // uncompute mirror meets at one, and the cancellations
-                    // cascade through the whole mirrored run.
-                    let s = step[0];
-                    if steps.last() == Some(&s) {
-                        steps.pop();
-                        cancelled_flips += 2;
-                    } else {
-                        steps.push(s);
-                    }
-                }
-                (Op::Diagonal(phase), Some(Op::Diagonal(phases))) => {
-                    // Peephole: consecutive phases conditioned on the same
-                    // bit pattern multiply into one step.
-                    let p = phase[0];
-                    match phases.last_mut() {
-                        Some(last) if last.care == p.care && last.want == p.want => {
-                            last.phase *= p.phase;
-                            merged_phases += 1;
-                        }
-                        _ => phases.push(p),
-                    }
-                }
-                (Op::Single(k), _) => {
-                    if let Some(run) = open.take() {
-                        ops.push(run);
-                        fusable_single = None;
-                    }
-                    // Peephole: consecutive single-qubit kernels on the
-                    // same qubit collapse into one 2×2 matrix product.
-                    if let Some(i) = fusable_single {
-                        if let Op::Single(prev) = &mut ops[i] {
-                            if prev.qubit == k.qubit {
-                                *prev = k.after(prev);
-                                merged_singles += 1;
-                                gate_to_op.push(i);
-                                continue;
-                            }
-                        }
-                    }
-                    fusable_single = Some(ops.len());
-                    gate_to_op.push(ops.len());
-                    ops.push(Op::Single(k));
-                    continue;
-                }
-                (fresh, _) => {
-                    if let Some(run) = open.take() {
-                        ops.push(run);
-                    }
-                    fusable_single = None;
-                    open = Some(fresh);
-                }
-            }
-            // The open run will become the op at index `ops.len()`.
-            gate_to_op.push(ops.len());
-        }
-        if let Some(run) = open.take() {
-            ops.push(run);
-        }
-
-        let sections = circuit
-            .sections()
-            .iter()
-            .map(|s| {
-                let range = if s.range.is_empty() {
-                    let at = gate_to_op.get(s.range.start).copied().unwrap_or(ops.len());
-                    at..at
-                } else {
-                    gate_to_op[s.range.start]..gate_to_op[s.range.end - 1] + 1
-                };
-                Section {
-                    name: s.name.clone(),
-                    range,
-                }
-            })
-            .collect();
-
-        let narrow_ops = (circuit.width() <= u64::BITS as usize)
-            .then(|| ops.iter().map(Op::narrow).collect::<Vec<_>>());
-
-        let stats = CompileStats {
-            source_gates: circuit.len(),
-            ops: ops.len(),
-            kernel_steps: ops.iter().map(Op::fused_gates).sum(),
-            cancelled_flips,
-            merged_phases,
-            merged_singles,
-            narrow: narrow_ops.is_some(),
-            scheduled: false,
-            commuted_diagonals: 0,
-            layers: 0,
-            longest_ladder: longest_ladder(&ops),
-        };
-
-        CompiledCircuit {
-            width: circuit.width(),
-            ops,
-            narrow_ops,
-            sections,
-            source_gates: circuit.len(),
-            stats,
-            schedule: None,
-        }
-    }
-
-    /// The dispatch schedule (layers + per-op section weights), present
-    /// when the DAG scheduler compiled this circuit.
+    /// The dispatch schedule: layers plus per-op section weights.
     #[inline]
-    pub fn schedule(&self) -> Option<&crate::dag::Schedule> {
-        self.schedule.as_ref()
+    pub fn schedule(&self) -> &crate::dag::Schedule {
+        &self.schedule
     }
 
     /// Circuit width (number of qubits).
@@ -809,7 +633,8 @@ impl CompiledCircuit {
         self.narrow_ops.as_deref()
     }
 
-    /// Section tags translated to op-index ranges.
+    /// Section tags translated to covering op-index ranges (ranges of
+    /// sections whose steps fused into one op overlap).
     #[inline]
     pub fn sections(&self) -> &[Section] {
         &self.sections
@@ -851,17 +676,16 @@ impl CompiledCircuit {
             .iter()
             .map(|s| std::mem::size_of::<Section>() + s.name.capacity())
             .sum::<usize>();
-        if let Some(schedule) = &self.schedule {
-            bytes += schedule.layers.capacity() * std::mem::size_of::<std::ops::Range<usize>>();
-            bytes += schedule
-                .attributions
-                .iter()
-                .map(|a| {
-                    std::mem::size_of::<Vec<(usize, usize)>>()
-                        + a.capacity() * std::mem::size_of::<(usize, usize)>()
-                })
-                .sum::<usize>();
-        }
+        bytes += self.schedule.layers.capacity() * std::mem::size_of::<std::ops::Range<usize>>();
+        bytes += self
+            .schedule
+            .attributions
+            .iter()
+            .map(|a| {
+                std::mem::size_of::<Vec<(usize, usize)>>()
+                    + a.capacity() * std::mem::size_of::<(usize, usize)>()
+            })
+            .sum::<usize>();
         bytes
     }
 
@@ -884,28 +708,8 @@ mod tests {
     use crate::gate::Control;
     use crate::validate::validate_gate;
 
-    /// The tests below assert *linear-fusion* behavior (runs closing at
-    /// section boundaries, last-step-only peepholes), so they compile in
-    /// explicit linear mode regardless of the `QMKP_QSIM_SCHEDULER` env
-    /// toggle. Scheduler-mode behavior is tested separately.
     fn compile(c: &Circuit) -> CompiledCircuit {
-        CompiledCircuit::compile_with(
-            c,
-            CompileOptions {
-                dag_scheduler: false,
-            },
-        )
-        .expect("test circuits are well-formed")
-    }
-
-    fn compile_scheduled(c: &Circuit) -> CompiledCircuit {
-        CompiledCircuit::compile_with(
-            c,
-            CompileOptions {
-                dag_scheduler: true,
-            },
-        )
-        .expect("test circuits are well-formed")
+        CompiledCircuit::compile(c).expect("test circuits are well-formed")
     }
 
     #[test]
@@ -963,21 +767,21 @@ mod tests {
     }
 
     #[test]
-    fn runs_fuse_and_classes_split() {
+    fn runs_fuse_into_one_op_per_class() {
         let mut c = Circuit::new(3);
         c.push_unchecked(Gate::X(0));
         c.push_unchecked(Gate::cnot(0, 1));
-        c.push_unchecked(Gate::ccnot(0, 1, 2)); // 3-gate permutation run
+        c.push_unchecked(Gate::ccnot(0, 1, 2)); // permutation run
         c.push_unchecked(Gate::Z(0));
-        c.push_unchecked(Gate::Phase(1, 0.3)); // 2-gate diagonal run
+        c.push_unchecked(Gate::Phase(1, 0.3)); // diagonal run
         c.push_unchecked(Gate::H(2)); // single
-        c.push_unchecked(Gate::X(1)); // new permutation run
+        c.push_unchecked(Gate::X(1)); // joins the ladder past both phases
         let cc = compile(&c);
-        assert_eq!(cc.len(), 4);
-        assert!(matches!(&cc.ops()[0], CompiledOp::Permutation(s) if s.len() == 3));
+        assert_eq!(cc.len(), 3);
+        assert!(matches!(&cc.ops()[0], CompiledOp::Permutation(s) if s.len() == 4));
         assert!(matches!(&cc.ops()[1], CompiledOp::Diagonal(p) if p.len() == 2));
         assert!(matches!(&cc.ops()[2], CompiledOp::Single(k) if k.qubit == 2));
-        assert!(matches!(&cc.ops()[3], CompiledOp::Permutation(s) if s.len() == 1));
+        assert_eq!(cc.stats().commuted_diagonals, 2);
         assert_eq!(cc.source_gates(), 7);
     }
 
@@ -999,54 +803,19 @@ mod tests {
             loaded.memory_bytes() > empty.memory_bytes(),
             "ops, sections, and steps must be charged"
         );
-        // Schedule metadata is charged too: a scheduled artifact with the
-        // same ops weighs more than its own payload alone would.
-        let scheduled = compile_scheduled(&c);
-        if let Some(schedule) = scheduled.schedule() {
-            let layer_bytes =
-                schedule.layers.capacity() * std::mem::size_of::<std::ops::Range<usize>>();
-            assert!(scheduled.memory_bytes() > layer_bytes);
-        }
-    }
-
-    #[test]
-    fn section_boundaries_split_runs() {
-        let mut c = Circuit::new(2);
-        c.begin_section("a");
-        c.push_unchecked(Gate::X(0));
-        c.push_unchecked(Gate::X(1));
-        c.begin_section("b");
-        c.push_unchecked(Gate::cnot(0, 1));
-        c.end_section();
-        let cc = compile(&c);
-        // Without the boundary all three would fuse into one permutation.
-        assert_eq!(cc.len(), 2);
-        assert_eq!(cc.sections().len(), 2);
-        assert_eq!(cc.sections()[0].name, "a");
-        assert_eq!(cc.sections()[0].range, 0..1);
-        assert_eq!(cc.sections()[1].name, "b");
-        assert_eq!(cc.sections()[1].range, 1..2);
-    }
-
-    #[test]
-    fn gates_outside_sections_fuse_between_boundaries() {
-        let mut c = Circuit::new(2);
-        c.push_unchecked(Gate::X(0)); // before any section
-        c.begin_section("s");
-        c.push_unchecked(Gate::X(1));
-        c.end_section();
-        c.push_unchecked(Gate::X(0)); // after
-        c.push_unchecked(Gate::X(1));
-        let cc = compile(&c);
-        assert_eq!(cc.len(), 3);
-        assert_eq!(cc.sections()[0].range, 1..2);
-        assert!(matches!(&cc.ops()[2], CompiledOp::Permutation(s) if s.len() == 2));
+        // Schedule metadata is charged too.
+        let schedule = loaded.schedule();
+        let schedule_bytes = schedule.layers.capacity()
+            * std::mem::size_of::<std::ops::Range<usize>>()
+            + schedule.attributions.len() * std::mem::size_of::<Vec<(usize, usize)>>();
+        assert!(loaded.memory_bytes() > std::mem::size_of::<CompiledCircuit>() + schedule_bytes);
     }
 
     #[test]
     fn adjacent_inverse_flips_cancel() {
         // A compute/uncompute mirror: the cancellations cascade from the
-        // turnaround until the whole run is gone.
+        // turnaround until the whole run is gone, and the emptied ladder
+        // is dropped.
         let mut c = Circuit::new(4);
         c.push_unchecked(Gate::cnot(0, 1));
         c.push_unchecked(Gate::ccnot(0, 1, 2));
@@ -1055,25 +824,9 @@ mod tests {
         c.push_unchecked(Gate::ccnot(0, 1, 2));
         c.push_unchecked(Gate::cnot(0, 1));
         let cc = compile(&c);
-        assert_eq!(cc.len(), 1);
-        assert!(matches!(&cc.ops()[0], CompiledOp::Permutation(s) if s.is_empty()));
+        assert!(cc.is_empty());
+        assert_eq!(cc.stats().cancelled_flips, 6);
         assert_eq!(cc.source_gates(), 6);
-    }
-
-    #[test]
-    fn section_boundaries_block_cancellation() {
-        // The same mirror, but with a section boundary at the turnaround:
-        // the runs close there and the pairs survive, keeping per-section
-        // cost attribution faithful to what actually executes.
-        let mut c = Circuit::new(3);
-        c.push_unchecked(Gate::ccnot(0, 1, 2));
-        c.begin_section("s");
-        c.push_unchecked(Gate::ccnot(0, 1, 2));
-        c.end_section();
-        let cc = compile(&c);
-        assert_eq!(cc.len(), 2);
-        assert!(matches!(&cc.ops()[0], CompiledOp::Permutation(s) if s.len() == 1));
-        assert!(matches!(&cc.ops()[1], CompiledOp::Permutation(s) if s.len() == 1));
     }
 
     #[test]
@@ -1116,40 +869,6 @@ mod tests {
             assert!((a - b).norm() < 1e-12);
         }
         assert_eq!(cc.stats().merged_singles, 2);
-    }
-
-    #[test]
-    fn different_qubit_singles_do_not_fuse() {
-        let mut c = Circuit::new(2);
-        c.push_unchecked(Gate::H(0));
-        c.push_unchecked(Gate::H(1));
-        c.push_unchecked(Gate::H(0));
-        let cc = compile(&c);
-        assert_eq!(cc.len(), 3);
-        assert_eq!(cc.stats().merged_singles, 0);
-    }
-
-    #[test]
-    fn section_boundaries_block_single_fusion() {
-        let mut c = Circuit::new(1);
-        c.push_unchecked(Gate::H(0));
-        c.begin_section("s");
-        c.push_unchecked(Gate::H(0));
-        c.end_section();
-        let cc = compile(&c);
-        assert_eq!(cc.len(), 2, "fusion never crosses a section boundary");
-        assert_eq!(cc.stats().merged_singles, 0);
-    }
-
-    #[test]
-    fn intervening_ops_block_single_fusion() {
-        let mut c = Circuit::new(2);
-        c.push_unchecked(Gate::H(0));
-        c.push_unchecked(Gate::X(1));
-        c.push_unchecked(Gate::H(0));
-        let cc = compile(&c);
-        assert_eq!(cc.len(), 3);
-        assert_eq!(cc.stats().merged_singles, 0);
     }
 
     #[test]
@@ -1232,10 +951,9 @@ mod tests {
     #[test]
     fn scheduler_commutes_diagonals_past_a_permutation_ladder() {
         // Hand-built ladder: X-walls around an MCZ — the diffusion shape.
-        // Linear fusion keeps three ops (perm, diag, perm) and cannot
-        // cancel the walls; the scheduler conjugates the MCZ through the
-        // second wall, so the walls meet and annihilate, leaving just the
-        // conjugated diagonal.
+        // The scheduler conjugates the MCZ through the second wall, so
+        // the walls meet and annihilate, leaving just the conjugated
+        // diagonal.
         let mut c = Circuit::new(3);
         for q in 0..3 {
             c.push_unchecked(Gate::X(q));
@@ -1248,11 +966,7 @@ mod tests {
             c.push_unchecked(Gate::X(q));
         }
 
-        let linear = compile(&c);
-        assert_eq!(linear.len(), 3);
-        assert_eq!(linear.stats().cancelled_flips, 0);
-
-        let cc = compile_scheduled(&c);
+        let cc = compile(&c);
         assert_eq!(cc.len(), 1, "walls cancel, diagonal survives");
         let CompiledOp::Diagonal(phases) = &cc.ops()[0] else {
             panic!("the surviving op is the conjugated diagonal");
@@ -1267,7 +981,6 @@ mod tests {
             }]
         );
         let s = cc.stats();
-        assert!(s.scheduled);
         assert_eq!(s.cancelled_flips, 6, "three X pairs cancelled");
         assert_eq!(s.commuted_diagonals, 3, "one diagonal sunk past each X");
         assert_eq!(s.layers, 1);
@@ -1275,20 +988,18 @@ mod tests {
 
     #[test]
     fn scheduler_fuses_ladders_across_section_boundaries() {
-        // Linear fusion must close the run at the boundary; the scheduler
-        // fuses through it and attributes steps to both sections.
+        // The scheduler fuses through the boundary and attributes steps
+        // to both sections.
         let mut c = Circuit::new(3);
         c.begin_section("a");
         c.push_unchecked(Gate::cnot(0, 1));
         c.begin_section("b");
         c.push_unchecked(Gate::ccnot(0, 1, 2));
         c.end_section();
-        assert_eq!(compile(&c).len(), 2);
-
-        let cc = compile_scheduled(&c);
+        let cc = compile(&c);
         assert_eq!(cc.len(), 1);
         assert_eq!(cc.stats().longest_ladder, 2);
-        let schedule = cc.schedule().expect("scheduled compiles carry layers");
+        let schedule = cc.schedule();
         assert_eq!(schedule.layers, vec![0..1]);
         assert_eq!(schedule.attributions[0], vec![(0, 1), (1, 1)]);
         // Covering section ranges overlap on the fused op.
@@ -1303,7 +1014,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push_unchecked(Gate::Z(1));
         c.push_unchecked(Gate::cnot(0, 1));
-        let cc = compile_scheduled(&c);
+        let cc = compile(&c);
         assert_eq!(cc.len(), 2);
         assert!(matches!(&cc.ops()[0], CompiledOp::Diagonal(_)));
         assert!(matches!(&cc.ops()[1], CompiledOp::Permutation(_)));
@@ -1317,7 +1028,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push_unchecked(Gate::H(0));
         c.push_unchecked(Gate::cnot(0, 1));
-        let cc = compile_scheduled(&c);
+        let cc = compile(&c);
         assert_eq!(cc.len(), 2);
         assert!(matches!(&cc.ops()[0], CompiledOp::Single(k) if k.qubit == 0));
         assert!(matches!(&cc.ops()[1], CompiledOp::Permutation(_)));
@@ -1326,14 +1037,12 @@ mod tests {
     #[test]
     fn scheduler_fuses_singles_across_disjoint_intermediates() {
         // H(0), X(1), H(0): the X is disjoint from qubit 0, so the two
-        // Hadamards fuse (into the identity) even though linear fusion is
-        // blocked by the intervening op.
+        // Hadamards fuse (into the identity) past the intervening op.
         let mut c = Circuit::new(2);
         c.push_unchecked(Gate::H(0));
         c.push_unchecked(Gate::X(1));
         c.push_unchecked(Gate::H(0));
-        assert_eq!(compile(&c).stats().merged_singles, 0);
-        let cc = compile_scheduled(&c);
+        let cc = compile(&c);
         assert_eq!(cc.stats().merged_singles, 1);
         assert_eq!(cc.len(), 2);
     }
@@ -1347,8 +1056,8 @@ mod tests {
         c.push_unchecked(Gate::ccnot(0, 1, 2));
         c.push_unchecked(Gate::ccnot(3, 4, 5));
         c.push_unchecked(Gate::Z(0));
-        let cc = compile_scheduled(&c);
-        let schedule = cc.schedule().unwrap();
+        let cc = compile(&c);
+        let schedule = cc.schedule();
         // Layers tile 0..ops.len() in order.
         let mut next = 0;
         for l in &schedule.layers {
@@ -1366,21 +1075,6 @@ mod tests {
             .map(|&(_, w)| w)
             .sum();
         assert_eq!(attributed, cc.stats().kernel_steps);
-    }
-
-    #[test]
-    fn scheduler_env_toggle_parses_disable_values() {
-        // Can't mutate the process env safely in a threaded test binary;
-        // exercise the parse contract through explicit options instead.
-        let mut c = Circuit::new(2);
-        c.push_unchecked(Gate::cnot(0, 1));
-        let on = compile_scheduled(&c);
-        assert!(on.stats().scheduled);
-        assert!(on.schedule().is_some());
-        let off = compile(&c);
-        assert!(!off.stats().scheduled);
-        assert!(off.schedule().is_none());
-        assert_eq!(off.stats().layers, 0);
     }
 
     #[test]

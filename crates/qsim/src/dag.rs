@@ -1,20 +1,20 @@
 //! Gate-DAG scheduling: dependency-aware reordering and layering.
 //!
-//! The linear fusion pass in [`crate::compile`] closes a fused run at
-//! every section boundary and whenever the gate class changes, so a
-//! diagonal phase mark sitting between two permutation ladders keeps the
-//! ladders apart forever. This module treats the lowered gate stream as a
-//! dependency DAG instead: two ops depend on each other only when their
-//! qubit supports overlap *and* they do not commute. That admits two
-//! rewrites the oracle circuits are full of:
+//! Fusing gates in program order would close a fused run at every
+//! section boundary and whenever the gate class changes, so a diagonal
+//! phase mark sitting between two permutation ladders would keep the
+//! ladders apart forever. The compiler instead treats the lowered gate
+//! stream as a dependency DAG: two ops depend on each other only when
+//! their qubit supports overlap *and* they do not commute. That admits
+//! two rewrites the oracle circuits are full of:
 //!
 //! 1. **Commute diagonals past permutations.** A [`PhaseStep`] `D`
 //!    commutes through a later [`FlipStep`] `F` by conjugation,
 //!    `D' = F·D·F` (`F` is an involution), which is again a single masked
 //!    phase step whenever the rule below applies. Diagonals therefore
 //!    *sink* to the end of the stream and permutation ladders fuse across
-//!    what used to be hard boundaries — including the section boundaries
-//!    the linear pass must respect.
+//!    what would otherwise be hard boundaries, section boundaries
+//!    included.
 //! 2. **Long-range flip cancellation.** Once ladders fuse, a flip equal
 //!    to an earlier step cancels with it provided every step in between
 //!    has disjoint support (they commute past each other). The diffusion
@@ -65,9 +65,8 @@ pub const UNSECTIONED: usize = usize::MAX;
 /// small: 2 singles cost 4 fused multiply-adds per amplitude.
 pub const MAX_LAYER_SINGLES: usize = 2;
 
-/// The layer structure and per-op section attribution of a scheduled
-/// compile. Produced only by the DAG scheduler; linear compiles have no
-/// schedule and run the flat op list.
+/// The layer structure and per-op section attribution of a compiled
+/// circuit: what the executor walks, layer by layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Consecutive op-index ranges; each range is an antichain of
@@ -119,7 +118,7 @@ pub fn op_support(op: &CompiledOp) -> u128 {
 }
 
 /// Everything the scheduled compile produces; folded into
-/// [`crate::compile::CompiledCircuit`] by `compile_with`.
+/// [`crate::compile::CompiledCircuit`] by `CompiledCircuit::compile`.
 pub(crate) struct ScheduledCompile {
     pub ops: Vec<CompiledOp>,
     pub sections: Vec<Section>,

@@ -38,9 +38,8 @@ pub mod validate;
 pub use bits::BitVec;
 pub use circuit::{Circuit, GateStats, Section};
 pub use compile::{
-    scheduler_enabled_by_env, BasisKey, CompileError, CompileOptions, CompileStats,
-    CompiledCircuit, CompiledOp, CompiledOp64, FlipStep, MaskedFlip, MaskedFlip64, MaskedPhase,
-    MaskedPhase64, PhaseStep, SingleQubit,
+    BasisKey, CompileError, CompileStats, CompiledCircuit, CompiledOp, CompiledOp64, FlipStep,
+    MaskedFlip, MaskedFlip64, MaskedPhase, MaskedPhase64, PhaseStep, SingleQubit,
 };
 pub use complex::Complex;
 pub use dag::{Schedule, MAX_LAYER_SINGLES, UNSECTIONED};
@@ -49,7 +48,9 @@ pub use error::SimError;
 pub use gate::{Control, Gate};
 pub use measure::{collapse, measure_and_collapse, measure_and_collapse_dense};
 pub use register::{QubitAllocator, Register};
-pub use state::{BackendState, DenseState, QuantumState, SparseState, MAX_DENSE_QUBITS};
+pub use state::{
+    BackendState, DenseState, LayerObserver, QuantumState, SparseState, MAX_DENSE_QUBITS,
+};
 pub use validate::{validate_circuit, validate_gate};
 
 /// Whether this build of the simulator was compiled with the `parallel`

@@ -1,14 +1,20 @@
 //! Quantum state backends: dense statevector and sparse sorted-vec.
 //!
 //! Both backends execute circuits through the compiled kernel path
-//! ([`crate::compile::CompiledCircuit`]): [`QuantumState::run`] lowers the
-//! circuit once and then applies fused ops, each in a single pass over the
-//! state. When the register fits in 64 bits (every instance in the paper
-//! does) the compiler also emits u64-specialised ops and the runner
-//! dispatches those through [`QuantumState::apply_op64`]. The gate-by-gate
-//! interpreter survives as [`QuantumState::run_interpreted`] (and
-//! [`QuantumState::apply`]) for cross-checking and for callers that apply
-//! individual gates.
+//! ([`crate::compile::CompiledCircuit`]): [`QuantumState::run`] compiles
+//! the circuit once and hands it to the executor
+//! ([`QuantumState::run_observed`]), which walks the schedule's
+//! support-disjoint layers and applies each one through the backend's
+//! fused layer kernel ([`QuantumState::apply_layer`]). The dense backend
+//! evaluates a layer's combined permutation and diagonal in one
+//! (rayon-parallel) gather pass; the sparse backend collapses
+//! permutation+diagonal runs into a single key-rewrite pass. The executor
+//! picks the key width once per circuit: u64-specialised ops for
+//! registers of width ≤ 64 (the dense backend, quantum counting's
+//! register, small test circuits), u128 ops for wider ones (every qTKP
+//! oracle). The gate-by-gate interpreter survives as
+//! [`QuantumState::run_interpreted`] (and [`QuantumState::apply`]) for
+//! cross-checking and for callers that apply individual gates.
 //!
 //! The sparse backend stores the state as a `Vec<(key, amplitude)>` sorted
 //! by basis key (cf. the sorted-structure representation of sparse
@@ -16,27 +22,18 @@
 //! in-place pass, and the `Single` butterfly is a linear two-way merge
 //! with in-place epsilon pruning — no per-gate allocation or rehashing,
 //! which the previous `HashMap` representation paid on every H/Ry gate.
-//!
-//! When the compiler's DAG scheduler is on (the default — see
-//! [`crate::compile::CompileOptions`]), `run_compiled` walks the
-//! schedule's support-disjoint layers instead of the flat op list, and
-//! each layer goes through a fused multi-op kernel
-//! ([`QuantumState::apply_layer`] / [`QuantumState::apply_layer64`]): the
-//! dense backend evaluates the layer's combined permutation, diagonal,
-//! and single-qubit butterflies in one (rayon-parallel) gather pass; the
-//! sparse backend collapses permutation+diagonal runs into a single
-//! key-rewrite pass.
 
 use crate::circuit::Circuit;
-use crate::compile::{
-    BasisKey, CompiledCircuit, CompiledOp, CompiledOp64, FlipStep, Op, PhaseStep, SingleQubit,
-};
+use crate::compile::{BasisKey, CompiledCircuit, FlipStep, Op, PhaseStep, SingleQubit};
 use crate::complex::Complex;
+use crate::dag::Schedule;
 use crate::error::SimError;
 use crate::gate::Gate;
 use qmkp_rt::RtContext;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -58,44 +55,49 @@ const PAR_MIN_AMPS: usize = 1 << 16;
 #[cfg(feature = "parallel")]
 const PAR_CHUNK: usize = 1 << 13;
 
-/// Observability name for a kernel kind, shared by both op widths.
-fn kernel_kind<K>(op: &Op<K>) -> &'static str {
-    match op {
-        Op::Permutation(_) => "qsim.kernel.permutation",
-        Op::Diagonal(_) => "qsim.kernel.diagonal",
-        Op::Single(_) => "qsim.kernel.single",
+/// Per-layer hook of the compiled-circuit executor
+/// ([`QuantumState::run_observed`]): told the op range and wall time of
+/// every layer it applies. Observers are statically dispatched, so one
+/// costs nothing per op, and an inactive one is not even timed.
+pub trait LayerObserver {
+    /// Whether layers need timing at all for this run. When `false` the
+    /// executor runs a bare loop and never calls [`LayerObserver::layer`].
+    fn active(&self) -> bool {
+        true
     }
+
+    /// Called after each layer with its op-index range (into
+    /// [`CompiledCircuit::ops`]) and how long applying it took.
+    fn layer(&mut self, ops: Range<usize>, elapsed: Duration);
 }
 
-/// Per-circuit observability switch, resolved once per `run_compiled*`
-/// call so the disabled path stays a bare loop: `traced` streams per-op
-/// observe events to sinks, `metered` folds the same timings into
-/// labeled metric histograms (labels: `backend=dense|sparse`,
-/// `scheduled=on|off`).
+/// The observer [`QuantumState::run_compiled`] runs under, resolved once
+/// per circuit so the unobserved path stays a bare loop: `traced` streams
+/// per-layer observe events to sinks, `metered` folds the same timings
+/// into the labeled `qsim.kernel.layer` histogram (label
+/// `backend=dense|sparse`).
 struct KernelMeter {
     traced: bool,
     metered: bool,
-    labels: [(&'static str, &'static str); 2],
+    labels: [(&'static str, &'static str); 1],
 }
 
 impl KernelMeter {
-    fn new(backend: &'static str, scheduled: bool) -> KernelMeter {
+    fn new(backend: &'static str) -> KernelMeter {
         KernelMeter {
             traced: qmkp_obs::enabled_for("qsim.kernel"),
             metered: qmkp_obs::metrics::enabled(),
-            labels: [
-                ("backend", backend),
-                ("scheduled", if scheduled { "on" } else { "off" }),
-            ],
+            labels: [("backend", backend)],
         }
     }
+}
 
-    /// Whether per-op timing is needed at all this circuit.
+impl LayerObserver for KernelMeter {
     fn active(&self) -> bool {
         self.traced || self.metered
     }
 
-    fn layer(&self, elapsed: std::time::Duration) {
+    fn layer(&mut self, _ops: Range<usize>, elapsed: Duration) {
         if self.traced {
             qmkp_obs::observe("qsim.kernel.layer", elapsed);
         }
@@ -103,15 +105,35 @@ impl KernelMeter {
             qmkp_obs::metrics::observe_duration("qsim.kernel.layer", &self.labels, elapsed);
         }
     }
+}
 
-    fn op(&self, kind: &'static str, elapsed: std::time::Duration) {
-        if self.traced {
-            qmkp_obs::observe(kind, elapsed);
+/// The one loop that applies compiled ops: walks `schedule`'s layers in
+/// order and hands each to the backend's fused layer kernel. With a
+/// context, each layer is one poll of the `qsim.run.op` failpoint and one
+/// charge of its op count against the op budget, so interruption lands
+/// between layers, never inside a pass, and budgets see every kernel op.
+fn run_layers<K: BasisKey, S: QuantumState + ?Sized, O: LayerObserver>(
+    state: &mut S,
+    ops: &[Op<K>],
+    schedule: &Schedule,
+    ctx: Option<&RtContext>,
+    observer: &mut O,
+) -> Result<(), SimError> {
+    let timed = observer.active();
+    for layer in &schedule.layers {
+        if let Some(ctx) = ctx {
+            qmkp_rt::failpoint::check("qsim.run.op")?;
+            ctx.charge_ops(layer.len() as u64)?;
         }
-        if self.metered {
-            qmkp_obs::metrics::observe_duration(kind, &self.labels, elapsed);
+        if timed {
+            let start = Instant::now();
+            state.apply_layer(&ops[layer.clone()]);
+            observer.layer(layer.clone(), start.elapsed());
+        } else {
+            state.apply_layer(&ops[layer.clone()]);
         }
     }
+    Ok(())
 }
 
 /// Common interface of the simulation backends.
@@ -125,31 +147,11 @@ pub trait QuantumState {
     /// Applies a single gate (assumed already validated for this width).
     fn apply(&mut self, gate: &Gate);
 
-    /// Applies one compiled kernel op.
-    fn apply_op(&mut self, op: &CompiledOp);
-
-    /// Applies one u64-specialised kernel op (only valid on states of
-    /// width ≤ 64). The default widens the op back to `u128`; both
-    /// backends override it with a direct u64 pass.
-    fn apply_op64(&mut self, op: &CompiledOp64) {
-        self.apply_op(&op.widen());
-    }
-
-    /// Applies one scheduled layer of support-disjoint compiled ops. The
-    /// default applies them one by one (correct for any op list); the
-    /// backends override it with fused one-pass layer kernels.
-    fn apply_layer(&mut self, ops: &[CompiledOp]) {
-        for op in ops {
-            self.apply_op(op);
-        }
-    }
-
-    /// u64-specialised variant of [`QuantumState::apply_layer`].
-    fn apply_layer64(&mut self, ops: &[CompiledOp64]) {
-        for op in ops {
-            self.apply_op64(op);
-        }
-    }
+    /// Applies one layer of support-disjoint compiled ops in a fused pass
+    /// (a single op is a layer too). Generic over the ops' key width: a
+    /// state keyed at the other width converts the ops first, though the
+    /// executor always hands a state ops of its own width.
+    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]);
 
     /// Heap footprint of the state representation in bytes (amplitude
     /// storage plus reusable scratch buffers). Exact for both backends:
@@ -189,75 +191,14 @@ pub trait QuantumState {
         self.run_compiled(&CompiledCircuit::compile(circuit)?)
     }
 
-    /// Runs an already-compiled circuit, preferring the u64-specialised
-    /// ops when the compiler emitted them (width ≤ 64).
+    /// Runs an already-compiled circuit, timing its layers into the
+    /// `qsim.kernel.layer` events and metrics when either is on.
     ///
     /// # Errors
     /// Fails if the compiled width does not match the state width.
     fn run_compiled(&mut self, compiled: &CompiledCircuit) -> Result<(), SimError> {
-        if compiled.width() != self.width() {
-            return Err(SimError::WidthMismatch {
-                expected: self.width(),
-                actual: compiled.width(),
-            });
-        }
-        // Branch once per circuit, not per op: the unobserved path runs
-        // a bare loop.
-        let meter = KernelMeter::new(self.backend_name(), compiled.schedule().is_some());
-        if let Some(schedule) = compiled.schedule() {
-            // Scheduled path: dispatch whole support-disjoint layers
-            // through the fused layer kernels.
-            if let Some(ops) = compiled.narrow_ops() {
-                if meter.active() {
-                    for layer in &schedule.layers {
-                        let start = std::time::Instant::now();
-                        self.apply_layer64(&ops[layer.clone()]);
-                        meter.layer(start.elapsed());
-                    }
-                } else {
-                    for layer in &schedule.layers {
-                        self.apply_layer64(&ops[layer.clone()]);
-                    }
-                }
-            } else if meter.active() {
-                for layer in &schedule.layers {
-                    let start = std::time::Instant::now();
-                    self.apply_layer(&compiled.ops()[layer.clone()]);
-                    meter.layer(start.elapsed());
-                }
-            } else {
-                for layer in &schedule.layers {
-                    self.apply_layer(&compiled.ops()[layer.clone()]);
-                }
-            }
-            if meter.traced {
-                self.trace_gauges();
-            }
-            return Ok(());
-        }
-        if let Some(ops) = compiled.narrow_ops() {
-            if meter.active() {
-                for op in ops {
-                    let start = std::time::Instant::now();
-                    self.apply_op64(op);
-                    meter.op(kernel_kind(op), start.elapsed());
-                }
-            } else {
-                for op in ops {
-                    self.apply_op64(op);
-                }
-            }
-        } else if meter.active() {
-            for op in compiled.ops() {
-                let start = std::time::Instant::now();
-                self.apply_op(op);
-                meter.op(kernel_kind(op), start.elapsed());
-            }
-        } else {
-            for op in compiled.ops() {
-                self.apply_op(op);
-            }
-        }
+        let mut meter = KernelMeter::new(self.backend_name());
+        self.run_observed(compiled, None, &mut meter)?;
         if meter.traced {
             self.trace_gauges();
         }
@@ -278,10 +219,10 @@ pub trait QuantumState {
     /// Runs an already-compiled circuit under an execution-runtime
     /// context. Identical numerics to [`QuantumState::run_compiled`], but
     /// the state's footprint is admitted against the byte ceiling before
-    /// the first pass and every kernel op is charged against the op
-    /// budget, polls cancellation, and consults the `qsim.run.op`
-    /// failpoint — interruption lands between ops, never inside a pass,
-    /// so the state stays structurally valid (though mid-circuit).
+    /// the first pass, and every layer is charged at its op count against
+    /// the op budget, polls cancellation, and consults the `qsim.run.op`
+    /// failpoint — interruption lands between layers, never inside a
+    /// pass, so the state stays structurally valid (though mid-circuit).
     ///
     /// # Errors
     /// As [`QuantumState::run_compiled`], plus [`SimError::Interrupted`]
@@ -291,77 +232,43 @@ pub trait QuantumState {
         compiled: &CompiledCircuit,
         ctx: &RtContext,
     ) -> Result<(), SimError> {
+        ctx.admit_bytes(self.memory_bytes())?;
+        let mut meter = KernelMeter::new(self.backend_name());
+        self.run_observed(compiled, Some(ctx), &mut meter)?;
+        if meter.traced {
+            self.trace_gauges();
+        }
+        Ok(())
+    }
+
+    /// The compiled-circuit executor every runner goes through: checks
+    /// the width, picks the key width once (the u64 ops when the compiler
+    /// emitted them, else the u128 ops), and applies the schedule's
+    /// layers in order. A given `ctx` is polled and charged once per
+    /// layer, as [`QuantumState::run_compiled_ctx`] describes; `observer`
+    /// sees every layer's op range and wall time.
+    ///
+    /// # Errors
+    /// [`SimError::WidthMismatch`] if the compiled width differs from the
+    /// state's, and [`SimError::Interrupted`] when the context's budget
+    /// is exhausted, cancellation is requested, or an injected fault
+    /// fires.
+    fn run_observed<O: LayerObserver>(
+        &mut self,
+        compiled: &CompiledCircuit,
+        ctx: Option<&RtContext>,
+        observer: &mut O,
+    ) -> Result<(), SimError> {
         if compiled.width() != self.width() {
             return Err(SimError::WidthMismatch {
                 expected: self.width(),
                 actual: compiled.width(),
             });
         }
-        ctx.admit_bytes(self.memory_bytes())?;
-        let meter = KernelMeter::new(self.backend_name(), compiled.schedule().is_some());
-        if let Some(schedule) = compiled.schedule() {
-            // Scheduled path: interruption lands between layers (never
-            // inside a fused pass), and each layer is charged at its op
-            // weight so budgets are comparable across compile modes.
-            if let Some(ops) = compiled.narrow_ops() {
-                for layer in &schedule.layers {
-                    qmkp_rt::failpoint::check("qsim.run.op")?;
-                    ctx.charge_ops(layer.len() as u64)?;
-                    if meter.active() {
-                        let start = std::time::Instant::now();
-                        self.apply_layer64(&ops[layer.clone()]);
-                        meter.layer(start.elapsed());
-                    } else {
-                        self.apply_layer64(&ops[layer.clone()]);
-                    }
-                }
-            } else {
-                for layer in &schedule.layers {
-                    qmkp_rt::failpoint::check("qsim.run.op")?;
-                    ctx.charge_ops(layer.len() as u64)?;
-                    if meter.active() {
-                        let start = std::time::Instant::now();
-                        self.apply_layer(&compiled.ops()[layer.clone()]);
-                        meter.layer(start.elapsed());
-                    } else {
-                        self.apply_layer(&compiled.ops()[layer.clone()]);
-                    }
-                }
-            }
-            if meter.traced {
-                self.trace_gauges();
-            }
-            return Ok(());
+        match compiled.narrow_ops() {
+            Some(ops) => run_layers(self, ops, compiled.schedule(), ctx, observer),
+            None => run_layers(self, compiled.ops(), compiled.schedule(), ctx, observer),
         }
-        if let Some(ops) = compiled.narrow_ops() {
-            for op in ops {
-                qmkp_rt::failpoint::check("qsim.run.op")?;
-                ctx.charge_ops(1)?;
-                if meter.active() {
-                    let start = std::time::Instant::now();
-                    self.apply_op64(op);
-                    meter.op(kernel_kind(op), start.elapsed());
-                } else {
-                    self.apply_op64(op);
-                }
-            }
-        } else {
-            for op in compiled.ops() {
-                qmkp_rt::failpoint::check("qsim.run.op")?;
-                ctx.charge_ops(1)?;
-                if meter.active() {
-                    let start = std::time::Instant::now();
-                    self.apply_op(op);
-                    meter.op(kernel_kind(op), start.elapsed());
-                } else {
-                    self.apply_op(op);
-                }
-            }
-        }
-        if meter.traced {
-            self.trace_gauges();
-        }
-        Ok(())
     }
 
     /// Runs a circuit gate by gate, without compilation. Reference path
@@ -791,27 +698,7 @@ impl QuantumState for DenseState {
             .collect()
     }
 
-    fn apply_op(&mut self, op: &CompiledOp) {
-        match op {
-            CompiledOp::Permutation(steps) => self.apply_permutation(steps),
-            CompiledOp::Diagonal(phases) => self.apply_diagonal(phases),
-            CompiledOp::Single(k) => self.apply_single(k),
-        }
-    }
-
-    fn apply_op64(&mut self, op: &CompiledOp64) {
-        match op {
-            CompiledOp64::Permutation(steps) => self.apply_permutation(steps),
-            CompiledOp64::Diagonal(phases) => self.apply_diagonal(phases),
-            CompiledOp64::Single(k) => self.apply_single(k),
-        }
-    }
-
-    fn apply_layer(&mut self, ops: &[CompiledOp]) {
-        self.layer_ops(ops);
-    }
-
-    fn apply_layer64(&mut self, ops: &[CompiledOp64]) {
+    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]) {
         self.layer_ops(ops);
     }
 
@@ -1401,8 +1288,8 @@ impl<K: BasisKey> SparseCore<K> {
 }
 
 /// The sorted key representation at the state's width: u64 keys for
-/// registers that fit (the fast path — every instance in the paper does),
-/// u128 keys for wider registers.
+/// registers of width ≤ 64 (small circuits), u128 keys for wider ones —
+/// every qTKP oracle, the paper's 68-qubit fig-1 oracle included.
 #[derive(Debug, Clone)]
 enum Repr {
     Narrow(SparseCore<u64>),
@@ -1415,8 +1302,9 @@ enum Repr {
 /// Suited to circuits that are mostly basis-state permutations (X / MCX):
 /// the qTKP oracle over 50-200 qubits keeps at most `2^n` nonzero
 /// amplitudes, where `n` is the number of vertex qubits ever touched by a
-/// Hadamard. States of width ≤ 64 store `u64` keys (24-byte entries
-/// instead of 32) and run the compiler's u64-specialised kernels.
+/// Hadamard. Such oracles are wider than 64 qubits and store `u128`
+/// keys; states of width ≤ 64 store `u64` keys (24-byte entries instead
+/// of 32) and run the compiler's u64-specialised kernels.
 #[derive(Debug, Clone)]
 pub struct SparseState {
     width: usize,
@@ -1524,44 +1412,10 @@ impl QuantumState for SparseState {
         }
     }
 
-    fn apply_op(&mut self, op: &CompiledOp) {
+    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]) {
         match &mut self.repr {
-            // Compat path: a wide op on a narrow state narrows it first
-            // (allocates). The compiled runner hands narrow states narrow
-            // ops via `apply_op64`, so this is only hit by direct callers.
-            Repr::Narrow(c) => c.apply_op(&op.narrow()),
-            Repr::Wide(c) => c.apply_op(op),
-        }
-    }
-
-    fn apply_op64(&mut self, op: &CompiledOp64) {
-        match &mut self.repr {
-            Repr::Narrow(c) => c.apply_op(op),
-            Repr::Wide(c) => c.apply_op(&op.widen()),
-        }
-    }
-
-    fn apply_layer(&mut self, ops: &[CompiledOp]) {
-        match &mut self.repr {
-            // Compat path (wide ops, narrow keys): fall back to the
-            // per-op narrowing conversions.
-            Repr::Narrow(_) => {
-                for op in ops {
-                    self.apply_op(op);
-                }
-            }
-            Repr::Wide(c) => c.apply_layer_ops(ops),
-        }
-    }
-
-    fn apply_layer64(&mut self, ops: &[CompiledOp64]) {
-        match &mut self.repr {
-            Repr::Narrow(c) => c.apply_layer_ops(ops),
-            Repr::Wide(_) => {
-                for op in ops {
-                    self.apply_op64(op);
-                }
-            }
+            Repr::Narrow(c) => c.apply_layer_ops(&K::ops_as_u64(ops)),
+            Repr::Wide(c) => c.apply_layer_ops(&K::ops_as_u128(ops)),
         }
     }
 
@@ -1603,6 +1457,7 @@ impl QuantumState for SparseState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{CompiledOp, CompiledOp64};
     use crate::gate::Control;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1902,37 +1757,38 @@ mod tests {
         }
     }
 
+    /// Applies ops one at a time, each as its own layer.
+    fn apply_each<S: QuantumState, K: BasisKey>(s: &mut S, ops: &[Op<K>]) {
+        for op in ops {
+            s.apply_layer(std::slice::from_ref(op));
+        }
+    }
+
     #[test]
     fn wide_ops_on_narrow_state_and_vice_versa() {
-        // The compat conversions in apply_op / apply_op64 must agree with
-        // the matched-width paths.
+        // The width conversions in the sparse `apply_layer` must agree
+        // with the matched-width paths.
         let mut rng = StdRng::seed_from_u64(9);
         let circ = random_circuit(&mut rng, 5, 30);
         let compiled = CompiledCircuit::compile(&circ).unwrap();
         let narrow_ops = compiled.narrow_ops().unwrap();
 
-        // Wide ops pushed through a narrow state's compat path.
+        // Wide ops on a narrow state.
         let mut via_wide = SparseState::zero(5);
-        for op in compiled.ops() {
-            via_wide.apply_op(op);
-        }
+        apply_each(&mut via_wide, compiled.ops());
         let mut via_narrow = SparseState::zero(5);
-        for op in narrow_ops {
-            via_narrow.apply_op64(op);
-        }
+        apply_each(&mut via_narrow, narrow_ops);
         for b in 0..(1u128 << 5) {
             assert!((via_wide.amplitude(b) - via_narrow.amplitude(b)).norm() < 1e-12);
         }
 
-        // Narrow ops pushed through a wide state's compat path.
+        // Narrow ops on a wide state.
         let wide_circ = embed(&circ, 70);
         let wide_compiled = CompiledCircuit::compile(&wide_circ).unwrap();
         let mut wide_direct = SparseState::zero(70);
         wide_direct.run_compiled(&wide_compiled).unwrap();
         let mut wide_via_narrow = SparseState::zero(70);
-        for op in narrow_ops {
-            wide_via_narrow.apply_op64(op);
-        }
+        apply_each(&mut wide_via_narrow, narrow_ops);
         for b in 0..(1u128 << 5) {
             assert!((wide_direct.amplitude(b) - wide_via_narrow.amplitude(b)).norm() < 1e-9);
         }
@@ -2206,13 +2062,11 @@ mod tests {
         let mut base = DenseState::zero(5).unwrap();
         base.run_interpreted(&prep).unwrap();
         let mut seq = base.clone();
-        for op in &ops {
-            seq.apply_op(op);
-        }
+        apply_each(&mut seq, &ops);
         let mut fused = base.clone();
         fused.apply_layer(&ops);
         let mut fused64 = base.clone();
-        fused64.apply_layer64(&ops64);
+        fused64.apply_layer(&ops64);
         for b in 0..(1u128 << 5) {
             assert!(
                 (fused.amplitude(b) - seq.amplitude(b)).norm() < 1e-12,
@@ -2224,12 +2078,12 @@ mod tests {
             );
         }
 
-        // Sparse: narrow keys take the fused path via apply_layer64, wide
-        // keys (same circuit embedded at width 70) via apply_layer.
+        // Sparse: narrow keys take the fused path with u64 ops, wide keys
+        // (same circuit embedded at width 70) with u128 ops.
         let mut sbase = SparseState::zero(5);
         sbase.run_interpreted(&prep).unwrap();
         let mut sfused = sbase.clone();
-        sfused.apply_layer64(&ops64);
+        sfused.apply_layer(&ops64);
         let mut wbase = SparseState::zero(70);
         wbase.run_interpreted(&embed(&prep, 70)).unwrap();
         let mut wfused = wbase.clone();
@@ -2266,9 +2120,7 @@ mod tests {
         d.apply(&Gate::H(0));
         d.apply(&Gate::H(1));
         let mut seq = d.clone();
-        for op in &ops {
-            seq.apply_op(op);
-        }
+        apply_each(&mut seq, &ops);
         d.apply_layer(&ops);
         assert_eq!(
             d.scratch.capacity(),
@@ -2281,19 +2133,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_run_compiled_charges_layers_at_op_weight() {
+    fn run_compiled_ctx_charges_layers_at_op_weight() {
         // 5 disjoint H gates layerize into ⌈5/MAX_LAYER_SINGLES⌉ layers,
         // but the op budget must still see all 5 kernel ops.
         let circuit = h_layer(5);
-        let compiled = CompiledCircuit::compile_with(
-            &circuit,
-            crate::compile::CompileOptions {
-                dag_scheduler: true,
-            },
-        )
-        .unwrap();
-        let schedule = compiled.schedule().expect("scheduled compile");
-        assert!(schedule.layers.len() < 5, "singles share layers");
+        let compiled = CompiledCircuit::compile(&circuit).unwrap();
+        assert!(compiled.schedule().layers.len() < 5, "singles share layers");
         let ctx = RtContext::unlimited();
         let mut s = SparseState::zero(5);
         s.run_compiled_ctx(&compiled, &ctx).unwrap();

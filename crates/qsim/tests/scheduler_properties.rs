@@ -1,33 +1,15 @@
-//! Property-based tests of the gate-DAG scheduler: a DAG-scheduled
-//! compile must be observationally identical to both the linear fused
-//! pipeline and the gate-at-a-time interpreter, on both backends, for
-//! arbitrary sectioned circuits. Parallel dispatch is a compile-time
-//! feature (`parallel`), so CI runs this suite with the feature on and
-//! off; the assertions are identical in both builds.
+//! Property-based tests of the gate-DAG scheduler, the compiler's only
+//! mode: compiled execution through the layer executor must be
+//! observationally identical to the gate-at-a-time interpreter, on both
+//! backends, for arbitrary sectioned circuits. Parallel dispatch is a
+//! compile-time feature (`parallel`), so CI runs this suite with the
+//! feature on and off; the assertions are identical in both builds.
 
 use proptest::prelude::*;
-use qmkp_qsim::{
-    Circuit, CompileOptions, CompiledCircuit, Control, DenseState, Gate, QuantumState, SparseState,
-};
+use qmkp_qsim::{Circuit, CompiledCircuit, Control, DenseState, Gate, QuantumState, SparseState};
 
-fn compile_scheduled(c: &Circuit) -> CompiledCircuit {
-    CompiledCircuit::compile_with(
-        c,
-        CompileOptions {
-            dag_scheduler: true,
-        },
-    )
-    .expect("generated circuits compile")
-}
-
-fn compile_linear(c: &Circuit) -> CompiledCircuit {
-    CompiledCircuit::compile_with(
-        c,
-        CompileOptions {
-            dag_scheduler: false,
-        },
-    )
-    .expect("generated circuits compile")
+fn compile(c: &Circuit) -> CompiledCircuit {
+    CompiledCircuit::compile(c).expect("generated circuits compile")
 }
 
 /// Strategy: a random gate over `width` qubits, constructed with modular
@@ -115,23 +97,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn scheduled_matches_linear_and_interpreter_on_both_backends(
+    fn scheduled_matches_interpreter_on_both_backends(
         circ in arb_sectioned_circuit()
     ) {
-        let scheduled = compile_scheduled(&circ);
-        let linear = compile_linear(&circ);
-        prop_assert!(scheduled.stats().scheduled);
-        prop_assert!(!linear.stats().scheduled);
-        prop_assert!(
-            scheduled.stats().cancelled_flips >= linear.stats().cancelled_flips,
-            "the DAG pass sees every adjacent cancellation the linear pass sees"
-        );
+        let scheduled = compile(&circ);
 
         let mut d_sched = DenseState::zero(circ.width()).unwrap();
-        let mut d_lin = DenseState::zero(circ.width()).unwrap();
         let mut d_interp = DenseState::zero(circ.width()).unwrap();
         d_sched.run_compiled(&scheduled).unwrap();
-        d_lin.run_compiled(&linear).unwrap();
         d_interp.run_interpreted(&circ).unwrap();
 
         let mut s_sched = SparseState::zero(circ.width());
@@ -145,10 +118,6 @@ proptest! {
                 "dense scheduled diverges from interpreter at basis {b:b}"
             );
             prop_assert!(
-                (d_sched.amplitude(b) - d_lin.amplitude(b)).norm() < 1e-9,
-                "dense scheduled diverges from linear at basis {b:b}"
-            );
-            prop_assert!(
                 (s_sched.amplitude(b) - s_interp.amplitude(b)).norm() < 1e-9,
                 "sparse scheduled diverges from interpreter at basis {b:b}"
             );
@@ -157,8 +126,8 @@ proptest! {
 
     #[test]
     fn scheduled_layers_partition_the_ops(circ in arb_sectioned_circuit()) {
-        let compiled = compile_scheduled(&circ);
-        let schedule = compiled.schedule().expect("scheduled compile has a schedule");
+        let compiled = compile(&circ);
+        let schedule = compiled.schedule();
         let mut covered = 0usize;
         for layer in &schedule.layers {
             prop_assert_eq!(layer.start, covered, "layers are consecutive");
@@ -172,9 +141,7 @@ proptest! {
 
 /// The commute rewrite in action end-to-end: an X-ladder split by a
 /// commuting diagonal still cancels, and the result matches the
-/// interpreter exactly. The linear pipeline cannot cancel here (the Z
-/// sits between the inverse pair), so the scheduled compile is strictly
-/// smaller — and still correct.
+/// interpreter exactly.
 #[test]
 fn commuted_cancellation_preserves_semantics() {
     let mut c = Circuit::new(3);
@@ -185,8 +152,7 @@ fn commuted_cancellation_preserves_semantics() {
     c.push(Gate::ccnot(0, 1, 2)).unwrap();
     c.push(Gate::H(1)).unwrap();
 
-    let scheduled = compile_scheduled(&c);
-    let linear = compile_linear(&c);
+    let scheduled = compile(&c);
     // The Z on the toffoli's target blocks conjugation, so the first
     // ladder flushes; the Phase on a control commutes and the second
     // toffoli cancels against... nothing (the first was flushed). Build
@@ -196,30 +162,21 @@ fn commuted_cancellation_preserves_semantics() {
     c2.push(Gate::ccnot(0, 1, 2)).unwrap();
     c2.push(Gate::Phase(0, 0.7)).unwrap();
     c2.push(Gate::ccnot(0, 1, 2)).unwrap();
-    let sched2 = compile_scheduled(&c2);
-    let lin2 = compile_linear(&c2);
+    let sched2 = compile(&c2);
     assert_eq!(
         sched2.stats().cancelled_flips,
         2,
         "the pair cancels across the commuting phase"
     );
-    assert_eq!(
-        lin2.stats().cancelled_flips,
-        0,
-        "the linear pass cannot see past the phase"
-    );
     assert_eq!(sched2.stats().commuted_diagonals, 1);
 
-    for (circ, compiled, lin) in [(&c, &scheduled, &linear), (&c2, &sched2, &lin2)] {
+    for (circ, compiled) in [(&c, &scheduled), (&c2, &sched2)] {
         let mut got = DenseState::zero(3).unwrap();
-        let mut lin_state = DenseState::zero(3).unwrap();
         let mut want = DenseState::zero(3).unwrap();
         got.run_compiled(compiled).unwrap();
-        lin_state.run_compiled(lin).unwrap();
         want.run_interpreted(circ).unwrap();
         for b in 0..8u128 {
             assert!((got.amplitude(b) - want.amplitude(b)).norm() < 1e-12);
-            assert!((lin_state.amplitude(b) - want.amplitude(b)).norm() < 1e-12);
         }
     }
 }

@@ -278,10 +278,8 @@ fn classical_floor(g: &Graph, k: usize, config: &SolveConfig) -> (VertexSet, Sol
 /// no amount of degradation fixes a bad configuration.
 ///
 /// # Errors
-/// [`RtError::Cancelled`] or [`RtError::InvalidConfig`], as above.
-///
-/// # Panics
-/// Panics if the graph is empty or `k == 0`.
+/// [`RtError::Cancelled`] or [`RtError::InvalidConfig`], as above. An
+/// empty graph or `k == 0` is [`RtError::InvalidConfig`].
 pub fn solve(
     g: &Graph,
     k: usize,
@@ -298,9 +296,6 @@ pub fn solve(
 ///
 /// # Errors
 /// As [`solve`], plus whatever the provider reports.
-///
-/// # Panics
-/// Panics if the graph is empty or `k == 0`.
 pub fn solve_with(
     g: &Graph,
     k: usize,
@@ -308,8 +303,12 @@ pub fn solve_with(
     ctx: &RtContext,
     provider: &dyn OracleProvider,
 ) -> Result<SolveOutcome, RtError> {
-    assert!(g.n() > 0, "graph must be non-empty");
-    assert!(k >= 1, "k must be ≥ 1");
+    if g.n() == 0 {
+        return Err(RtError::InvalidConfig("graph must be non-empty".into()));
+    }
+    if k == 0 {
+        return Err(RtError::InvalidConfig("k must be ≥ 1".into()));
+    }
     let span = qmkp_obs::span("solve.run");
     let result = solve_inner(g, k, config, ctx, provider);
     span.finish();
@@ -538,6 +537,28 @@ mod tests {
         };
         assert!(matches!(
             solve(&g, 2, &config, &RtContext::unlimited()),
+            Err(RtError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn empty_graph_is_an_invalid_config() {
+        let g = Graph::new(0).unwrap();
+        assert!(matches!(
+            solve(&g, 2, &SolveConfig::default(), &RtContext::unlimited()),
+            Err(RtError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn zero_k_is_an_invalid_config() {
+        assert!(matches!(
+            solve(
+                &paper_fig1_graph(),
+                0,
+                &SolveConfig::default(),
+                &RtContext::unlimited()
+            ),
             Err(RtError::InvalidConfig(_))
         ));
     }
