@@ -21,30 +21,17 @@ use rand::{Rng, SeedableRng};
 pub fn grasp_kplex(g: &Graph, k: usize, iterations: usize, alpha: f64, seed: u64) -> VertexSet {
     assert!(k >= 1, "k must be ≥ 1");
     assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    let span = qmkp_obs::span("classical.grasp.run");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best = VertexSet::EMPTY;
-    for _ in 0..iterations.max(1) {
-        qmkp_obs::counter("classical.grasp.restarts", 1);
-        let p = construct(g, k, alpha, &mut rng);
-        let p = local_search(g, k, p);
-        if p.len() > best.len() {
-            best = p;
-        }
-    }
-    qmkp_obs::gauge("classical.grasp.best_size", best.len() as f64);
-    span.finish();
-    debug_assert!(is_kplex(g, best, k));
-    best
+    grasp_kplex_ctx(g, k, iterations, alpha, seed, &RtContext::unlimited(), None)
+        .expect("unbudgeted GRASP cannot fail")
 }
 
 /// Budgeted/cancellable GRASP with an incumbent-export hook.
 ///
-/// Identical search to [`grasp_kplex`] given the same parameters, plus:
-/// the context (and, under the `failpoints` feature, the
+/// The search [`grasp_kplex`] runs (it calls this under an unlimited
+/// context), plus: the context (and, under the `failpoints` feature, the
 /// `classical.grasp.iter` site) is polled once per restart, and every
 /// strict improvement of the running best is published through
-/// `on_best` — the portfolio uses this to seed SQA's initial state with
+/// `on_best` — a raced solve uses this to seed SQA's initial state with
 /// GRASP's best solution while both are still running.
 ///
 /// Invalid parameters return [`RtError::InvalidConfig`] instead of

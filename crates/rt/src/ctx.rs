@@ -11,18 +11,12 @@ use std::time::Instant;
 const DEADLINE_CHECK_MASK: u64 = 63;
 
 /// Default wall-clock spacing between `rt.*` headroom samples emitted to
-/// the *event stream* (`QMKP_RT_SAMPLE_MS` overrides). The metrics
-/// registry already receives headroom gauges on every amortized deadline
-/// read; the event-stream series is what `chrome_trace`/`flamegraph`
-/// render, so it is paced on wall-clock time instead.
+/// the *event stream* ([`RtContext::with_sample_interval`] overrides).
+/// The metrics registry already receives headroom gauges on every
+/// amortized deadline read; the event-stream series is what
+/// `chrome_trace`/`flamegraph` render, so it is paced on wall-clock time
+/// instead.
 const SAMPLE_INTERVAL_MS_DEFAULT: u64 = 100;
-
-fn sample_interval_from_env() -> u64 {
-    match std::env::var("QMKP_RT_SAMPLE_MS") {
-        Ok(raw) => raw.trim().parse().unwrap_or(SAMPLE_INTERVAL_MS_DEFAULT),
-        Err(_) => SAMPLE_INTERVAL_MS_DEFAULT,
-    }
-}
 
 /// The runtime context threaded through every budgeted pass. Cheap to
 /// consult: the unlimited, uncancelled fast path is a handful of relaxed
@@ -53,14 +47,14 @@ impl RtContext {
             start: Instant::now(),
             ops: AtomicU64::new(0),
             cancel_reported: AtomicBool::new(false),
-            sample_interval_ms: sample_interval_from_env(),
+            sample_interval_ms: SAMPLE_INTERVAL_MS_DEFAULT,
             last_sample_ms: AtomicU64::new(0),
         }
     }
 
     /// Overrides the wall-clock spacing between event-stream headroom
-    /// samples (default 100 ms, env `QMKP_RT_SAMPLE_MS`). Zero emits a
-    /// sample on every check — useful in tests.
+    /// samples (default 100 ms). Zero emits a sample on every check —
+    /// useful in tests.
     pub fn with_sample_interval(mut self, interval: std::time::Duration) -> Self {
         self.sample_interval_ms = interval.as_millis() as u64;
         self

@@ -1,7 +1,7 @@
 //! First-verified-wins racing: run fault-contained racers concurrently
 //! under one shared [`CancelToken`].
 //!
-//! The primitive the portfolio solver (`qmkp::portfolio`) is built on.
+//! The primitive the raced solve plan (`qmkp::solve`) is built on.
 //! Each [`Racer`] runs on its own scoped thread with a private
 //! [`RtContext`] over its own [`Budget`] slice; every context polls one
 //! shared token, so the first racer to return `Ok` cancels the rest

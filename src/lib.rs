@@ -17,13 +17,11 @@
 //! * [`rt`] — the execution runtime: budgets, cooperative cancellation,
 //!   retries, checkpoint/resume, deterministic fault injection
 //!   (`QMKP_RT_DEADLINE_MS` / `QMKP_RT_MAX_BYTES` / `QMKP_RT_MAX_OPS`).
-//! * [`mod@solve`] — the budgeted degradation ladder:
-//!   dense → sparse → classical, `degraded = true` when the quantum
-//!   pipeline does not fit the budget.
-//! * [`mod@portfolio`] — solver-portfolio racing: the staked rungs plus
-//!   SQA and the classical floor run concurrently under one cancel
-//!   token, first verified k-plex wins, losers' incumbents warm-start
-//!   the survivors (`QMKP_PORTFOLIO=0` restores the sequential ladder).
+//! * [`mod@solve`] — one budgeted solve plan, raced or walked: the
+//!   fitting quantum rungs plus SQA and the classical floor race under
+//!   one cancel token (first verified k-plex wins), or walk the
+//!   degradation ladder dense → sparse → classical (`degraded = true`
+//!   when the quantum pipeline does not fit the budget).
 //!
 //! ## Quickstart
 //!
@@ -39,7 +37,6 @@
 
 #![deny(unsafe_code)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
-pub mod portfolio;
 pub mod solve;
 
 pub use qmkp_annealer as annealer;
@@ -53,8 +50,7 @@ pub use qmkp_qsim as qsim;
 pub use qmkp_qubo as qubo;
 pub use qmkp_rt as rt;
 
-pub use portfolio::RaceSummary;
 pub use solve::{
-    dense_cost, preflight_lane, solve, solve_with, sparse_cost, PreflightLane, SolveBackend,
-    SolveConfig, SolveOutcome,
+    dense_cost, preflight_lane, solve, solve_with, sparse_cost, PreflightLane, RaceSummary,
+    SolveBackend, SolveConfig, SolveOutcome,
 };

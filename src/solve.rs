@@ -1,51 +1,59 @@
-//! The degradation ladder: budgeted end-to-end solving.
+//! One solve plan, walked or raced: budgeted end-to-end solving.
 //!
 //! The quantum pipeline is memory-hungry (a dense statevector is
 //! `16·2^w` bytes; the sparse backend's support still grows to `2^n`
 //! entries under the uniform superposition), so a budgeted run must
 //! decide *before* allocating whether the simulation fits — and, when it
-//! does not, still return a valid k-plex. This module implements the
-//! ladder
+//! does not, still return a valid k-plex. [`solve`] plans every run the
+//! same way: a preflight keeps the quantum rungs that fit the
+//! [`Budget`]'s byte ceiling, in ladder order, and every solver body —
+//! quantum (dense or sparse), SQA, classical (branch & bound or GRASP) —
+//! verifies its own answer (a non-empty [`is_kplex`] set, or
+//! [`RtError::Faulted`]). The plan then runs one of two ways:
 //!
-//! ```text
-//! dense statevector → sparse statevector → classical (BnB / GRASP)
-//! ```
+//! * **Walked** — the degradation ladder, in the caller's thread and
+//!   under the caller's context:
 //!
-//! chosen by a preflight cost estimate against the [`Budget`]'s byte
-//! ceiling, with a mid-run fallback: if a quantum rung is interrupted by
-//! the byte ceiling, the solver falls through to the next rung that
-//! preflights under the budget (dense → sparse) before reaching the
-//! classical floor; op-budget, deadline, and fault(-after-retries)
-//! interruptions degrade straight to the floor, since a lower quantum
-//! rung would spend the same exhausted budget. Either way the run is
-//! marked `degraded = true` (and counted in `rt.degradations`). Explicit
-//! cancellation and configuration errors are *not* degraded — they
-//! surface as errors, because the caller asked for them.
+//!   ```text
+//!   dense statevector → sparse statevector → classical (BnB / GRASP)
+//!   ```
 //!
-//! [`solve_with`] additionally accepts an
-//! [`OracleProvider`], letting a serving
-//! layer (the `qmkp-serve` crate) supply pre-compiled oracles from a
-//! cross-request cache.
+//!   A rung interrupted by the byte ceiling falls through to the next
+//!   rung; op-budget, deadline, and fault(-after-retries) interruptions
+//!   degrade straight to the classical floor, since a lower quantum rung
+//!   would spend the same exhausted budget. Either way the run is marked
+//!   `degraded = true` (and counted in `rt.degradations`).
+//! * **Raced** — the portfolio, the default whenever a quantum rung fits
+//!   ([`SolveConfig::portfolio`] overrides the choice): the staked rungs,
+//!   SQA, and the classical body run on their own threads under one
+//!   shared cancel token ([`qmkp_rt::race()`]), and the first verified
+//!   k-plex wins. A panicking racer becomes [`RtError::Faulted`] without
+//!   touching its siblings; losers still help through warm-start
+//!   handoffs (GRASP's quick best seeds SQA, and SQA's incumbent bounds
+//!   branch & bound); when every racer fails the caller gets
+//!   [`RtError::AllRacersFailed`]. A race win is never degraded.
 //!
-//! When at least one quantum rung preflights under the budget the
-//! ladder is raced concurrently instead ([`crate::portfolio`]): every
-//! staked rung plus an SQA racer and the classical floor run on their
-//! own threads under one shared cancel token, first verified k-plex
-//! wins. [`SolveConfig::portfolio`] and the `QMKP_PORTFOLIO`
-//! environment variable override the automatic gate.
+//! Explicit cancellation and configuration errors are never degraded —
+//! they surface as errors, because the caller asked for them.
+//! [`solve_with`] additionally accepts an [`OracleProvider`], letting a
+//! serving layer (the `qmkp-serve` crate) supply pre-compiled oracles
+//! from a cross-request cache.
 
-use crate::portfolio::RaceSummary;
-use qmkp_annealer::SqaConfig;
-use qmkp_classical::bnb::max_kplex_bnb;
-use qmkp_classical::grasp::grasp_kplex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+use qmkp_annealer::{sqa_qubo_ctx_observed, SqaConfig, SqaHooks};
+use qmkp_classical::bnb::max_kplex_bnb_ctx;
+use qmkp_classical::grasp::grasp_kplex_ctx;
 use qmkp_core::{
     qmkp_ctx_with, CompileFresh, OracleLayout, OracleProvider, QmkpCheckpoint, QmkpConfig,
     QmkpOutcome,
 };
 use qmkp_graph::{is_kplex, Graph, VertexSet};
 use qmkp_obs::RunReport;
-use qmkp_qsim::{BackendState, DenseState, SparseState, MAX_DENSE_QUBITS};
-use qmkp_rt::{retry, Budget, Interrupted, RetryPolicy, RtContext, RtError};
+use qmkp_qsim::{DenseState, SparseState, MAX_DENSE_QUBITS};
+use qmkp_rt::{retry, Budget, Interrupted, Racer, RacerOutcome, RetryPolicy, RtContext, RtError};
 
 /// Which rung of the ladder produced the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,36 +90,22 @@ impl SolveBackend {
 pub struct SolveConfig {
     /// The quantum search configuration (seed, reduction, counting mode).
     pub qmkp: QmkpConfig,
-    /// Vertex count at or below which the classical floor runs exact
+    /// Vertex count at or below which the classical body runs exact
     /// branch & bound instead of GRASP. `None` keeps the default (20);
     /// explicit values are honoured verbatim — `Some(0)` forces GRASP on
     /// every graph, which the old `0 = default` sentinel could not
     /// express.
     pub exact_threshold: Option<usize>,
-    /// GRASP restarts for the heuristic floor. `None` keeps the default
-    /// (64).
+    /// GRASP restarts for the heuristic classical body. `None` keeps the
+    /// default (64).
     pub grasp_iterations: Option<usize>,
-    /// Whether to race the rungs concurrently
-    /// ([`crate::portfolio`]) instead of walking the ladder
-    /// sequentially. `None` is automatic: race whenever at least one
-    /// quantum rung preflights under the byte budget. The
-    /// `QMKP_PORTFOLIO` environment variable (`0`/`false`/`off` or
-    /// `1`/`true`/`on`) overrides both this field and the automatic
-    /// choice.
+    /// Whether to race the plan concurrently instead of walking it as
+    /// the sequential ladder. `None` is automatic: race whenever at
+    /// least one quantum rung preflights under the byte budget.
     pub portfolio: Option<bool>,
     /// Schedule for the portfolio's SQA racer. `None` uses
     /// [`SqaConfig::default`] reseeded from the quantum seed.
     pub sqa: Option<SqaConfig>,
-}
-
-impl SolveConfig {
-    pub(crate) fn exact_threshold(&self) -> usize {
-        self.exact_threshold.unwrap_or(20)
-    }
-
-    pub(crate) fn grasp_iterations(&self) -> usize {
-        self.grasp_iterations.unwrap_or(64)
-    }
 }
 
 /// Outcome of a budgeted [`solve`] run.
@@ -156,6 +150,27 @@ impl SolveOutcome {
     }
 }
 
+/// How one raced [`solve`] went, carried on [`SolveOutcome::race`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RaceSummary {
+    /// The racer that produced the answer (`dense`, `sparse`, `sqa`,
+    /// `classical`).
+    pub winner: String,
+    /// Every racer staked, in staking (preflight-cost) order.
+    pub launched: Vec<&'static str>,
+    /// Losers cancelled by the win.
+    pub cancelled: usize,
+    /// Losers that failed (budget slice, fault, contained panic) before
+    /// the win.
+    pub faulted: usize,
+    /// Wall-clock gap between the winner and the next racer to finish,
+    /// when a runner-up finished at all.
+    pub win_margin: Option<Duration>,
+    /// Warm-start handoffs that occurred (GRASP→SQA seed plus SQA→BnB
+    /// incumbent adoptions).
+    pub warm_starts: u64,
+}
+
 /// Estimated peak bytes for a dense simulation of `width` qubits:
 /// 16-byte amplitudes plus an equal-size permutation scratch buffer,
 /// `32·2^width` in total. Saturates to [`usize::MAX`] when the figure
@@ -187,6 +202,29 @@ fn fits(budget: &Budget, bytes: usize) -> bool {
     budget.max_bytes.is_none_or(|limit| bytes <= limit)
 }
 
+/// The preflight: every quantum rung that fits the budget's byte
+/// ceiling, in ladder order (which is also the staking order), each with
+/// its projected bytes. Also returns the cheapest quantum footprint,
+/// fitting or not — what a walk with no rung to try names in its
+/// `MemoryBudget` — which is `usize::MAX` when the oracle is wider than
+/// 128 qubits and no quantum rung can run at all.
+fn preflight(g: &Graph, k: usize, budget: &Budget) -> (Vec<(SolveBackend, usize)>, usize) {
+    // The oracle's width is independent of the probe threshold, which
+    // only pads constant registers.
+    let Some(width) = OracleLayout::try_new(g, k, 1).map(|layout| layout.width) else {
+        return (Vec::new(), usize::MAX);
+    };
+    let (dense, sparse) = (dense_cost(width), sparse_cost(g.n()));
+    let mut rungs = Vec::new();
+    if width <= MAX_DENSE_QUBITS && fits(budget, dense) {
+        rungs.push((SolveBackend::Dense, dense));
+    }
+    if fits(budget, sparse) {
+        rungs.push((SolveBackend::Sparse, sparse));
+    }
+    (rungs, dense.min(sparse))
+}
+
 /// The lane a request lands in before any work happens: the rung the
 /// preflight cost model would pick for this `(graph, k, budget)`. The
 /// serving layer shards its worker pools by this, so cheap classical
@@ -213,72 +251,22 @@ impl PreflightLane {
 }
 
 /// Classifies a request by the preflight cost model without running
-/// anything: the same rung-selection logic [`solve`] applies, exposed so
-/// a scheduler can shard work before committing a worker to it.
+/// anything: the first rung [`solve`]'s preflight selects, exposed so a
+/// scheduler can shard work before committing a worker to it.
 pub fn preflight_lane(g: &Graph, k: usize, budget: &Budget) -> PreflightLane {
-    match OracleLayout::try_new(g, k, 1).map(|layout| layout.width) {
-        Some(w) if w <= MAX_DENSE_QUBITS && fits(budget, dense_cost(w)) => PreflightLane::Dense,
-        Some(w) if w <= 128 && fits(budget, sparse_cost(g.n())) => PreflightLane::Sparse,
-        _ => PreflightLane::Classical,
+    match preflight(g, k, budget).0.first() {
+        Some((SolveBackend::Dense, _)) => PreflightLane::Dense,
+        Some(_) => PreflightLane::Sparse,
+        None => PreflightLane::Classical,
     }
 }
 
-/// Runs one quantum rung under the runtime's retry loop. Transient
-/// faults (injected via `qmkp_rt::failpoint`, modelling flaky simulated
-/// hardware) are retried up to the default [`RetryPolicy`] with
-/// deterministic jittered backoff, *resuming from the checkpoint* the
-/// interrupted run handed back — a retry never repeats completed binary-
-/// search probes. Terminal errors (budget exhaustion, cancellation,
-/// invalid config) propagate to the degradation ladder unchanged.
-fn quantum_rung<S: BackendState>(
-    g: &Graph,
-    k: usize,
-    config: &SolveConfig,
-    ctx: &RtContext,
-    provider: &dyn OracleProvider,
-) -> Result<QmkpOutcome, RtError> {
-    let policy = RetryPolicy {
-        seed: config.qmkp.qtkp.seed,
-        ..RetryPolicy::default()
-    };
-    let mut resume: Option<QmkpCheckpoint> = None;
-    retry(&policy, ctx, |_attempt| {
-        match qmkp_ctx_with::<S>(g, k, &config.qmkp, ctx, resume.as_ref(), provider) {
-            Ok(out) => Ok(out),
-            Err(Interrupted { error, checkpoint }) => {
-                resume = Some(*checkpoint);
-                Err(error)
-            }
-        }
-    })
-}
-
-/// The classical floor: exact branch & bound on small graphs, GRASP
-/// (verified) on everything else.
-fn classical_floor(g: &Graph, k: usize, config: &SolveConfig) -> (VertexSet, SolveBackend) {
-    if g.n() <= config.exact_threshold() {
-        (max_kplex_bnb(g, k), SolveBackend::ClassicalExact)
-    } else {
-        let best = grasp_kplex(g, k, config.grasp_iterations(), 0.3, config.qmkp.qtkp.seed);
-        debug_assert!(is_kplex(g, best, k));
-        (best, SolveBackend::ClassicalHeuristic)
-    }
-}
-
-/// Solves maximum k-plex under a budget, degrading gracefully.
-///
-/// Preflight picks every rung that fits the byte ceiling, in ladder
-/// order. A rung interrupted mid-run by the byte ceiling falls through
-/// to the next fitting rung (dense → sparse) before the classical
-/// floor; op-budget, deadline, and fault(-after-retries) interruptions
-/// degrade straight to the floor (`degraded = true`,
-/// `rt.degradations`). [`RtError::Cancelled`] and
-/// [`RtError::InvalidConfig`] are returned as errors instead — the
-/// former because the caller asked the run to stop, the latter because
-/// no amount of degradation fixes a bad configuration.
+/// Solves maximum k-plex under a budget, degrading gracefully: the
+/// plan is raced or walked as the module docs describe.
 ///
 /// # Errors
-/// [`RtError::Cancelled`] or [`RtError::InvalidConfig`], as above. An
+/// [`RtError::Cancelled`] or [`RtError::InvalidConfig`], as above, and
+/// [`RtError::AllRacersFailed`] when every racer of a race fails. An
 /// empty graph or `k == 0` is [`RtError::InvalidConfig`].
 pub fn solve(
     g: &Graph,
@@ -310,15 +298,139 @@ pub fn solve_with(
         return Err(RtError::InvalidConfig("k must be ≥ 1".into()));
     }
     let span = qmkp_obs::span("solve.run");
-    let result = solve_inner(g, k, config, ctx, provider);
+    let (rungs, cheapest) = preflight(g, k, ctx.budget());
+    let plan = Plan {
+        g,
+        k,
+        config,
+        provider,
+        rungs,
+        cheapest,
+        hold: None,
+    };
+    // The automatic gate races exactly when a quantum rung preflighted:
+    // that is when a race can save the quantum pipeline's worst case,
+    // while a pure-classical instance gains nothing from racing its only
+    // lane against SQA and its walked floor stays deterministic.
+    let result = if config.portfolio.unwrap_or(!plan.rungs.is_empty()) {
+        plan.race(ctx, &WarmStarts::default())
+    } else {
+        plan.walk(ctx)
+    };
     span.finish();
     result
 }
 
-/// Records one attempted rung's wall time into the `solve.rung`
+/// Restarts of the quick GRASP pass the exact classical body runs
+/// before branch & bound: enough to seed the warm-start bus, cheap
+/// enough not to delay the bound search.
+const QUICK_GRASP_ITERATIONS: usize = 8;
+
+/// The greedy/random balance of every GRASP pass.
+const GRASP_ALPHA: f64 = 0.3;
+
+/// Locks a mutex, recovering the data from a poisoned lock: a racer
+/// panic between lock and unlock is already contained by the race
+/// supervisor, and a half-updated warm-start hint is still just a hint.
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The per-solve warm-start bus shared by the bodies: best-so-far slots
+/// written by the heuristic bodies and read by the others, plus this
+/// solve's handoff and search-effort counts. Slots only ever grow (a
+/// smaller candidate never replaces a larger one), so a late read is at
+/// worst conservative.
+#[derive(Default)]
+struct WarmStarts {
+    /// Best k-plex any GRASP restart has published.
+    grasp: Mutex<Option<VertexSet>>,
+    /// Best verified k-plex decoded from an SQA incumbent.
+    sqa: Mutex<Option<VertexSet>>,
+    /// GRASP→SQA seed handoffs (0 or 1: SQA reads once at start).
+    grasp_to_sqa: AtomicU64,
+    /// SQA→BnB incumbent handoffs (counted once, on the first poll that
+    /// finds a candidate).
+    sqa_to_bnb: AtomicU64,
+    /// Search-tree nodes of the last completed exact classical search.
+    bnb_nodes: AtomicU64,
+}
+
+impl WarmStarts {
+    fn offer(slot: &Mutex<Option<VertexSet>>, p: VertexSet) {
+        let mut best = lock_recover(slot);
+        if best.is_none_or(|cur| p.len() > cur.len()) {
+            *best = Some(p);
+        }
+    }
+
+    /// The GRASP slot, read once by the SQA body at startup; a hit is a
+    /// GRASP→SQA handoff.
+    fn take_grasp_for_sqa(&self) -> Option<VertexSet> {
+        let got = *lock_recover(&self.grasp);
+        if got.is_some() {
+            self.grasp_to_sqa.fetch_add(1, Ordering::Relaxed);
+        }
+        got
+    }
+
+    /// The SQA slot, polled by branch & bound; the first poll that
+    /// finds a candidate is an SQA→BnB handoff.
+    fn sqa_incumbent_for_bnb(&self) -> Option<VertexSet> {
+        let got = *lock_recover(&self.sqa);
+        if got.is_some() && self.sqa_to_bnb.load(Ordering::Relaxed) == 0 {
+            self.sqa_to_bnb.fetch_add(1, Ordering::Relaxed);
+        }
+        got
+    }
+}
+
+/// The low 128 assignment bits as a basis-state mask — the vertex bits
+/// of a QUBO assignment (slack variables beyond bit 127 are irrelevant
+/// to decoding, which masks to the vertex register anyway).
+fn head_bits(bools: &[bool]) -> u128 {
+    bools
+        .iter()
+        .take(128)
+        .enumerate()
+        .fold(0u128, |acc, (i, &b)| acc | (u128::from(b)) << i)
+}
+
+/// What a solver body hands back: its verified answer and who found it.
+struct Finish {
+    best: VertexSet,
+    backend: SolveBackend,
+    quantum: Option<QmkpOutcome>,
+}
+
+/// Builds the [`SolveOutcome`] of a finished plan — the one place that
+/// does. A walked answer that came from below the preflight's first
+/// choice carries why and counts on `rt.degradations`; a raced answer
+/// carries its summary and is never degraded, since a verified answer
+/// from any lane is a first-class answer.
+fn outcome(
+    finish: Finish,
+    degraded_because: Option<RtError>,
+    race: Option<RaceSummary>,
+) -> SolveOutcome {
+    let degraded = degraded_because.is_some();
+    if degraded {
+        qmkp_obs::counter("rt.degradations", 1);
+    }
+    SolveOutcome {
+        best: finish.best,
+        backend: finish.backend,
+        degraded,
+        degraded_because,
+        quantum: finish.quantum,
+        race,
+    }
+}
+
+/// Records one walked attempt's wall time into the `solve.rung`
 /// histogram, labeled with the rung name and whether the run degraded
 /// past it. A `None` start means metrics were disabled at rung entry.
-fn rung_metric(start: Option<std::time::Instant>, rung: SolveBackend, degraded: bool) {
+fn rung_metric(start: Option<Instant>, rung: SolveBackend, degraded: bool) {
     if let Some(t0) = start {
         qmkp_obs::metrics::observe_duration(
             "solve.rung",
@@ -331,127 +443,336 @@ fn rung_metric(start: Option<std::time::Instant>, rung: SolveBackend, degraded: 
     }
 }
 
-fn solve_inner(
-    g: &Graph,
+/// One solve, planned: the instance, its configuration, the oracle
+/// source, and the preflight's verdict. [`Plan::walk`] and
+/// [`Plan::race`] execute it through the same verified solver bodies.
+struct Plan<'a> {
+    g: &'a Graph,
     k: usize,
-    config: &SolveConfig,
-    ctx: &RtContext,
-    provider: &dyn OracleProvider,
-) -> Result<SolveOutcome, RtError> {
-    // Preflight: lay out the oracle (width is independent of the probe
-    // threshold, which only pads constant registers) and cost each rung.
-    // A >128-qubit oracle cannot run on any quantum rung — classical only.
-    let width = OracleLayout::try_new(g, k, 1).map(|layout| layout.width);
-    let budget = ctx.budget();
-
-    // Every quantum rung that fits the byte ceiling, in ladder order.
-    let mut rungs: Vec<(SolveBackend, usize)> = Vec::new();
-    if let Some(w) = width {
-        if w <= MAX_DENSE_QUBITS && fits(budget, dense_cost(w)) {
-            rungs.push((SolveBackend::Dense, dense_cost(w)));
-        }
-        if w <= 128 && fits(budget, sparse_cost(g.n())) {
-            rungs.push((SolveBackend::Sparse, sparse_cost(g.n())));
-        }
-    }
-
-    // Portfolio racing: run the staked lanes concurrently instead of
-    // walking the ladder. Opt-out (or forced) via `QMKP_PORTFOLIO`,
-    // then the config knob; the automatic default races whenever a
-    // quantum rung preflighted, because that is exactly when a race can
-    // save the quantum pipeline's worst case.
-    if portfolio_enabled(config, &rungs) {
-        return crate::portfolio::race_rungs(g, k, config, ctx, provider, &rungs);
-    }
-
-    let mut degraded_because: Option<RtError> = None;
-    for (backend, projected) in rungs {
-        qmkp_obs::gauge("solve.preflight_bytes", projected as f64);
-        let rung_start = qmkp_obs::metrics::enabled().then(std::time::Instant::now);
-        let attempt = match backend {
-            SolveBackend::Dense => quantum_rung::<DenseState>(g, k, config, ctx, provider),
-            _ => quantum_rung::<SparseState>(g, k, config, ctx, provider),
-        };
-        match attempt {
-            Ok(out) => {
-                // `degraded` records whether a higher rung failed first:
-                // a sparse success after a dense memory failure is still
-                // a degradation, just not all the way to the floor.
-                let degraded = degraded_because.is_some();
-                rung_metric(rung_start, backend, degraded);
-                if degraded {
-                    qmkp_obs::counter("rt.degradations", 1);
-                }
-                debug_assert!(is_kplex(g, out.best, k));
-                return Ok(SolveOutcome {
-                    best: out.best,
-                    backend,
-                    degraded,
-                    degraded_because,
-                    quantum: Some(out),
-                    race: None,
-                });
-            }
-            Err(error @ (RtError::Cancelled | RtError::InvalidConfig(_))) => return Err(error),
-            Err(error @ RtError::MemoryBudget { .. }) => {
-                // The documented ladder: a rung that dies on the byte
-                // ceiling mid-run falls through to the next rung, which
-                // preflighted cheaper and may still fit.
-                rung_metric(rung_start, backend, true);
-                degraded_because.get_or_insert(error);
-            }
-            Err(other) => {
-                // Op budget, deadline, fault-after-retries: a lower
-                // quantum rung would spend the same exhausted budget, so
-                // degrade straight to the classical floor.
-                rung_metric(rung_start, backend, true);
-                degraded_because.get_or_insert(other);
-                break;
-            }
-        }
-    }
-
-    // Preflight rejected every quantum rung (either the budget is too
-    // tight or the instance is too wide to simulate at all), or every
-    // attempted rung failed; the first failure names the cause.
-    let degraded_because = Some(degraded_because.unwrap_or_else(|| RtError::MemoryBudget {
-        required: width.map_or(usize::MAX, |w| sparse_cost(g.n()).min(dense_cost(w))),
-        limit: budget.max_bytes.unwrap_or(usize::MAX),
-    }));
-
-    // One last chance for the caller to stop before the classical floor
-    // spends CPU (a cancelled context must never degrade).
-    ctx.check()?;
-    qmkp_obs::counter("rt.degradations", 1);
-    let floor_start = qmkp_obs::metrics::enabled().then(std::time::Instant::now);
-    let (best, backend) = classical_floor(g, k, config);
-    rung_metric(floor_start, backend, true);
-    assert!(
-        is_kplex(g, best, k),
-        "classical floor returned an invalid k-plex"
-    );
-    Ok(SolveOutcome {
-        best,
-        backend,
-        degraded: true,
-        degraded_because,
-        quantum: None,
-        race: None,
-    })
+    config: &'a SolveConfig,
+    provider: &'a dyn OracleProvider,
+    /// The preflight's quantum rungs, in ladder order, each with its
+    /// projected bytes.
+    rungs: Vec<(SolveBackend, usize)>,
+    /// The cheapest quantum footprint, fitting or not.
+    cheapest: usize,
+    /// When set, the exact classical body skips its quick GRASP pass and
+    /// holds branch & bound until SQA publishes an incumbent (or this
+    /// cap expires), so that incumbent is its *only* initial lower
+    /// bound. Tests use it to make the SQA→BnB handoff deterministic;
+    /// the public entry points always build the plan with `None`, leaving
+    /// the handoff purely opportunistic.
+    hold: Option<Duration>,
 }
 
-/// Resolves the portfolio gate: the `QMKP_PORTFOLIO` environment
-/// variable wins, then [`SolveConfig::portfolio`], then the automatic
-/// rule — race exactly when the preflight staked at least one quantum
-/// rung (a pure-classical instance gains nothing from racing its only
-/// lane against SQA, and the sequential floor stays deterministic).
-fn portfolio_enabled(config: &SolveConfig, rungs: &[(SolveBackend, usize)]) -> bool {
-    match std::env::var("QMKP_PORTFOLIO").as_deref() {
-        Ok("0") | Ok("false") | Ok("off") => return false,
-        Ok("1") | Ok("true") | Ok("on") => return true,
-        _ => {}
+impl Plan<'_> {
+    /// Accepts a body's answer only if it is a non-empty k-plex;
+    /// anything else is [`RtError::Faulted`] at `solve.<backend>.verify`.
+    fn verified(
+        &self,
+        best: VertexSet,
+        backend: SolveBackend,
+        quantum: Option<QmkpOutcome>,
+    ) -> Result<Finish, RtError> {
+        if best.is_empty() || !is_kplex(self.g, best, self.k) {
+            return Err(RtError::Faulted {
+                site: format!("solve.{}.verify", backend.name()),
+            });
+        }
+        Ok(Finish {
+            best,
+            backend,
+            quantum,
+        })
     }
-    config.portfolio.unwrap_or(!rungs.is_empty())
+
+    /// The quantum body: one qMKP search on `backend`'s statevector,
+    /// resuming from `resume` and leaving an interrupted attempt's
+    /// checkpoint there for the next one.
+    fn quantum(
+        &self,
+        backend: SolveBackend,
+        ctx: &RtContext,
+        resume: &mut Option<QmkpCheckpoint>,
+    ) -> Result<Finish, RtError> {
+        let (g, k, qmkp, provider) = (self.g, self.k, &self.config.qmkp, self.provider);
+        let searched = match backend {
+            SolveBackend::Dense => {
+                qmkp_ctx_with::<DenseState>(g, k, qmkp, ctx, resume.as_ref(), provider)
+            }
+            _ => qmkp_ctx_with::<SparseState>(g, k, qmkp, ctx, resume.as_ref(), provider),
+        };
+        match searched {
+            Ok(out) => self.verified(out.best, backend, Some(out)),
+            Err(Interrupted { error, checkpoint }) => {
+                *resume = Some(*checkpoint);
+                Err(error)
+            }
+        }
+    }
+
+    /// The SQA body: QUBO-encode the instance, seed shot 0 from the
+    /// GRASP slot when one is already published, publish every
+    /// decoded-and-verified incumbent to the SQA slot, and return the
+    /// polished final sample.
+    fn sqa(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<Finish, RtError> {
+        let (g, k) = (self.g, self.k);
+        let qubo = qmkp_qubo::MkpQubo::new(g, qmkp_qubo::MkpQuboParams { k, r: 2.0 });
+        let sqa_config = self.config.sqa.clone().unwrap_or_else(|| SqaConfig {
+            seed: self.config.qmkp.qtkp.seed,
+            ..SqaConfig::default()
+        });
+        // The slack registers sit above the vertex bits; encoding a seed
+        // needs the whole assignment to fit the u128 the encoder works in.
+        let warm_bits: Option<Vec<bool>> = if qubo.num_vars() <= 128 {
+            warm.take_grasp_for_sqa().map(|p| {
+                let bits = qubo.encode_feasible(p);
+                (0..qubo.num_vars()).map(|i| (bits >> i) & 1 == 1).collect()
+            })
+        } else {
+            None
+        };
+        let mut publish = |bits: &[bool], _energy: f64| {
+            let polished = qubo.decode_polished(head_bits(bits));
+            if !polished.is_empty() && is_kplex(g, polished, k) {
+                WarmStarts::offer(&warm.sqa, polished);
+            }
+        };
+        let hooks = SqaHooks {
+            warm_start: warm_bits.as_deref(),
+            on_incumbent: Some(&mut publish),
+        };
+        let out = sqa_qubo_ctx_observed(&qubo.model, &sqa_config, ctx, None, hooks)
+            .map_err(|interrupted| interrupted.error)?;
+        self.verified(
+            qubo.decode_polished(head_bits(&out.best)),
+            SolveBackend::Sqa,
+            None,
+        )
+    }
+
+    /// The classical body. Up to the exact threshold, a quick GRASP pass
+    /// (published to the warm-start bus for SQA) seeds an exact branch &
+    /// bound that polls the SQA slot for tighter lower bounds while it
+    /// searches. Above it, the full GRASP run, still publishing
+    /// improvements.
+    fn classical(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<Finish, RtError> {
+        let (g, k, seed) = (self.g, self.k, self.config.qmkp.qtkp.seed);
+        let mut publish = |p: VertexSet| WarmStarts::offer(&warm.grasp, p);
+        let mut grasp = |iterations| {
+            grasp_kplex_ctx(g, k, iterations, GRASP_ALPHA, seed, ctx, Some(&mut publish))
+        };
+        if g.n() > self.config.exact_threshold.unwrap_or(20) {
+            let best = grasp(self.config.grasp_iterations.unwrap_or(64))?;
+            return self.verified(best, SolveBackend::ClassicalHeuristic, None);
+        }
+        let lower = if let Some(cap) = self.hold {
+            // The SQA slot is the sole bound source; a dead SQA racer
+            // leaves branch & bound unbounded.
+            let start = Instant::now();
+            while lock_recover(&warm.sqa).is_none() && start.elapsed() < cap {
+                ctx.check()?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            warm.sqa_incumbent_for_bnb()
+        } else {
+            let quick = grasp(QUICK_GRASP_ITERATIONS)?;
+            Some(match warm.sqa_incumbent_for_bnb() {
+                Some(hint) if hint.len() > quick.len() => hint,
+                _ => quick,
+            })
+        };
+        let poll = || warm.sqa_incumbent_for_bnb();
+        let out = max_kplex_bnb_ctx(g, k, ctx, lower, Some(&poll))?;
+        warm.bnb_nodes.store(out.nodes, Ordering::Relaxed);
+        self.verified(out.best, SolveBackend::ClassicalExact, None)
+    }
+
+    /// Walks the plan as the degradation ladder, in the caller's thread
+    /// and under the caller's context (see the module docs).
+    fn walk(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
+        // Transient faults are retried with deterministic jittered
+        // backoff, each retry resuming from the checkpoint the
+        // interrupted attempt handed back — a retry never repeats
+        // completed probes. Terminal errors end the rung unchanged.
+        let policy = RetryPolicy {
+            seed: self.config.qmkp.qtkp.seed,
+            ..RetryPolicy::default()
+        };
+        let mut degraded_because: Option<RtError> = None;
+        for &(backend, projected) in &self.rungs {
+            qmkp_obs::gauge("solve.preflight_bytes", projected as f64);
+            let start = qmkp_obs::metrics::enabled().then(Instant::now);
+            let mut resume = None;
+            let attempt = retry(&policy, ctx, |_attempt| {
+                self.quantum(backend, ctx, &mut resume)
+            });
+            let degraded = attempt.is_err() || degraded_because.is_some();
+            rung_metric(start, backend, degraded);
+            match attempt {
+                // A success after a failed higher rung is still a
+                // degradation, just not all the way to the floor.
+                Ok(finish) => return Ok(outcome(finish, degraded_because, None)),
+                Err(error @ (RtError::Cancelled | RtError::InvalidConfig(_))) => return Err(error),
+                // The byte ceiling: the next rung preflighted cheaper
+                // and may still fit.
+                Err(error @ RtError::MemoryBudget { .. }) => {
+                    degraded_because.get_or_insert(error);
+                }
+                // Op budget, deadline, fault-after-retries: a lower
+                // quantum rung would spend the same exhausted budget.
+                Err(error) => {
+                    degraded_because.get_or_insert(error);
+                    break;
+                }
+            }
+        }
+
+        // Preflight rejected every quantum rung, or every attempted rung
+        // failed; the first failure names the cause.
+        let because = degraded_because.unwrap_or(RtError::MemoryBudget {
+            required: self.cheapest,
+            limit: ctx.budget().max_bytes.unwrap_or(usize::MAX),
+        });
+        // One last chance for the caller to stop before the floor spends
+        // CPU (a cancelled context must never degrade).
+        ctx.check()?;
+        let floor = RtContext::new(Budget::unlimited(), ctx.token().clone());
+        let start = qmkp_obs::metrics::enabled().then(Instant::now);
+        let finish = self.classical(&floor, &WarmStarts::default())?;
+        rung_metric(start, finish.backend, true);
+        Ok(outcome(finish, Some(because), None))
+    }
+
+    /// Races the plan: every staked quantum rung, SQA, and the classical
+    /// body on their own threads under one shared token (see the module
+    /// docs); `warm` is this race's warm-start bus.
+    fn race(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<SolveOutcome, RtError> {
+        // A cancelled caller must not spend threads; an invalid quantum
+        // configuration must surface as an error even if a heuristic
+        // racer could have masked it by winning.
+        ctx.check()?;
+        self.config.qmkp.qtkp.validate()?;
+
+        // Each quantum racer gets its own preflight estimate as a private
+        // byte ceiling, carved greedily out of the caller's ceiling so
+        // concurrent statevectors cannot jointly exceed it. A rung that
+        // no longer fits what is left is not launched.
+        let budget = ctx.budget();
+        let mut staked: Vec<(SolveBackend, Option<usize>)> = Vec::new();
+        let mut remaining = budget.max_bytes;
+        for &(backend, projected) in &self.rungs {
+            match remaining {
+                None => staked.push((backend, None)),
+                Some(rem) if projected <= rem => {
+                    remaining = Some(rem - projected);
+                    staked.push((backend, Some(projected)));
+                }
+                Some(_) => {}
+            }
+        }
+        let ops_each = budget
+            .max_ops
+            .map(|total| (total / staked.len().max(1) as u64).max(1));
+        let slice = |max_bytes, max_ops| Budget {
+            deadline: budget.deadline,
+            max_bytes,
+            max_ops,
+        };
+
+        let launched: Vec<&'static str> = staked
+            .iter()
+            .map(|&(backend, _)| backend.name())
+            .chain([SolveBackend::Sqa.name(), "classical"])
+            .collect();
+        // Quantum racers get a single attempt, no retry loop: the sibling
+        // racers *are* the recovery mechanism, so a faulting rung loses
+        // its lane at once instead of spending its slice on backoff.
+        let mut racers: Vec<Racer<'_, Finish>> = staked
+            .iter()
+            .map(|&(backend, bytes)| {
+                Racer::new(
+                    backend.name(),
+                    slice(bytes, ops_each),
+                    move |rctx: &RtContext| self.quantum(backend, rctx, &mut None),
+                )
+            })
+            .collect();
+        racers.push(Racer::new(
+            SolveBackend::Sqa.name(),
+            slice(None, None),
+            move |rctx: &RtContext| self.sqa(rctx, warm),
+        ));
+        racers.push(Racer::new(
+            "classical",
+            slice(None, None),
+            move |rctx: &RtContext| self.classical(rctx, warm),
+        ));
+
+        for name in &launched {
+            qmkp_obs::metrics::counter("solve.race.launched", &[("racer", name)], 1);
+        }
+        qmkp_obs::counter("solve.race.runs", 1);
+
+        let win = match qmkp_rt::race(racers, ctx.token()) {
+            Ok(win) => win,
+            Err(RtError::AllRacersFailed { failures }) => {
+                for (racer, _) in &failures {
+                    qmkp_obs::metrics::counter(
+                        "solve.race.faulted",
+                        &[("racer", racer.as_str())],
+                        1,
+                    );
+                }
+                qmkp_obs::counter("solve.race.all_failed", 1);
+                return Err(RtError::AllRacersFailed { failures });
+            }
+            Err(e) => return Err(e),
+        };
+
+        // The race's accounting, on the caller's thread so thread-local
+        // trace collectors see it.
+        let mut cancelled = 0;
+        let mut faulted = 0;
+        for report in &win.reports {
+            let metric = match report.outcome {
+                RacerOutcome::Won => "solve.race.won",
+                RacerOutcome::Cancelled => {
+                    cancelled += 1;
+                    "solve.race.cancelled"
+                }
+                RacerOutcome::Failed(_) => {
+                    faulted += 1;
+                    "solve.race.faulted"
+                }
+            };
+            qmkp_obs::metrics::counter(metric, &[("racer", report.name.as_str())], 1);
+        }
+        let grasp_to_sqa = warm.grasp_to_sqa.load(Ordering::Relaxed);
+        let sqa_to_bnb = warm.sqa_to_bnb.load(Ordering::Relaxed);
+        for (handoff, count) in [("grasp-to-sqa", grasp_to_sqa), ("sqa-to-bnb", sqa_to_bnb)] {
+            if count > 0 {
+                qmkp_obs::metrics::counter("solve.race.warm_start", &[("handoff", handoff)], count);
+            }
+        }
+        let bnb_nodes = warm.bnb_nodes.load(Ordering::Relaxed);
+        if bnb_nodes > 0 {
+            qmkp_obs::metrics::gauge("solve.race.bnb_nodes", &[], bnb_nodes as f64);
+        }
+        if let Some(margin) = win.win_margin {
+            qmkp_obs::metrics::gauge("solve.race.win_margin_ms", &[], margin.as_secs_f64() * 1e3);
+        }
+        qmkp_obs::counter("solve.race.won", 1);
+        let summary = RaceSummary {
+            winner: win.winner,
+            launched,
+            cancelled,
+            faulted,
+            win_margin: win.win_margin,
+            warm_starts: grasp_to_sqa + sqa_to_bnb,
+        };
+        Ok(outcome(win.value, None, Some(summary)))
+    }
 }
 
 #[cfg(test)]
@@ -779,5 +1100,150 @@ mod tests {
         assert!(json.contains("\"degraded\""));
         assert!(json.contains("true"));
         assert!(json.contains("classical-exact"));
+    }
+
+    #[test]
+    fn head_bits_folds_the_low_bits_and_ignores_the_tail() {
+        assert_eq!(head_bits(&[]), 0);
+        assert_eq!(head_bits(&[true, false, true]), 0b101);
+        let mut long = vec![false; 200];
+        long[0] = true;
+        long[127] = true;
+        long[150] = true; // beyond u128: ignored
+        assert_eq!(head_bits(&long), 1 | (1u128 << 127));
+    }
+
+    #[test]
+    fn warm_start_slots_only_grow() {
+        let warm = WarmStarts::default();
+        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([1, 2, 3]));
+        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([4]));
+        assert_eq!(lock_recover(&warm.grasp).unwrap().len(), 3);
+        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([0, 1, 2, 3]));
+        assert_eq!(lock_recover(&warm.grasp).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn handoff_counters_fire_once_per_direction() {
+        let warm = WarmStarts::default();
+        assert!(warm.take_grasp_for_sqa().is_none());
+        assert!(warm.sqa_incumbent_for_bnb().is_none());
+        assert_eq!(warm.grasp_to_sqa.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.sqa_to_bnb.load(Ordering::Relaxed), 0);
+
+        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([0, 1]));
+        WarmStarts::offer(&warm.sqa, VertexSet::from_iter([2, 3]));
+        assert!(warm.take_grasp_for_sqa().is_some());
+        assert_eq!(warm.grasp_to_sqa.load(Ordering::Relaxed), 1);
+        assert!(warm.sqa_incumbent_for_bnb().is_some());
+        assert!(warm.sqa_incumbent_for_bnb().is_some());
+        assert_eq!(
+            warm.sqa_to_bnb.load(Ordering::Relaxed),
+            1,
+            "repeated polls count one handoff"
+        );
+    }
+
+    /// The scripted warm-start race: with a hold, the exact classical
+    /// body's only lower bound is the SQA racer's published incumbent,
+    /// so branch & bound is *unbounded* in a control race whose SQA racer
+    /// is killed at sweep zero. The handoff must reach branch & bound
+    /// and strictly shrink its node count relative to that control. Both
+    /// figures are read from each race's own warm-start bus, which
+    /// concurrently running tests cannot touch.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn sqa_incumbent_tightens_the_bnb_bound() {
+        use qmkp_rt::failpoint;
+        let _guard = failpoint::exclusive();
+        failpoint::reset();
+        // On this instance the SQA racer's first verified publish is
+        // already a maximum 4-plex (size 10), so adopting it bounds branch
+        // & bound strictly tighter than anything the search would have
+        // self-found by that point.
+        let g = gnm(24, 140, 6).expect("valid G(n, m) parameters");
+        let k = 4;
+        let config = SolveConfig {
+            // n = 24 must still take the exact branch & bound path.
+            exact_threshold: Some(30),
+            // Slow the SQA racer down (its first incumbent still lands
+            // within shot zero) so the classical racer always finishes its
+            // bounded search first and its node count is always recorded.
+            sqa: Some(SqaConfig {
+                shots: 50,
+                sweeps: 64,
+                seed: 4,
+                ..SqaConfig::default()
+            }),
+            ..SolveConfig::default()
+        };
+        // A byte ceiling far below any statevector: only the SQA and
+        // classical racers stake, so the race is exactly the handoff pair.
+        let ctx = RtContext::with_budget(Budget {
+            deadline: None,
+            max_bytes: Some(1024),
+            max_ops: None,
+        });
+        let race = |hold: u64, bus: &WarmStarts| {
+            let (rungs, cheapest) = preflight(&g, k, ctx.budget());
+            let plan = Plan {
+                g: &g,
+                k,
+                config: &config,
+                provider: &CompileFresh,
+                rungs,
+                cheapest,
+                hold: Some(Duration::from_millis(hold)),
+            };
+            plan.race(&ctx, bus)
+        };
+
+        // Control: the SQA racer dies on its first sweep, the classical
+        // racer's 50 ms hold expires empty, and branch & bound runs with no
+        // initial bound at all.
+        failpoint::arm("annealer.sqa.sweep", 0);
+        let cold_bus = WarmStarts::default();
+        let cold = race(50, &cold_bus).expect("the classical racer survives alone");
+        let cold_nodes = cold_bus.bnb_nodes.load(Ordering::Relaxed);
+        let cold_handoffs = cold_bus.sqa_to_bnb.load(Ordering::Relaxed);
+
+        // Warm: the fault is cleared, the hold waits for SQA's first
+        // verified incumbent, and that incumbent is the whole bound.
+        failpoint::reset();
+        let warm_bus = WarmStarts::default();
+        let warm = race(2000, &warm_bus).expect("both racers healthy");
+        let warm_nodes = warm_bus.bnb_nodes.load(Ordering::Relaxed);
+        let warm_handoffs = warm_bus.sqa_to_bnb.load(Ordering::Relaxed);
+
+        let cold_race = cold.race.expect("forced portfolio must race");
+        assert_eq!(cold_race.winner, "classical");
+        assert_eq!(
+            cold_race.faulted, 1,
+            "the control's SQA racer must have died"
+        );
+        assert_eq!(
+            cold_handoffs, 0,
+            "a dead SQA racer cannot hand anything off"
+        );
+        assert!(cold_nodes > 0, "the control search must have been measured");
+
+        let warm_race = warm.race.expect("forced portfolio must race");
+        assert_eq!(warm_race.winner, "classical");
+        assert!(
+            warm_handoffs >= 1,
+            "the SQA incumbent must reach branch & bound"
+        );
+        assert!(warm_race.warm_starts >= 1);
+        assert!(warm_nodes > 0, "the bounded search must have been measured");
+        assert!(
+            warm_nodes < cold_nodes,
+            "the handoff must strictly prune the search: warm {warm_nodes} vs cold {cold_nodes}"
+        );
+        assert!(is_kplex(&g, warm.best, k));
+        assert_eq!(
+            warm.best.len(),
+            cold.best.len(),
+            "both exact searches must agree on the optimum size"
+        );
     }
 }

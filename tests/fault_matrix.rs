@@ -15,7 +15,7 @@ use qmkp::annealer::{
 use qmkp::core::{qmkp_ctx, quantum_count_ctx, QmkpCheckpoint, QmkpConfig, QmkpProbe};
 use qmkp::qsim::SparseState;
 use qmkp::qubo::QuboModel;
-use qmkp::rt::{failpoint, Budget, RtContext, RtError};
+use qmkp::rt::{failpoint, RtContext, RtError};
 use qmkp::solve::SolveConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -457,105 +457,4 @@ fn provider_panic_is_contained_to_the_quantum_racer() {
     // The panic fires on the sparse racer's first oracle compilation,
     // long before any heuristic can win and cancel it.
     assert!(race.faulted >= 1, "the panic must be accounted as a fault");
-}
-
-/// The scripted warm-start race: with `QMKP_PORTFOLIO_HANDOFF_SYNC` set
-/// the exact-classical racer's only lower bound is the SQA racer's
-/// published incumbent, so branch & bound is *unbounded* in a control
-/// run whose SQA racer is killed at sweep zero. The handoff must land on
-/// `solve.race.warm_start{handoff=sqa-to-bnb}` and strictly shrink the
-/// node count relative to that control.
-#[test]
-fn sqa_incumbent_tightens_the_bnb_bound() {
-    let _guard = failpoint::exclusive();
-    failpoint::reset();
-    // On this instance the SQA racer's first verified publish is already
-    // a maximum 4-plex (size 10), so adopting it bounds branch & bound
-    // strictly tighter than anything the search would have self-found by
-    // that point.
-    let g = qmkp::graph::gen::gnm(24, 140, 6).expect("valid G(n, m) parameters");
-    let k = 4;
-    let config = SolveConfig {
-        portfolio: Some(true),
-        // n = 24 must still take the exact branch & bound path.
-        exact_threshold: Some(30),
-        // Slow the SQA racer down (its first incumbent still lands
-        // within shot zero) so the classical racer always finishes its
-        // bounded search first and the node gauge is always emitted.
-        sqa: Some(qmkp::annealer::SqaConfig {
-            shots: 50,
-            sweeps: 64,
-            seed: 4,
-            ..qmkp::annealer::SqaConfig::default()
-        }),
-        ..SolveConfig::default()
-    };
-    // A byte ceiling far below any statevector: only the SQA and
-    // classical racers stake, so the race is exactly the handoff pair.
-    let ctx = RtContext::with_budget(Budget {
-        deadline: None,
-        max_bytes: Some(1024),
-        max_ops: None,
-    });
-    qmkp::obs::metrics::set_enabled(true);
-
-    // Control: the SQA racer dies on its first sweep, the classical
-    // racer's 50 ms hold expires empty, and branch & bound runs with no
-    // initial bound at all.
-    failpoint::arm("annealer.sqa.sweep", 0);
-    std::env::set_var("QMKP_PORTFOLIO_HANDOFF_SYNC", "50");
-    qmkp::obs::metrics::reset();
-    let cold = qmkp::solve(&g, k, &config, &ctx).expect("the classical racer survives alone");
-    let cold_snap = qmkp::obs::metrics::snapshot();
-    let cold_nodes = cold_snap.value_of("solve.race.bnb_nodes", &[]);
-    let cold_handoffs = cold_snap.value_of("solve.race.warm_start", &[("handoff", "sqa-to-bnb")]);
-
-    // Warm: the fault is cleared, the hold waits for SQA's first
-    // verified incumbent, and that incumbent is the whole bound.
-    failpoint::reset();
-    std::env::set_var("QMKP_PORTFOLIO_HANDOFF_SYNC", "2000");
-    qmkp::obs::metrics::reset();
-    let warm = qmkp::solve(&g, k, &config, &ctx).expect("both racers healthy");
-    let warm_snap = qmkp::obs::metrics::snapshot();
-    let warm_nodes = warm_snap.value_of("solve.race.bnb_nodes", &[]);
-    let warm_handoffs = warm_snap.value_of("solve.race.warm_start", &[("handoff", "sqa-to-bnb")]);
-    std::env::remove_var("QMKP_PORTFOLIO_HANDOFF_SYNC");
-    qmkp::obs::metrics::set_enabled(false);
-
-    let cold_race = cold.race.expect("forced portfolio must race");
-    assert_eq!(cold_race.winner, "classical");
-    assert_eq!(
-        cold_race.faulted, 1,
-        "the control's SQA racer must have died"
-    );
-    assert_eq!(
-        cold_handoffs, 0.0,
-        "a dead SQA racer cannot hand anything off"
-    );
-    assert!(
-        cold_nodes > 0.0,
-        "the control search must have been measured"
-    );
-
-    let warm_race = warm.race.expect("forced portfolio must race");
-    assert_eq!(warm_race.winner, "classical");
-    assert!(
-        warm_handoffs >= 1.0,
-        "the SQA incumbent must reach branch & bound"
-    );
-    assert!(warm_race.warm_starts >= 1);
-    assert!(
-        warm_nodes > 0.0,
-        "the bounded search must have been measured"
-    );
-    assert!(
-        warm_nodes < cold_nodes,
-        "the handoff must strictly prune the search: warm {warm_nodes} vs cold {cold_nodes}"
-    );
-    assert!(qmkp::graph::is_kplex(&g, warm.best, k));
-    assert_eq!(
-        warm.best.len(),
-        cold.best.len(),
-        "both exact searches must agree on the optimum size"
-    );
 }
