@@ -760,7 +760,7 @@ pub fn unembed(sample: &[i8], emb: &Embedding) -> (Vec<bool>, usize) {
         logical.push(2 * ups > chain.len());
     }
     if broken > 0 {
-        qmkp_obs::counter("anneal.embed.chain_breaks", broken as u64);
+        qmkp_obs::counter("anneal.embed.chain_breaks", &[], broken as u64);
     }
     (logical, broken)
 }

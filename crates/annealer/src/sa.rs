@@ -96,11 +96,10 @@ pub(crate) fn metropolis_sweep(
     }
 }
 
-/// Labeled-metrics recorder for annealing sweeps, shared by the SA, SQA,
-/// and tempering samplers: each sweep contributes its wall time to the
-/// `anneal.sweep` histogram and its absolute energy change (in
-/// milli-units, saturating) to `anneal.energy_delta_milli`, labeled by
-/// algorithm. Resolved once per run; disabled cost is one relaxed load.
+/// Sweep-time recorder shared by the SA, SQA, and tempering samplers:
+/// when recording, each sweep's wall time is one `anneal.sweep`
+/// observation labelled by algorithm. Resolved once per run, so the
+/// disabled cost is one relaxed load.
 pub(crate) struct SweepMeter {
     algo: &'static str,
     on: bool,
@@ -110,39 +109,20 @@ impl SweepMeter {
     pub(crate) fn new(algo: &'static str) -> SweepMeter {
         SweepMeter {
             algo,
-            on: qmkp_obs::metrics::enabled(),
+            on: qmkp_obs::enabled_for("anneal.sweep"),
         }
     }
 
-    /// Whether sweeps need wall-clock timing this run.
-    pub(crate) fn on(&self) -> bool {
-        self.on
+    /// A sweep's start time, when sweeps are timed this run.
+    pub(crate) fn start(&self) -> Option<Instant> {
+        self.on.then(Instant::now)
     }
 
-    pub(crate) fn record(&self, elapsed: std::time::Duration, before: f64, after: f64) {
-        self.time(elapsed);
-        self.delta(before, after);
-    }
-
-    pub(crate) fn time(&self, elapsed: std::time::Duration) {
-        if !self.on {
-            return;
+    /// Records the sweep begun at `start` (nothing for `None`).
+    pub(crate) fn finish(&self, start: Option<Instant>) {
+        if let Some(t0) = start {
+            qmkp_obs::observe("anneal.sweep", &[("algo", self.algo)], t0.elapsed());
         }
-        qmkp_obs::metrics::observe_duration("anneal.sweep", &[("algo", self.algo)], elapsed);
-    }
-
-    /// Records `|after − before|` in milli-units (saturating); skipped
-    /// when either side is non-finite (e.g. the initial `+∞` best).
-    pub(crate) fn delta(&self, before: f64, after: f64) {
-        if !self.on || !before.is_finite() || !after.is_finite() {
-            return;
-        }
-        let milli = ((after - before).abs() * 1000.0).round();
-        qmkp_obs::metrics::observe(
-            "anneal.energy_delta_milli",
-            &[("algo", self.algo)],
-            milli as u64,
-        );
     }
 }
 
@@ -179,19 +159,16 @@ pub fn anneal_qubo(q: &QuboModel, config: &SaConfig) -> AnnealOutcome {
         let mut energy = q.energy(&x);
 
         for &beta in &betas {
-            let before = energy;
-            let sweep_start = meter.on().then(Instant::now);
+            let timed = meter.start();
             metropolis_sweep(&adj, beta, &mut x, &mut field, &mut energy, &mut rng);
-            if let Some(t0) = sweep_start {
-                meter.record(t0.elapsed(), before, energy);
-            }
+            meter.finish(timed);
             if traced {
-                qmkp_obs::gauge("anneal.sa.beta", beta);
-                qmkp_obs::gauge("anneal.sa.energy", energy);
+                qmkp_obs::gauge("anneal.sa.beta", &[], beta);
+                qmkp_obs::gauge("anneal.sa.energy", &[], energy);
             }
         }
         debug_assert!((q.energy(&x) - energy).abs() < 1e-6);
-        qmkp_obs::counter("anneal.sa.shots", 1);
+        qmkp_obs::counter("anneal.sa.shots", &[], 1);
         shot_energies.push(energy);
         if energy < best_energy {
             best_energy = energy;
@@ -200,7 +177,7 @@ pub fn anneal_qubo(q: &QuboModel, config: &SaConfig) -> AnnealOutcome {
         }
     }
 
-    qmkp_obs::gauge("anneal.sa.best_energy", best_energy);
+    qmkp_obs::gauge("anneal.sa.best_energy", &[], best_energy);
     span.finish();
     AnnealOutcome {
         best,
@@ -351,7 +328,7 @@ pub fn anneal_qubo_ctx(
                 config.shots,
                 config.sweeps,
             );
-            qmkp_obs::gauge("anneal.sa.paced_sweeps", paced.sweeps as f64);
+            qmkp_obs::gauge("anneal.sa.paced_sweeps", &[], paced.sweeps as f64);
         }
     }
     let config = &paced;
@@ -420,19 +397,16 @@ pub fn anneal_qubo_ctx(
             }
             let mut rng =
                 StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, sweep as u64));
-            let before = energy;
-            let sweep_start = meter.on().then(Instant::now);
+            let timed = meter.start();
             metropolis_sweep(&adj, beta, &mut x, &mut field, &mut energy, &mut rng);
-            if let Some(t0) = sweep_start {
-                meter.record(t0.elapsed(), before, energy);
-            }
+            meter.finish(timed);
             if traced {
-                qmkp_obs::gauge("anneal.sa.beta", beta);
-                qmkp_obs::gauge("anneal.sa.energy", energy);
+                qmkp_obs::gauge("anneal.sa.beta", &[], beta);
+                qmkp_obs::gauge("anneal.sa.energy", &[], energy);
             }
         }
         debug_assert!((q.energy(&x) - energy).abs() < 1e-6);
-        qmkp_obs::counter("anneal.sa.shots", 1);
+        qmkp_obs::counter("anneal.sa.shots", &[], 1);
         shot_energies.push(energy);
         if energy < best_energy {
             best_energy = energy;
@@ -441,7 +415,7 @@ pub fn anneal_qubo_ctx(
         }
     }
 
-    qmkp_obs::gauge("anneal.sa.best_energy", best_energy);
+    qmkp_obs::gauge("anneal.sa.best_energy", &[], best_energy);
     span.finish();
     Ok(AnnealOutcome {
         best,

@@ -180,7 +180,7 @@ pub fn sqa_qubo(q: &QuboModel, config: &SqaConfig) -> AnnealOutcome {
 
         for sweep in 0..config.sweeps {
             let (gamma, j_perp) = transverse_schedule(config, sweep);
-            let sweep_start = meter.on().then(Instant::now);
+            let timed = meter.start();
             pimc_sweep(
                 &ising.h,
                 &adj,
@@ -190,22 +190,17 @@ pub fn sqa_qubo(q: &QuboModel, config: &SqaConfig) -> AnnealOutcome {
                 &mut replicas,
                 &mut rng,
             );
-            if let Some(t0) = sweep_start {
-                meter.time(t0.elapsed());
-            }
+            meter.finish(timed);
             if traced {
-                qmkp_obs::gauge("anneal.sqa.gamma", gamma);
+                qmkp_obs::gauge("anneal.sqa.gamma", &[], gamma);
             }
         }
 
         // Each slice is a candidate classical solution; keep the best.
         let (shot_best, shot_best_x) = best_slice(q, &replicas);
-        // PIMC sweeps carry no scalar energy, so the delta is recorded
-        // at shot granularity: this shot's best against the running best.
-        meter.delta(best_energy, shot_best);
         if traced {
-            qmkp_obs::counter("anneal.sqa.shots", 1);
-            qmkp_obs::gauge("anneal.sqa.shot_energy", shot_best);
+            qmkp_obs::counter("anneal.sqa.shots", &[], 1);
+            qmkp_obs::gauge("anneal.sqa.shot_energy", &[], shot_best);
         }
         shot_energies.push(shot_best);
         if shot_best < best_energy {
@@ -215,7 +210,7 @@ pub fn sqa_qubo(q: &QuboModel, config: &SqaConfig) -> AnnealOutcome {
         }
     }
 
-    qmkp_obs::gauge("anneal.sqa.best_energy", best_energy);
+    qmkp_obs::gauge("anneal.sqa.best_energy", &[], best_energy);
     span.finish();
     AnnealOutcome {
         best,
@@ -435,7 +430,7 @@ pub fn sqa_qubo_ctx_observed(
                 config.shots,
                 config.sweeps,
             );
-            qmkp_obs::gauge("anneal.sqa.paced_sweeps", paced.sweeps as f64);
+            qmkp_obs::gauge("anneal.sqa.paced_sweeps", &[], paced.sweeps as f64);
         }
     }
     let config = &paced;
@@ -521,7 +516,7 @@ pub fn sqa_qubo_ctx_observed(
             let mut rng =
                 StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, sweep as u64));
             let (gamma, j_perp) = transverse_schedule(config, sweep);
-            let sweep_start = meter.on().then(Instant::now);
+            let timed = meter.start();
             pimc_sweep(
                 &ising.h,
                 &adj,
@@ -531,19 +526,16 @@ pub fn sqa_qubo_ctx_observed(
                 &mut replicas,
                 &mut rng,
             );
-            if let Some(t0) = sweep_start {
-                meter.time(t0.elapsed());
-            }
+            meter.finish(timed);
             if traced {
-                qmkp_obs::gauge("anneal.sqa.gamma", gamma);
+                qmkp_obs::gauge("anneal.sqa.gamma", &[], gamma);
             }
         }
 
         let (shot_best, shot_best_x) = best_slice(q, &replicas);
-        meter.delta(best_energy, shot_best);
         if traced {
-            qmkp_obs::counter("anneal.sqa.shots", 1);
-            qmkp_obs::gauge("anneal.sqa.shot_energy", shot_best);
+            qmkp_obs::counter("anneal.sqa.shots", &[], 1);
+            qmkp_obs::gauge("anneal.sqa.shot_energy", &[], shot_best);
         }
         shot_energies.push(shot_best);
         if shot_best < best_energy {
@@ -556,7 +548,7 @@ pub fn sqa_qubo_ctx_observed(
         }
     }
 
-    qmkp_obs::gauge("anneal.sqa.best_energy", best_energy);
+    qmkp_obs::gauge("anneal.sqa.best_energy", &[], best_energy);
     span.finish();
     Ok(AnnealOutcome {
         best,

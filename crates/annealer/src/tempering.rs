@@ -144,8 +144,7 @@ pub fn temper_qubo(q: &QuboModel, config: &TemperingConfig) -> AnnealOutcome {
         // Metropolis sweeps at every rung.
         for r in 0..config.replicas {
             for _ in 0..config.sweeps_per_round {
-                let before = energies[r];
-                let sweep_start = meter.on().then(Instant::now);
+                let timed = meter.start();
                 metropolis_sweep(
                     &adj,
                     betas[r],
@@ -154,9 +153,7 @@ pub fn temper_qubo(q: &QuboModel, config: &TemperingConfig) -> AnnealOutcome {
                     &mut energies[r],
                     &mut rng,
                 );
-                if let Some(t0) = sweep_start {
-                    meter.record(t0.elapsed(), before, energies[r]);
-                }
+                meter.finish(timed);
             }
             record(
                 &states[r],
@@ -170,8 +167,8 @@ pub fn temper_qubo(q: &QuboModel, config: &TemperingConfig) -> AnnealOutcome {
         }
         let swaps = swap_neighbours(&betas, &mut states, &mut energies, &mut fields, &mut rng);
         if traced {
-            qmkp_obs::counter("anneal.tempering.swaps", swaps);
-            qmkp_obs::gauge("anneal.tempering.best_energy", best_energy);
+            qmkp_obs::counter("anneal.tempering.swaps", &[], swaps);
+            qmkp_obs::gauge("anneal.tempering.best_energy", &[], best_energy);
         }
     }
 
@@ -383,7 +380,7 @@ pub fn temper_qubo_ctx(
                 1,
                 config.rounds,
             );
-            qmkp_obs::gauge("anneal.tempering.paced_rounds", paced.rounds as f64);
+            qmkp_obs::gauge("anneal.tempering.paced_rounds", &[], paced.rounds as f64);
         }
     }
     let config = &paced;
@@ -462,8 +459,7 @@ pub fn temper_qubo_ctx(
         let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, round as u64, 0));
         for r in 0..config.replicas {
             for _ in 0..config.sweeps_per_round {
-                let before = energies[r];
-                let sweep_start = meter.on().then(Instant::now);
+                let timed = meter.start();
                 metropolis_sweep(
                     &adj,
                     betas[r],
@@ -472,9 +468,7 @@ pub fn temper_qubo_ctx(
                     &mut energies[r],
                     &mut rng,
                 );
-                if let Some(t0) = sweep_start {
-                    meter.record(t0.elapsed(), before, energies[r]);
-                }
+                meter.finish(timed);
             }
             if energies[r] < best_energy {
                 best_energy = energies[r];
@@ -485,8 +479,8 @@ pub fn temper_qubo_ctx(
         }
         let swaps = swap_neighbours(&betas, &mut states, &mut energies, &mut fields, &mut rng);
         if traced {
-            qmkp_obs::counter("anneal.tempering.swaps", swaps);
-            qmkp_obs::gauge("anneal.tempering.best_energy", best_energy);
+            qmkp_obs::counter("anneal.tempering.swaps", &[], swaps);
+            qmkp_obs::gauge("anneal.tempering.best_energy", &[], best_energy);
         }
     }
 

@@ -10,9 +10,11 @@
 //! * the sparse backend's scheduled speedup over the interpreter drops
 //!   below `MIN_SPARSE_SCHEDULED_SPEEDUP` (the speedup the compiler
 //!   reached before it gained the DAG scheduler), or
-//! * enabling the `qmkp_obs::metrics` registry costs more than
-//!   `MAX_METRICS_OVERHEAD`× the metrics-disabled dense scheduled run
-//!   (per-kernel histograms must stay out of the hot path's way).
+//! * attaching a [`qmkp_obs::Metrics`] sink (which switches recording
+//!   on, so every kernel layer becomes one labelled observation folded
+//!   into a histogram) costs more than `MAX_METRICS_OVERHEAD`× the
+//!   unrecorded dense scheduled run (per-kernel histograms must stay out
+//!   of the hot path's way).
 //!
 //! Usage: `bench_qsim [output-path]` (default `BENCH_qsim.json` in the
 //! working directory).
@@ -33,7 +35,7 @@ const MAX_BUDGET_OVERHEAD: f64 = 1.5;
 /// and the scheduled compile must at least match it.
 const MIN_SPARSE_SCHEDULED_SPEEDUP: f64 = 4.04;
 
-/// Metrics-enabled / metrics-disabled wall-clock ratio above which the
+/// With-metrics-sink / without-sink wall-clock ratio above which the
 /// guard fails: per-kernel histograms must cost < 10% on the dense
 /// compiled path.
 const MAX_METRICS_OVERHEAD: f64 = 1.10;
@@ -107,27 +109,22 @@ fn main() {
         std::hint::black_box(s.probability(0));
     });
 
-    // Metrics overhead: the same dense scheduled run with the metrics
-    // registry off, then on. Both sides are re-measured back-to-back
+    // Metrics overhead: the same dense scheduled run without, then with,
+    // an attached metrics sink. Both sides are re-measured back-to-back
     // (instead of reusing `dense_scheduled`) so they share identical
     // cache and frequency conditions.
-    let metrics_were_enabled = qmkp_obs::metrics::enabled();
-    qmkp_obs::metrics::set_enabled(false);
     let dense_unmetered = median_secs(|| {
         let mut s = DenseState::zero(dense_width).unwrap();
         s.run_compiled(&dense_sched_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
-    qmkp_obs::metrics::set_enabled(true);
+    let metrics_sink = qmkp_obs::attach(std::sync::Arc::new(qmkp_obs::Metrics::new()));
     let dense_metered = median_secs(|| {
         let mut s = DenseState::zero(dense_width).unwrap();
         s.run_compiled(&dense_sched_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
-    qmkp_obs::metrics::set_enabled(metrics_were_enabled);
-    if !metrics_were_enabled {
-        qmkp_obs::metrics::reset();
-    }
+    drop(metrics_sink);
     let metrics_overhead = dense_metered / dense_unmetered;
 
     // Sparse backend: uniform superposition + qTKP U_check.

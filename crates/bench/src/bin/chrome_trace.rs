@@ -20,7 +20,7 @@
 //! cargo run -p qmkp-bench --bin chrome_trace -- trace.jsonl [--out trace.json]
 //! ```
 
-use qmkp_obs::json::{self, Json};
+use qmkp_obs::{json, Event};
 use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
@@ -50,14 +50,6 @@ fn us(ns: u128) -> String {
     json::number(ns as f64 / 1000.0)
 }
 
-fn field_u64(obj: &Json, name: &str) -> Option<u64> {
-    obj.get(name).and_then(Json::as_f64).map(|v| v as u64)
-}
-
-fn field_str<'a>(obj: &'a Json, name: &str) -> Option<&'a str> {
-    obj.get(name).and_then(Json::as_str)
-}
-
 /// Converts one JSONL trace into a Chrome trace-event JSON array.
 fn export(input: &str) -> (String, ExportStats) {
     let mut stats = ExportStats::default();
@@ -77,104 +69,75 @@ fn export(input: &str) -> (String, ExportStats) {
         if line.is_empty() {
             continue;
         }
-        let Ok(obj) = json::parse(line) else {
+        let Ok(event) = Event::from_jsonl(line) else {
             stats.skipped += 1;
             continue;
         };
-        let (Some(kind), Some(thread)) = (field_str(&obj, "type"), field_u64(&obj, "thread"))
-        else {
-            stats.skipped += 1;
-            continue;
-        };
+        let thread = event.thread();
         if !threads.contains(&thread) {
             threads.push(thread);
         }
         let now = *cursor.entry(thread).or_insert(0);
-        match kind {
-            "span_start" => {
-                let Some(id) = field_u64(&obj, "id") else {
-                    stats.skipped += 1;
-                    continue;
-                };
-                let name = field_str(&obj, "name").unwrap_or("?").to_string();
+        // A span slice starts where its span_start saw the cursor; an
+        // observation starts at the cursor itself.
+        let (name, duration, start) = match event {
+            Event::SpanStart { id, name, .. } => {
                 open.insert(id, (now, name, thread));
+                continue;
             }
-            "span_end" | "duration" => {
-                let (Some(name), Some(ns)) = (field_str(&obj, "name"), field_u64(&obj, "ns"))
-                else {
-                    stats.skipped += 1;
-                    continue;
-                };
-                let ns = ns as u128;
-                // A span slice starts where its span_start saw the
-                // cursor; an observation starts at the cursor itself.
-                let start = match kind {
-                    "span_end" => field_u64(&obj, "id")
-                        .and_then(|id| open.remove(&id))
-                        .map_or(now, |(start, _, _)| start),
-                    _ => now,
-                };
-                events.push(format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{thread}}}",
-                    json::quote(name),
-                    us(start),
-                    us(ns),
-                ));
-                stats.slices += 1;
-                if name == "qsim.kernel.layer" {
-                    stats.kernel_layers += 1;
-                    stats.kernel_layer_ns += ns;
-                }
-                let end = start.saturating_add(ns);
-                cursor.insert(thread, now.max(end));
+            Event::SpanEnd {
+                id, name, duration, ..
+            } => {
+                let start = open.remove(&id).map_or(now, |(start, _, _)| start);
+                (name, duration, start)
             }
-            "counter" => {
-                let (Some(name), Some(delta)) = (field_str(&obj, "name"), field_u64(&obj, "delta"))
-                else {
-                    stats.skipped += 1;
-                    continue;
-                };
-                let total = totals.entry(name.to_string()).or_insert(0);
+            Event::Observe { name, duration, .. } => (name, duration, now),
+            Event::Counter { name, delta, .. } => {
+                let total = totals.entry(name.clone()).or_insert(0);
                 *total += delta;
                 events.push(format!(
                     "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":{thread},\
                      \"args\":{{\"value\":{total}}}}}",
-                    json::quote(name),
+                    json::quote(&name),
                     us(now),
                 ));
                 stats.samples += 1;
+                continue;
             }
-            "gauge" => {
-                let (Some(name), Some(value)) = (
-                    field_str(&obj, "name"),
-                    obj.get("value").and_then(Json::as_f64),
-                ) else {
-                    stats.skipped += 1;
-                    continue;
-                };
+            Event::Gauge { name, value, .. } => {
                 events.push(format!(
                     "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":{thread},\
                      \"args\":{{\"value\":{}}}}}",
-                    json::quote(name),
+                    json::quote(&name),
                     us(now),
                     json::number(value),
                 ));
                 stats.samples += 1;
+                continue;
             }
-            "message" => {
-                let Some(text) = field_str(&obj, "text") else {
-                    stats.skipped += 1;
-                    continue;
-                };
+            Event::Message { text, .. } => {
                 events.push(format!(
                     "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{thread},\"s\":\"t\"}}",
-                    json::quote(text),
+                    json::quote(&text),
                     us(now),
                 ));
                 stats.instants += 1;
+                continue;
             }
-            _ => stats.skipped += 1,
+        };
+        let ns = duration.as_nanos();
+        events.push(format!(
+            "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{thread}}}",
+            json::quote(&name),
+            us(start),
+            us(ns),
+        ));
+        stats.slices += 1;
+        if name == "qsim.kernel.layer" {
+            stats.kernel_layers += 1;
+            stats.kernel_layer_ns += ns;
         }
+        cursor.insert(thread, now.max(start.saturating_add(ns)));
     }
 
     // Spans whose end never arrived (crashed or truncated run): render a
@@ -250,6 +213,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmkp_obs::json::Json;
 
     fn lines(events: &[&str]) -> String {
         events.join("\n")

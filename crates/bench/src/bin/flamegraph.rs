@@ -25,7 +25,7 @@
 //! cargo run -p qmkp-bench --bin flamegraph -- trace.jsonl [--out trace.folded]
 //! ```
 
-use qmkp_obs::json::{self, Json};
+use qmkp_obs::Event;
 use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
@@ -54,14 +54,6 @@ struct OpenSpan {
     /// Nanoseconds already attributed to closed children and inner
     /// observations, subtracted from this span's own weight at close.
     child_ns: u64,
-}
-
-fn field_u64(obj: &Json, name: &str) -> Option<u64> {
-    obj.get(name).and_then(Json::as_f64).map(|v| v as u64)
-}
-
-fn field_str<'a>(obj: &'a Json, name: &str) -> Option<&'a str> {
-    obj.get(name).and_then(Json::as_str)
 }
 
 /// Root-first frame path for the innermost open span `id`, walking the
@@ -100,43 +92,39 @@ fn fold(input: &str) -> (String, FoldStats) {
         if line.is_empty() {
             continue;
         }
-        let Ok(obj) = json::parse(line) else {
+        let Ok(event) = Event::from_jsonl(line) else {
             stats.skipped += 1;
             continue;
         };
-        let (Some(kind), Some(thread)) = (field_str(&obj, "type"), field_u64(&obj, "thread"))
-        else {
-            stats.skipped += 1;
-            continue;
-        };
-        match kind {
-            "span_start" => {
-                let (Some(id), Some(name)) = (field_u64(&obj, "id"), field_str(&obj, "name"))
-                else {
-                    stats.skipped += 1;
-                    continue;
-                };
-                let parent = field_u64(&obj, "parent").unwrap_or(0);
+        match event {
+            Event::SpanStart {
+                id,
+                parent,
+                thread,
+                name,
+            } => {
                 open.insert(
                     id,
                     OpenSpan {
-                        name: name.to_string(),
+                        name,
                         parent,
                         child_ns: 0,
                     },
                 );
                 tops.entry(thread).or_default().push(id);
             }
-            "span_end" => {
-                let (Some(id), Some(ns)) = (field_u64(&obj, "id"), field_u64(&obj, "ns")) else {
-                    stats.skipped += 1;
-                    continue;
-                };
+            Event::SpanEnd {
+                id,
+                thread,
+                name,
+                duration,
+            } => {
+                // Decoded durations come from u64 nanoseconds: lossless.
+                let ns = duration.as_nanos() as u64;
                 let path = stack_of(&open, thread, id);
                 let Some(span) = open.remove(&id) else {
                     // Unmatched end: fold it as a root under its thread
                     // using the end event's own name, zero child time.
-                    let name = field_str(&obj, "name").unwrap_or("?");
                     *weights
                         .entry(format!("thread-{thread};{name}"))
                         .or_insert(0) += ns as u128;
@@ -155,12 +143,13 @@ fn fold(input: &str) -> (String, FoldStats) {
                 stats.total_ns += self_ns;
                 stats.spans += 1;
             }
-            "duration" => {
-                let (Some(name), Some(ns)) = (field_str(&obj, "name"), field_u64(&obj, "ns"))
-                else {
-                    stats.skipped += 1;
-                    continue;
-                };
+            Event::Observe {
+                thread,
+                name,
+                duration,
+                ..
+            } => {
+                let ns = duration.as_nanos() as u64;
                 let top = tops
                     .get(&thread)
                     .and_then(|stack| stack.last().copied())
@@ -179,8 +168,7 @@ fn fold(input: &str) -> (String, FoldStats) {
             }
             // Counters, gauges and messages carry no duration: nothing
             // to fold. They are not errors.
-            "counter" | "gauge" | "message" => {}
-            _ => stats.skipped += 1,
+            Event::Counter { .. } | Event::Gauge { .. } | Event::Message { .. } => {}
         }
     }
     stats.unclosed = open.len();

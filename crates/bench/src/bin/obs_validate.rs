@@ -1,6 +1,6 @@
-//! Validates a `qmkp-obs` JSONL trace file: every line must parse as a
-//! JSON object and carry the keys its event type requires. Used by CI
-//! after running a traced example.
+//! Validates a `qmkp-obs` JSONL trace file: every line must decode as an
+//! event ([`qmkp_obs::Event::from_jsonl`], which checks the keys each
+//! event type requires). Used by CI after running a traced example.
 //!
 //! Usage: `obs_validate <trace.jsonl> [required-span-prefix ...]`
 //!
@@ -19,24 +19,11 @@
 //! prefixes that must appear at least once.
 //!
 //! Exits 0 when the file is valid, 1 otherwise, printing one line per
-//! problem to stderr.
+//! problem to stderr (in trace mode, the first problem of each bad line).
 
 use qmkp_obs::json;
 use qmkp_obs::json::Json;
-
-/// The keys every event of a given type must carry (beyond `type` and
-/// `thread`, which are universal).
-fn required_keys(kind: &str) -> Option<&'static [&'static str]> {
-    match kind {
-        "span_start" => Some(&["id", "parent", "name"]),
-        "span_end" => Some(&["id", "name", "ns"]),
-        "counter" => Some(&["name", "delta"]),
-        "gauge" => Some(&["name", "value"]),
-        "duration" => Some(&["name", "ns"]),
-        "message" => Some(&["text"]),
-        _ => None,
-    }
-}
+use qmkp_obs::Event;
 
 /// Validates one `metrics.series` entry, returning problem descriptions.
 fn series_problems(entry: &Json, index: usize) -> Vec<String> {
@@ -146,7 +133,7 @@ fn validate_report(path: &str, want_prefixes: &[String]) -> ! {
         }
     }
     if series.is_empty() {
-        complain("metrics.series is empty (was QMKP_OBS_METRICS set?)".to_string());
+        complain("metrics.series is empty (did the run record any metric?)".to_string());
         problems += 1;
     }
     for prefix in want_prefixes {
@@ -195,37 +182,16 @@ fn main() {
             continue;
         }
         lines += 1;
-        let mut complain = |msg: String| {
-            eprintln!("obs_validate: {path}:{lineno}: {msg}");
-            problems += 1;
-        };
-        let v = match json::parse(line) {
-            Ok(v) => v,
+        match Event::from_jsonl(line) {
+            Ok(event) => {
+                *by_kind.entry(event.kind().to_string()).or_default() += 1;
+                if let Event::SpanStart { name, .. } = event {
+                    seen_spans.push(name);
+                }
+            }
             Err(err) => {
-                complain(format!("not valid JSON: {err}"));
-                continue;
-            }
-        };
-        let Some(kind) = v.get("type").and_then(|t| t.as_str()) else {
-            complain("missing string key \"type\"".to_string());
-            continue;
-        };
-        if v.get("thread").and_then(json::Json::as_f64).is_none() {
-            complain("missing numeric key \"thread\"".to_string());
-        }
-        let Some(keys) = required_keys(kind) else {
-            complain(format!("unknown event type {kind:?}"));
-            continue;
-        };
-        for key in keys {
-            if v.get(key).is_none() {
-                complain(format!("event type {kind:?} missing key {key:?}"));
-            }
-        }
-        *by_kind.entry(kind.to_string()).or_default() += 1;
-        if kind == "span_start" {
-            if let Some(name) = v.get("name").and_then(|n| n.as_str()) {
-                seen_spans.push(name.to_string());
+                eprintln!("obs_validate: {path}:{lineno}: {err}");
+                problems += 1;
             }
         }
     }

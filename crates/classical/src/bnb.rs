@@ -93,7 +93,7 @@ fn bnb_inner(
                     Ok(())
                 }
             }) {
-                qmkp_obs::counter("classical.bnb.nodes", nodes);
+                qmkp_obs::counter("classical.bnb.nodes", &[], nodes);
                 span.finish();
                 return Err(e);
             }
@@ -140,7 +140,7 @@ fn bnb_inner(
         }
         stack.push((p2, c2));
     }
-    qmkp_obs::counter("classical.bnb.nodes", nodes);
+    qmkp_obs::counter("classical.bnb.nodes", &[], nodes);
     span.finish();
     Ok(BnbOutcome { best, nodes })
 }

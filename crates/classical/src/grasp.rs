@@ -62,7 +62,7 @@ pub fn grasp_kplex_ctx(
             span.finish();
             return Err(e);
         }
-        qmkp_obs::counter("classical.grasp.restarts", 1);
+        qmkp_obs::counter("classical.grasp.restarts", &[], 1);
         let p = construct(g, k, alpha, &mut rng);
         let p = local_search(g, k, p);
         if p.len() > best.len() {
@@ -72,7 +72,7 @@ pub fn grasp_kplex_ctx(
             }
         }
     }
-    qmkp_obs::gauge("classical.grasp.best_size", best.len() as f64);
+    qmkp_obs::gauge("classical.grasp.best_size", &[], best.len() as f64);
     span.finish();
     debug_assert!(is_kplex(g, best, k));
     Ok(best)

@@ -125,8 +125,8 @@ pub fn quantum_count_ctx<R: Rng>(
         };
         let estimate = (n * theta_hat.sin().powi(2)).round() as u64;
         if qmkp_obs::enabled_for("core.counting") {
-            qmkp_obs::gauge("core.counting.phase_estimate", phi_hat);
-            qmkp_obs::gauge("core.counting.m_estimate", estimate as f64);
+            qmkp_obs::gauge("core.counting.phase_estimate", &[], phi_hat);
+            qmkp_obs::gauge("core.counting.m_estimate", &[], estimate as f64);
         }
         Ok(estimate)
     })();

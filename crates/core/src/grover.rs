@@ -141,16 +141,16 @@ impl SectionTimes {
         &self.buckets
     }
 
-    /// Records one section duration into the bucket, the
-    /// `core.grover.section.<name>` span (when tracing is on), and the
-    /// labeled `core.grover.section` histogram — one duration, three
-    /// views that cannot drift apart.
+    /// Records one section duration into the bucket (the return value
+    /// callers read with recording off) and, when recording, as one
+    /// `core.grover.section.<name>` span — which the trace, the summary
+    /// and the metrics histogram of the same name all derive from, so
+    /// the views cannot drift apart.
     fn record(&mut self, name: &str, d: Duration) {
         self.add(name, d);
         if qmkp_obs::enabled() {
             qmkp_obs::span_closed(&format!("core.grover.section.{name}"), d);
         }
-        qmkp_obs::metrics::observe_duration("core.grover.section", &[("section", name)], d);
     }
 }
 
@@ -501,9 +501,10 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
 
     fn iteration_gauges(&self) {
         if let Some(support) = self.state.support_hint() {
-            qmkp_obs::gauge("core.grover.support", support as f64);
+            qmkp_obs::gauge("core.grover.support", &[], support as f64);
         }
-        qmkp_obs::gauge("core.grover.mem_bytes", self.state.memory_bytes() as f64);
+        let bytes = self.state.memory_bytes() as f64;
+        qmkp_obs::gauge("core.grover.mem_bytes", &[], bytes);
     }
 
     /// The probability distribution over vertex-register basis states

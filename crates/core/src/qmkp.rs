@@ -427,7 +427,7 @@ fn qmkp_ctx_inner<S: BackendState>(
                 }),
                 None => {
                     let probe_span = qmkp_obs::span_dyn(|| format!("core.qmkp.probe[t={t}]"));
-                    qmkp_obs::counter("core.qmkp.probes", 1);
+                    qmkp_obs::counter("core.qmkp.probes", &[], 1);
                     let out = qtkp_probe_ctx_with::<S>(
                         search_graph,
                         k,
@@ -493,14 +493,14 @@ fn qmkp_ctx_inner<S: BackendState>(
                     hi = t - 1;
                 }
             }
-            qmkp_obs::gauge("core.qmkp.best_size", best.len() as f64);
+            qmkp_obs::gauge("core.qmkp.best_size", &[], best.len() as f64);
         }
     }
 
     if qmkp_obs::enabled_for("core.qmkp") {
-        qmkp_obs::gauge("core.qmkp.total_iterations", total_iterations as f64);
-        qmkp_obs::gauge("core.qmkp.qubits", qubits as f64);
-        qmkp_obs::gauge("core.qmkp.error_probability", error_probability);
+        qmkp_obs::gauge("core.qmkp.total_iterations", &[], total_iterations as f64);
+        qmkp_obs::gauge("core.qmkp.qubits", &[], qubits as f64);
+        qmkp_obs::gauge("core.qmkp.error_probability", &[], error_probability);
     }
     Ok(QmkpOutcome {
         best,

@@ -294,7 +294,7 @@ fn qtkp_known_m_ctx<S: BackendState>(
     for _ in 0..config.max_attempts {
         let s = driver.measure(&mut rng);
         measured.push(s);
-        qmkp_obs::counter("core.qtkp.attempts", 1);
+        qmkp_obs::counter("core.qtkp.attempts", &[], 1);
         if driver.oracle().predicate(s) {
             result = Some(s);
             break;
@@ -302,10 +302,10 @@ fn qtkp_known_m_ctx<S: BackendState>(
     }
 
     if qmkp_obs::enabled_for("core.qtkp") {
-        qmkp_obs::gauge("core.qtkp.m", m as f64);
-        qmkp_obs::gauge("core.qtkp.iterations", iterations as f64);
-        qmkp_obs::gauge("core.qtkp.qubits", qubits as f64);
-        qmkp_obs::gauge("core.qtkp.success_probability", success_probability);
+        qmkp_obs::gauge("core.qtkp.m", &[], m as f64);
+        qmkp_obs::gauge("core.qtkp.iterations", &[], iterations as f64);
+        qmkp_obs::gauge("core.qtkp.qubits", &[], qubits as f64);
+        qmkp_obs::gauge("core.qtkp.success_probability", &[], success_probability);
     }
     Ok(QtkpOutcome {
         result,
@@ -374,7 +374,7 @@ fn qtkp_unknown_m_ctx<S: BackendState>(
             iterations += j;
             let s = driver.measure(&mut rng);
             measured.push(s);
-            qmkp_obs::counter("core.qtkp.attempts", 1);
+            qmkp_obs::counter("core.qtkp.attempts", &[], 1);
             times.merge(driver.times());
             if oracle.predicate(s) {
                 let sols = solutions(&oracle);
@@ -386,9 +386,9 @@ fn qtkp_unknown_m_ctx<S: BackendState>(
         }
 
         if qmkp_obs::enabled_for("core.qtkp") {
-            qmkp_obs::gauge("core.qtkp.iterations", iterations as f64);
-            qmkp_obs::gauge("core.qtkp.qubits", qubits as f64);
-            qmkp_obs::gauge("core.qtkp.success_probability", success_probability);
+            qmkp_obs::gauge("core.qtkp.iterations", &[], iterations as f64);
+            qmkp_obs::gauge("core.qtkp.qubits", &[], qubits as f64);
+            qmkp_obs::gauge("core.qtkp.success_probability", &[], success_probability);
         }
         Ok(QtkpOutcome {
             result,

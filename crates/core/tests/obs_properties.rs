@@ -2,11 +2,12 @@
 //! accounting cannot drift. Every `times.add(name, d)` in the Grover
 //! driver is paired with a `core.grover.section.<name>` span carrying the
 //! *same* `Duration`, so with a collector attached the span sum must equal
-//! `SectionTimes::total()` exactly — not approximately.
+//! `SectionTimes::total()` exactly — not approximately — and the metrics
+//! histogram each span folds into must sum to its bucket exactly too.
 
 use proptest::prelude::*;
 use qmkp_core::{GroverDriver, Oracle, SectionTimes};
-use qmkp_obs::Collector;
+use qmkp_obs::{Collector, Metrics};
 use std::sync::Arc;
 
 proptest! {
@@ -28,10 +29,13 @@ proptest! {
         let t = (k + 1).min(n);
 
         let collector = Arc::new(Collector::for_current_thread());
+        let metrics = Arc::new(Metrics::new());
         let guard = qmkp_obs::attach(collector.clone());
+        let metrics_guard = qmkp_obs::attach(metrics.clone());
         let mut driver = GroverDriver::new(Oracle::new(&g, k, t));
         driver.iterate_n(iterations);
         let times: SectionTimes = driver.times().clone();
+        drop(metrics_guard);
         drop(guard);
 
         let span_sum = collector.span_total("core.grover.section.");
@@ -52,10 +56,16 @@ proptest! {
             .filter(|(name, _)| name == "core.grover.iteration")
             .count();
         prop_assert_eq!(iteration_spans, iterations);
+        let snapshot = metrics.snapshot();
         for (bucket, &d) in times.buckets() {
+            let name = format!("core.grover.section.{bucket}");
+            prop_assert_eq!(collector.span_total(&name), d);
+            let histogram = snapshot.find(&name, &[]);
             prop_assert_eq!(
-                collector.span_total(&format!("core.grover.section.{bucket}")),
-                d
+                histogram.map(|h| u128::from(h.sum)),
+                Some(d.as_nanos()),
+                "{} histogram vs SectionTimes bucket",
+                name
             );
         }
     }

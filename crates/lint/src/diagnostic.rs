@@ -182,18 +182,13 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 /// is enabled for the `lint` prefix.
 pub fn export_counters(diagnostics: &[Diagnostic]) {
     if qmkp_obs::enabled_for("lint") {
-        qmkp_obs::counter(
-            "lint.diagnostics.error",
-            count(diagnostics, Severity::Error) as u64,
-        );
-        qmkp_obs::counter(
-            "lint.diagnostics.warning",
-            count(diagnostics, Severity::Warning) as u64,
-        );
-        qmkp_obs::counter(
-            "lint.diagnostics.note",
-            count(diagnostics, Severity::Note) as u64,
-        );
+        for (name, severity) in [
+            ("lint.diagnostics.error", Severity::Error),
+            ("lint.diagnostics.warning", Severity::Warning),
+            ("lint.diagnostics.note", Severity::Note),
+        ] {
+            qmkp_obs::counter(name, &[], count(diagnostics, severity) as u64);
+        }
     }
 }
 

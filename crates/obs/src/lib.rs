@@ -2,12 +2,15 @@
 //! reports for the qMKP workspace.
 //!
 //! The crate is a small global facade: instrumentation points call
-//! [`span`], [`counter`], [`gauge`], [`observe`], or [`message`]; events
-//! flow to whatever [`Sink`]s are currently attached ([`Collector`] for
-//! tests and reports, [`JsonlSink`] for machine-readable traces). With no
-//! sink attached — the default — every entry point reduces to one relaxed
-//! atomic load and returns immediately, so instrumented hot paths carry
-//! no measurable overhead (see DESIGN.md §9 for the measurement).
+//! [`span`], [`counter`], [`gauge`], [`observe`], or [`message`], once
+//! per fact, with a name, optional `(key, value)` labels and a value;
+//! events flow to whatever [`Sink`]s are currently attached
+//! ([`Collector`] for tests and summaries, [`JsonlSink`] for
+//! machine-readable traces, [`Metrics`] for bounded labelled series and
+//! quantiles). With no sink attached — the default — every entry point
+//! reduces to one relaxed atomic load and returns immediately, so
+//! instrumented hot paths carry no measurable overhead (see DESIGN.md §9
+//! for the measurement). [`Event::from_jsonl`] reads a trace back.
 //!
 //! # Quickstart
 //!
@@ -19,7 +22,7 @@
 //! {
 //!     let _outer = qmkp_obs::span("demo.run");
 //!     let inner = qmkp_obs::span("demo.step");
-//!     qmkp_obs::counter("demo.items", 3);
+//!     qmkp_obs::counter("demo.items", &[("lane", "dense")], 3);
 //!     inner.finish();
 //! }
 //! assert_eq!(collector.counter_total("demo.items"), 3);
@@ -42,7 +45,7 @@ pub mod sink;
 pub mod summary;
 
 pub use event::Event;
-pub use metrics::MetricsSnapshot;
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use report::RunReport;
 pub use session::Session;
 pub use sink::{Collector, JsonlSink, Sink};
@@ -277,38 +280,53 @@ pub fn span_closed(name: &str, duration: Duration) {
     });
 }
 
-/// Increments a monotonic counter.
-pub fn counter(name: &str, delta: u64) {
+/// Owned, key-sorted labels for an event (see [`event::Labels`]).
+fn owned_labels(labels: &[(&str, &str)]) -> event::Labels {
+    let mut owned: event::Labels = labels
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    owned.sort_unstable();
+    owned
+}
+
+/// Adds `delta` to the counter `name` with the given `(key, value)`
+/// labels (`&[]` for none).
+pub fn counter(name: &str, labels: &[(&str, &str)], delta: u64) {
     if !enabled_for(name) {
         return;
     }
     emit(&Event::Counter {
         thread: thread_id(),
         name: name.to_string(),
+        labels: owned_labels(labels),
         delta,
     });
 }
 
-/// Sets a gauge to a new value.
-pub fn gauge(name: &str, value: f64) {
+/// Sets the gauge `name` with the given labels to `value`.
+pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
     if !enabled_for(name) {
         return;
     }
     emit(&Event::Gauge {
         thread: thread_id(),
         name: name.to_string(),
+        labels: owned_labels(labels),
         value,
     });
 }
 
-/// Records one observation in a duration histogram.
-pub fn observe(name: &str, duration: Duration) {
+/// Records one observation of the duration histogram `name` with the
+/// given labels.
+pub fn observe(name: &str, labels: &[(&str, &str)], duration: Duration) {
     if !enabled_for(name) {
         return;
     }
     emit(&Event::Observe {
         thread: thread_id(),
         name: name.to_string(),
+        labels: owned_labels(labels),
         duration,
     });
 }
@@ -358,9 +376,9 @@ mod tests {
         let _l = locked();
         assert!(!enabled());
         let s = span("off.path");
-        counter("off.c", 1);
-        gauge("off.g", 1.0);
-        observe("off.d", Duration::from_nanos(1));
+        counter("off.c", &[], 1);
+        gauge("off.g", &[], 1.0);
+        observe("off.d", &[], Duration::from_nanos(1));
         span_closed("off.closed", Duration::from_nanos(1));
         let d = s.finish();
         assert!(d >= Duration::ZERO);
@@ -403,8 +421,8 @@ mod tests {
         let c = Arc::new(Collector::for_current_thread());
         let g = attach(c.clone());
         set_filter(Some(vec!["keep.".to_string()]));
-        counter("keep.a", 1);
-        counter("drop.b", 1);
+        counter("keep.a", &[], 1);
+        counter("drop.b", &[], 1);
         assert!(enabled_for("keep.x"));
         assert!(!enabled_for("drop.x"));
         let s = span_dyn(|| "drop.dynamic".to_string());
@@ -424,7 +442,7 @@ mod tests {
         assert!(enabled());
         drop(g);
         assert!(!enabled());
-        counter("after.detach", 1);
+        counter("after.detach", &[], 1);
         assert_eq!(c.counter_total("after.detach"), 0);
     }
 
@@ -440,5 +458,40 @@ mod tests {
         } // drop of the already-finished span must not emit again
         drop(g);
         assert_eq!(c.finished_spans().len(), 1);
+    }
+
+    #[test]
+    fn one_labelled_counter_agrees_in_every_view() {
+        let _l = locked();
+        let collector = Arc::new(Collector::for_current_thread());
+        let metrics = Arc::new(Metrics::new());
+        let path =
+            std::env::temp_dir().join(format!("qmkp_obs_views_{}.jsonl", std::process::id()));
+        let jsonl = Arc::new(JsonlSink::create(&path).unwrap());
+        let guards = [
+            attach(collector.clone()),
+            attach(metrics.clone()),
+            attach(jsonl.clone()),
+        ];
+        counter("views.c", &[("lane", "dense")], 7);
+        drop(guards);
+        jsonl.flush();
+
+        assert_eq!(collector.counter_total("views.c"), 7);
+        let body = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let decoded: Vec<Event> = body
+            .lines()
+            .map(|line| Event::from_jsonl(line).unwrap())
+            .collect();
+        assert_eq!(decoded, collector.events());
+        let Event::Counter { labels, delta, .. } = &decoded[0] else {
+            panic!("expected one counter line, got {decoded:?}");
+        };
+        assert_eq!(labels, &[("lane".to_string(), "dense".to_string())]);
+        assert_eq!(*delta, 7);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.value_of("views.c", &[("lane", "dense")]), 7.0);
+        assert_eq!(snap.series.len(), 1);
     }
 }

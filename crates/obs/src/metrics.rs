@@ -1,32 +1,37 @@
 //! Labeled metric series: counters, gauges, and log-linear HDR-style
 //! histograms with quantile estimation.
 //!
-//! This module is the aggregation side of the crate: where the event
-//! facade ([`crate::span`], [`crate::observe`], …) streams every
-//! occurrence to sinks, the metrics registry folds occurrences into
-//! fixed-size series in place, so a run of any length produces a
-//! bounded-size [`MetricsSnapshot`] — the telemetry envelope a future
-//! multi-tenant solve service returns per request.
+//! [`Metrics`] is the aggregation side of the crate: a [`Sink`] on the
+//! one event stream. Where the other sinks keep or write every
+//! occurrence, it folds occurrences into fixed-size series in place, so
+//! a run of any length produces a bounded-size [`MetricsSnapshot`] — the
+//! telemetry envelope a [`crate::RunReport`] carries. Each event is
+//! folded by kind:
+//!
+//! - counters sum their deltas;
+//! - gauges keep their last *finite* value (a non-finite one would
+//!   serialize as `null`);
+//! - observations and closed spans land in histograms (in nanoseconds).
+//!
+//! Series are keyed by `(kind, name, labels)`.
 //!
 //! # Cost model
 //!
-//! - **Disabled** (the default): every entry point is one relaxed atomic
-//!   load and an early return.
-//! - **Enabled**: a read-locked hash lookup keyed by `(kind, name,
-//!   labels)` — computed over borrowed strings, so the record path
-//!   allocates nothing once a series exists — then a handful of relaxed
-//!   atomic updates on one of [`SHARDS`] per-thread shards. Histogram
-//!   bucket arrays are allocated lazily on each shard's first record;
-//!   after that first touch the hot path is allocation-free.
+//! The sink only runs while attached, so the disabled path is the
+//! facade's one relaxed load. Attached, a record is a read-locked hash
+//! lookup keyed by `(kind, name, labels)` — computed over the event's
+//! borrowed strings, so folding allocates nothing once a series exists —
+//! then a handful of relaxed atomic updates on one of [`SHARDS`]
+//! per-thread shards. Histogram bucket arrays are allocated lazily on
+//! each shard's first record.
 //!
 //! # Histogram design and error bound
 //!
-//! Values are `u64` (nanoseconds for durations, raw units otherwise) and
-//! land in log-linear buckets: values `0..=31` get exact unit buckets;
-//! above that, each power-of-two octave is split into 32 linear
-//! sub-buckets ([`SUB_BITS`]` = 5`). Quantiles are estimated by
-//! nearest-rank over the bucket counts, reporting the midpoint of the
-//! selected bucket clamped to the observed `[min, max]`.
+//! Values are `u64` nanoseconds and land in log-linear buckets: values
+//! `0..=31` get exact unit buckets; above that, each power-of-two octave
+//! is split into 32 linear sub-buckets ([`SUB_BITS`]` = 5`). Quantiles
+//! are estimated by nearest-rank over the bucket counts, reporting the
+//! midpoint of the selected bucket clamped to the observed `[min, max]`.
 //!
 //! **Error bound**: a bucket holding value `v ≥ 32` spans a range of
 //! width `2^(h-5)` starting at or above `32·2^(h-5)` (where `h` is the
@@ -36,12 +41,13 @@
 //! rounding); values below 32 are exact. This bound is proptest-verified
 //! against an exact sorted reference in this module's tests.
 
+use crate::event::Event;
 use crate::json;
+use crate::sink::Sink;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{OnceLock, RwLock};
 
 /// Number of per-thread shards per series. Threads map to shards by
 /// `thread_id % SHARDS`; shards are merged at snapshot time.
@@ -66,7 +72,7 @@ pub const QUANTILES: [(&str, f64); 4] =
 pub enum SeriesKind {
     /// Monotonic sum of deltas.
     Counter,
-    /// Last-set value.
+    /// Last-set finite value.
     Gauge,
     /// Log-linear value distribution with quantiles.
     Histogram,
@@ -101,6 +107,24 @@ impl Shard {
             buckets: OnceLock::new(),
         }
     }
+
+    fn add(&self, delta: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    fn record(&self, value: u64) {
+        self.add(value);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+        let buckets = self.buckets.get_or_init(|| {
+            (0..NUM_BUCKETS)
+                .map(|_| AtomicU64::new(0))
+                .collect::<Vec<_>>()
+                .into_boxed_slice()
+        });
+        buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct Series {
@@ -113,58 +137,23 @@ struct Series {
 }
 
 impl Series {
-    fn new(kind: SeriesKind, name: &str, labels: &[(&str, &str)]) -> Series {
+    fn new(kind: SeriesKind, name: &str, labels: &[(String, String)]) -> Series {
         Series {
             kind,
             name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels: labels.to_vec(),
             gauge_bits: AtomicU64::new(0f64.to_bits()),
             shards: std::array::from_fn(|_| Shard::new()),
         }
     }
 
-    fn matches(&self, kind: SeriesKind, name: &str, labels: &[(&str, &str)]) -> bool {
-        self.kind == kind
-            && self.name == name
-            && self.labels.len() == labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(labels)
-                .all(|((sk, sv), (k, v))| sk == k && sv == v)
+    fn matches(&self, kind: SeriesKind, name: &str, labels: &[(String, String)]) -> bool {
+        self.kind == kind && self.name == name && self.labels == labels
     }
 
-    fn shard(&self) -> &Shard {
-        &self.shards[(crate::thread_id() as usize) % SHARDS]
-    }
-
-    fn add(&self, delta: u64) {
-        let s = self.shard();
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn set(&self, value: f64) {
+    fn set(&self, s: &Shard, value: f64) {
         self.gauge_bits.store(value.to_bits(), Ordering::Relaxed);
-        self.shard().count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record(&self, value: u64) {
-        let s = self.shard();
         s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
-        s.min.fetch_min(value, Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
-        let buckets = s.buckets.get_or_init(|| {
-            (0..NUM_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
-        buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> SeriesSnapshot {
@@ -285,40 +274,11 @@ fn estimate_quantiles(
         .collect()
 }
 
-struct MetricsRegistry {
-    enabled: AtomicBool,
-    series: RwLock<HashMap<u64, Vec<Arc<Series>>>>,
-}
-
-fn metrics_registry() -> &'static MetricsRegistry {
-    static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| MetricsRegistry {
-        enabled: AtomicBool::new(false),
-        series: RwLock::new(HashMap::new()),
-    })
-}
-
-/// Whether metric recording is on. The disabled path of every entry
-/// point is exactly this one relaxed load.
-#[inline]
-pub fn enabled() -> bool {
-    metrics_registry().enabled.load(Ordering::Relaxed)
-}
-
-/// Turns metric recording on or off. Recording off does not clear
-/// accumulated series; see [`reset`].
-pub fn set_enabled(on: bool) {
-    metrics_registry().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Clears every accumulated series (recording stays in whatever state it
-/// was). Call between runs that must not see each other's data.
-pub fn reset() {
-    metrics_registry()
-        .series
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+/// The metrics sink: attach it (directly or through a
+/// [`crate::Session`]) and read its [`Metrics::snapshot`] at any time.
+#[derive(Default)]
+pub struct Metrics {
+    series: RwLock<HashMap<u64, Vec<Series>>>,
 }
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -328,7 +288,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn series_hash(kind: SeriesKind, name: &str, labels: &[(&str, &str)]) -> u64 {
+fn series_hash(kind: SeriesKind, name: &str, labels: &[(String, String)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut h, &[kind as u8]);
     fnv1a(&mut h, name.as_bytes());
@@ -341,91 +301,108 @@ fn series_hash(kind: SeriesKind, name: &str, labels: &[(&str, &str)]) -> u64 {
     h
 }
 
-/// Looks up (or on first touch, creates) the series and applies `f`.
-/// Label order is significant: call sites must pass a fixed order.
-fn with_series(kind: SeriesKind, name: &str, labels: &[(&str, &str)], f: impl FnOnce(&Series)) {
-    let reg = metrics_registry();
-    let hash = series_hash(kind, name, labels);
-    {
-        let map = reg.series.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(chain) = map.get(&hash) {
-            if let Some(s) = chain.iter().find(|s| s.matches(kind, name, labels)) {
-                f(s);
+impl Metrics {
+    /// An empty metrics sink.
+    pub fn new() -> Metrics {
+        Metrics::default()
+    }
+
+    /// Looks up (or on first touch, creates) the series and applies `f`
+    /// to it and to `thread`'s shard.
+    fn fold(
+        &self,
+        kind: SeriesKind,
+        name: &str,
+        labels: &[(String, String)],
+        thread: u64,
+        f: impl FnOnce(&Series, &Shard),
+    ) {
+        let hash = series_hash(kind, name, labels);
+        let apply = |s: &Series| f(s, &s.shards[(thread as usize) % SHARDS]);
+        {
+            let map = self.series.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(s) = map
+                .get(&hash)
+                .and_then(|chain| chain.iter().find(|s| s.matches(kind, name, labels)))
+            {
+                apply(s);
                 return;
             }
         }
-    }
-    let created;
-    {
-        let mut map = reg.series.write().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.series.write().unwrap_or_else(|e| e.into_inner());
         let chain = map.entry(hash).or_default();
-        if let Some(s) = chain.iter().find(|s| s.matches(kind, name, labels)) {
-            created = s.clone();
-        } else {
-            let s = Arc::new(Series::new(kind, name, labels));
-            chain.push(s.clone());
-            created = s;
+        let i = match chain.iter().position(|s| s.matches(kind, name, labels)) {
+            Some(i) => i,
+            None => {
+                chain.push(Series::new(kind, name, labels));
+                chain.len() - 1
+            }
+        };
+        apply(&chain[i]);
+    }
+
+    /// Captures the current state of every series, sorted by name, kind,
+    /// and labels, so each metric family is contiguous.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut series: Vec<SeriesSnapshot> = self
+            .series
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .flatten()
+            .map(Series::snapshot)
+            .collect();
+        series.sort_by(|a, b| {
+            a.name
+                .cmp(&b.name)
+                .then_with(|| a.kind.cmp(&b.kind))
+                .then_with(|| a.labels.cmp(&b.labels))
+        });
+        MetricsSnapshot { series }
+    }
+}
+
+fn nanos(d: &std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl Sink for Metrics {
+    fn record(&self, event: &Event) {
+        use SeriesKind::{Counter, Gauge, Histogram};
+        match event {
+            Event::Counter {
+                thread,
+                name,
+                labels,
+                delta,
+            } => self.fold(Counter, name, labels, *thread, |_, sh| sh.add(*delta)),
+            Event::Gauge {
+                thread,
+                name,
+                labels,
+                value,
+            } if value.is_finite() => {
+                self.fold(Gauge, name, labels, *thread, |s, sh| s.set(sh, *value));
+            }
+            Event::Observe {
+                thread,
+                name,
+                labels,
+                duration,
+            } => self.fold(Histogram, name, labels, *thread, |_, sh| {
+                sh.record(nanos(duration));
+            }),
+            Event::SpanEnd {
+                thread,
+                name,
+                duration,
+                ..
+            } => self.fold(Histogram, name, &[], *thread, |_, sh| {
+                sh.record(nanos(duration));
+            }),
+            _ => {}
         }
     }
-    f(&created);
-}
-
-/// Adds `delta` to the labeled counter series.
-#[inline]
-pub fn counter(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if !enabled() {
-        return;
-    }
-    with_series(SeriesKind::Counter, name, labels, |s| s.add(delta));
-}
-
-/// Sets the labeled gauge series to `value`.
-#[inline]
-pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_series(SeriesKind::Gauge, name, labels, |s| s.set(value));
-}
-
-/// Records one `u64` observation into the labeled histogram series.
-#[inline]
-pub fn observe(name: &str, labels: &[(&str, &str)], value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_series(SeriesKind::Histogram, name, labels, |s| s.record(value));
-}
-
-/// Records a duration (as nanoseconds, saturating) into the labeled
-/// histogram series.
-#[inline]
-pub fn observe_duration(name: &str, labels: &[(&str, &str)], d: Duration) {
-    if !enabled() {
-        return;
-    }
-    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    with_series(SeriesKind::Histogram, name, labels, |s| s.record(ns));
-}
-
-/// Captures the current state of every series, sorted by name, labels,
-/// and kind for deterministic output.
-pub fn snapshot() -> MetricsSnapshot {
-    let mut series: Vec<SeriesSnapshot> = metrics_registry()
-        .series
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-        .flatten()
-        .map(|s| s.snapshot())
-        .collect();
-    series.sort_by(|a, b| {
-        a.name
-            .cmp(&b.name)
-            .then_with(|| a.labels.cmp(&b.labels))
-            .then_with(|| a.kind.cmp(&b.kind))
-    });
-    MetricsSnapshot { series }
 }
 
 /// One series' aggregated state at snapshot time.
@@ -435,7 +412,7 @@ pub struct SeriesSnapshot {
     pub kind: SeriesKind,
     /// Series name (dotted, e.g. `solve.rung_ns`).
     pub name: String,
-    /// Label key/value pairs, in registration order.
+    /// Label key/value pairs, sorted by key.
     pub labels: Vec<(String, String)>,
     /// Counter total, gauge last value, or histogram sum.
     pub value: f64,
@@ -452,16 +429,15 @@ pub struct SeriesSnapshot {
     /// `(name, estimate)` quantile pairs (histograms only).
     pub quantiles: Vec<(String, u64)>,
     /// Sparse non-empty `(bucket index, count)` pairs, ascending
-    /// (histograms only). Kept so snapshots can be diffed.
+    /// (histograms only).
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// A point-in-time capture of the whole metrics registry: the telemetry
-/// envelope folded into [`crate::RunReport`] and scraped periodically via
-/// [`MetricsSnapshot::delta_since`].
+/// A point-in-time capture of a [`Metrics`] sink: the telemetry
+/// envelope folded into [`crate::RunReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// All series, sorted by `(name, labels, kind)`.
+    /// All series, sorted by `(name, kind, labels)`.
     pub series: Vec<SeriesSnapshot>,
 }
 
@@ -559,9 +535,11 @@ impl MetricsSnapshot {
 
     /// Prometheus-style text exposition: counters and gauges as single
     /// samples, histograms as summaries (`{quantile="0.5"}` samples plus
-    /// `_count` and `_sum`). Dots in names become underscores.
+    /// `_count` and `_sum`), one `# TYPE` line per metric family. Dots in
+    /// names become underscores.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
+        let mut family: Option<(String, SeriesKind)> = None;
         for s in &self.series {
             let name = sanitize_metric_name(&s.name);
             let prom_type = match s.kind {
@@ -569,7 +547,11 @@ impl MetricsSnapshot {
                 SeriesKind::Gauge => "gauge",
                 SeriesKind::Histogram => "summary",
             };
-            let _ = writeln!(out, "# TYPE {name} {prom_type}");
+            let this = Some((name.clone(), s.kind));
+            if family != this {
+                let _ = writeln!(out, "# TYPE {name} {prom_type}");
+                family = this;
+            }
             match s.kind {
                 SeriesKind::Counter => {
                     let _ = writeln!(out, "{name}{} {}", prom_labels(&s.labels, None), s.sum);
@@ -596,53 +578,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// The change since `prev` (an earlier snapshot of the same
-    /// registry), for periodic scraping: counter values and histogram
-    /// bucket counts are subtracted and quantiles recomputed over the
-    /// difference; gauges keep their current value with the delta set
-    /// count. Histogram `min`/`max` stay cumulative (the registry does
-    /// not track per-interval extrema). Series with no activity in the
-    /// interval are omitted.
-    pub fn delta_since(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
-        let series =
-            self.series
-                .iter()
-                .filter_map(|cur| {
-                    let old = prev.series.iter().find(|p| {
-                        p.kind == cur.kind && p.name == cur.name && p.labels == cur.labels
-                    });
-                    let mut d = cur.clone();
-                    if let Some(old) = old {
-                        d.count = cur.count.saturating_sub(old.count);
-                        d.sum = cur.sum.wrapping_sub(old.sum);
-                        if cur.kind == SeriesKind::Counter {
-                            d.value = d.sum as f64;
-                        }
-                        if cur.kind == SeriesKind::Histogram {
-                            d.buckets = diff_buckets(&cur.buckets, &old.buckets);
-                            d.quantiles = estimate_quantiles(&d.buckets, d.count, d.min, d.max);
-                        }
-                    }
-                    (d.count > 0).then_some(d)
-                })
-                .collect();
-        MetricsSnapshot { series }
-    }
-}
-
-fn diff_buckets(cur: &[(u32, u64)], old: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    cur.iter()
-        .filter_map(|&(i, c)| {
-            let prev = old
-                .iter()
-                .find(|&&(j, _)| j == i)
-                .map(|&(_, p)| p)
-                .unwrap_or(0);
-            let d = c.saturating_sub(prev);
-            (d > 0).then_some((i, d))
-        })
-        .collect()
 }
 
 fn sanitize_metric_name(name: &str) -> String {
@@ -693,6 +628,9 @@ fn prom_labels(labels: &[(String, String)], quantile: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{counter, gauge, observe};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         crate::tests::TEST_LOCK
@@ -700,20 +638,11 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enables metrics on a clean registry; disables and clears on drop.
-    struct Armed;
-    impl Armed {
-        fn new() -> Armed {
-            reset();
-            set_enabled(true);
-            Armed
-        }
-    }
-    impl Drop for Armed {
-        fn drop(&mut self) {
-            set_enabled(false);
-            reset();
-        }
+    /// A fresh metrics sink, attached until the handle drops.
+    fn attached() -> (Arc<Metrics>, crate::SinkHandle) {
+        let metrics = Arc::new(Metrics::new());
+        let handle = crate::attach(metrics.clone());
+        (metrics, handle)
     }
 
     #[test]
@@ -751,11 +680,11 @@ mod tests {
     #[test]
     fn find_and_value_of_match_name_and_labels() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         counter("m.find.c", &[("lane", "dense")], 3);
         counter("m.find.c", &[("lane", "sparse")], 5);
         gauge("m.find.g", &[], 2.5);
-        let snap = snapshot();
+        let snap = metrics.snapshot();
         assert_eq!(snap.value_of("m.find.c", &[("lane", "dense")]), 3.0);
         assert_eq!(snap.value_of("m.find.c", &[("lane", "sparse")]), 5.0);
         assert_eq!(snap.value_of("m.find.g", &[]), 2.5);
@@ -770,24 +699,25 @@ mod tests {
     #[test]
     fn disabled_is_a_no_op() {
         let _l = locked();
-        reset();
-        assert!(!enabled());
+        let (metrics, g) = attached();
+        drop(g);
+        assert!(!crate::enabled());
         counter("m.off", &[], 1);
         gauge("m.off.g", &[], 1.0);
-        observe("m.off.h", &[], 7);
-        assert!(snapshot().is_empty());
+        observe("m.off.h", &[], Duration::from_nanos(7));
+        assert!(metrics.snapshot().is_empty());
     }
 
     #[test]
     fn counters_and_gauges_aggregate() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         counter("m.c", &[("k", "a")], 2);
         counter("m.c", &[("k", "a")], 3);
         counter("m.c", &[("k", "b")], 10);
         gauge("m.g", &[], 1.5);
         gauge("m.g", &[], 2.5);
-        let snap = snapshot();
+        let snap = metrics.snapshot();
         assert_eq!(snap.series.len(), 3);
         let ca = snap
             .series
@@ -803,13 +733,42 @@ mod tests {
     }
 
     #[test]
+    fn gauges_keep_their_last_finite_value() {
+        let _l = locked();
+        let (metrics, _g) = attached();
+        gauge("m.nf", &[], 4.0);
+        gauge("m.nf", &[], f64::INFINITY);
+        gauge("m.nf", &[], f64::NAN);
+        gauge("m.only_nan", &[], f64::NAN);
+        let snap = metrics.snapshot();
+        let g = snap.find("m.nf", &[]).unwrap();
+        assert_eq!((g.value, g.count), (4.0, 1));
+        assert!(snap.find("m.only_nan", &[]).is_none());
+        crate::json::parse(&snap.to_json()).expect("no null values");
+    }
+
+    #[test]
+    fn closed_spans_fold_into_histograms_named_after_them() {
+        let _l = locked();
+        let (metrics, _g) = attached();
+        crate::span_closed("m.span.section", Duration::from_nanos(40));
+        crate::span_closed("m.span.section", Duration::from_nanos(2));
+        crate::span("m.span.live").finish();
+        let snap = metrics.snapshot();
+        let h = snap.find("m.span.section", &[]).unwrap();
+        assert_eq!(h.kind, SeriesKind::Histogram);
+        assert_eq!((h.count, h.sum, h.min, h.max), (2, 42, 2, 40));
+        assert_eq!(snap.find("m.span.live", &[]).unwrap().count, 1);
+    }
+
+    #[test]
     fn histogram_tracks_exact_stats_and_small_values_exactly() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         for v in [0u64, 1, 5, 5, 31, 17] {
-            observe("m.h", &[], v);
+            observe("m.h", &[], Duration::from_nanos(v));
         }
-        let snap = snapshot();
+        let snap = metrics.snapshot();
         let h = &snap.series[0];
         assert_eq!(h.kind, SeriesKind::Histogram);
         assert_eq!(h.count, 6);
@@ -828,9 +787,9 @@ mod tests {
     #[test]
     fn observe_duration_records_nanoseconds() {
         let _l = locked();
-        let _armed = Armed::new();
-        observe_duration("m.d", &[("x", "1")], Duration::from_micros(3));
-        let snap = snapshot();
+        let (metrics, _g) = attached();
+        observe("m.d", &[("x", "1")], Duration::from_micros(3));
+        let snap = metrics.snapshot();
         assert_eq!(snap.series[0].sum, 3_000);
         assert_eq!(snap.series[0].count, 1);
     }
@@ -838,26 +797,31 @@ mod tests {
     #[test]
     fn same_name_different_kind_or_labels_are_distinct_series() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         counter("m.same", &[], 1);
-        observe("m.same", &[], 1);
+        observe("m.same", &[], Duration::from_nanos(1));
         counter("m.same", &[("a", "1")], 1);
-        assert_eq!(snapshot().series.len(), 3);
+        assert_eq!(metrics.snapshot().series.len(), 3);
     }
 
     #[test]
     fn snapshot_json_parses_and_prometheus_has_expected_lines() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         counter("m.req.total", &[("rung", "dense")], 4);
+        counter("m.req.total", &[("rung", "sparse")], 1);
         for v in 1..=100u64 {
-            observe("m.lat.ns", &[("rung", "dense")], v * 1000);
+            observe(
+                "m.lat.ns",
+                &[("rung", "dense")],
+                Duration::from_nanos(v * 1000),
+            );
         }
         gauge("m.mem", &[], 42.0);
-        let snap = snapshot();
+        let snap = metrics.snapshot();
         let doc = crate::json::parse(&snap.to_json()).expect("snapshot JSON must parse");
         let series = doc.get("series").unwrap().as_array().unwrap();
-        assert_eq!(series.len(), 3);
+        assert_eq!(series.len(), 4);
         let hist = series
             .iter()
             .find(|s| s.get("kind").unwrap().as_str() == Some("histogram"))
@@ -873,7 +837,13 @@ mod tests {
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE m_req_total counter"), "{prom}");
+        assert_eq!(
+            prom.matches("# TYPE m_req_total counter").count(),
+            1,
+            "one TYPE line per family: {prom}"
+        );
         assert!(prom.contains("m_req_total{rung=\"dense\"} 4"), "{prom}");
+        assert!(prom.contains("m_req_total{rung=\"sparse\"} 1"), "{prom}");
         assert!(prom.contains("# TYPE m_lat_ns summary"), "{prom}");
         assert!(
             prom.contains("m_lat_ns{rung=\"dense\",quantile=\"0.5\"}"),
@@ -888,48 +858,20 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_diffs_counters_and_histograms() {
-        let _l = locked();
-        let _armed = Armed::new();
-        counter("m.dc", &[], 5);
-        observe("m.dh", &[], 10);
-        observe("m.dh", &[], 10);
-        counter("m.idle", &[], 1);
-        let first = snapshot();
-        counter("m.dc", &[], 7);
-        observe("m.dh", &[], 1000);
-        let second = snapshot();
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.series.len(), 2, "idle series must be omitted");
-        let dc = delta.series.iter().find(|s| s.name == "m.dc").unwrap();
-        assert_eq!(dc.sum, 7);
-        assert_eq!(dc.count, 1);
-        let dh = delta.series.iter().find(|s| s.name == "m.dh").unwrap();
-        assert_eq!(dh.count, 1);
-        assert_eq!(dh.sum, 1000);
-        assert_eq!(dh.buckets.len(), 1);
-        let q: std::collections::HashMap<_, _> =
-            dh.quantiles.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        // The interval holds one value (1000); the estimate must be
-        // within the documented bound.
-        assert!((q["p50"] as i64 - 1000).unsigned_abs() <= 1000 / 64 + 1);
-    }
-
-    #[test]
     fn concurrent_recording_is_lossless() {
         let _l = locked();
-        let _armed = Armed::new();
+        let (metrics, _g) = attached();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for i in 0..1000u64 {
                         counter("m.mt.c", &[], 1);
-                        observe("m.mt.h", &[("t", "x")], i);
+                        observe("m.mt.h", &[("t", "x")], Duration::from_nanos(i));
                     }
                 });
             }
         });
-        let snap = snapshot();
+        let snap = metrics.snapshot();
         let c = snap.series.iter().find(|s| s.name == "m.mt.c").unwrap();
         assert_eq!(c.sum, 4000);
         let h = snap.series.iter().find(|s| s.name == "m.mt.h").unwrap();

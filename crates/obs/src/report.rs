@@ -24,7 +24,7 @@ pub struct RunReport {
     /// Aggregated telemetry for the run.
     pub summary: Summary,
     /// Labeled metric series captured at the end of the run (quantile
-    /// histograms, counters, gauges), when metrics were enabled.
+    /// histograms, counters, gauges), when the run recorded any.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -198,16 +198,19 @@ mod tests {
             Event::Counter {
                 thread: 1,
                 name: "nodes".into(),
+                labels: vec![],
                 delta: 9,
             },
             Event::Gauge {
                 thread: 1,
                 name: "mem".into(),
+                labels: vec![],
                 value: 1024.0,
             },
             Event::Observe {
                 thread: 1,
                 name: "kern".into(),
+                labels: vec![],
                 duration: Duration::from_nanos(7),
             },
         ];

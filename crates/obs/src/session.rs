@@ -16,11 +16,11 @@
 //! Setting `QMKP_OBS_JSON`, `QMKP_OBS_REPORT`, or `QMKP_OBS_METRICS`
 //! implies `QMKP_OBS=1`.
 //!
-//! An active session also enables the [`crate::metrics`] registry; the
-//! final [`crate::MetricsSnapshot`] is folded into the report (and
-//! written as Prometheus text when `QMKP_OBS_METRICS` names a path),
-//! then the registry is cleared for the next session.
+//! An active session also attaches a [`Metrics`] sink; its final
+//! [`crate::MetricsSnapshot`] is folded into the report (and written as
+//! Prometheus text when `QMKP_OBS_METRICS` names a path).
 
+use crate::metrics::Metrics;
 use crate::report::RunReport;
 use crate::sink::{Collector, JsonlSink, Sink};
 use crate::summary::Summary;
@@ -35,12 +35,12 @@ pub struct Session {
     name: String,
     collector: Option<Arc<Collector>>,
     jsonl: Option<Arc<JsonlSink>>,
+    metrics: Option<Arc<Metrics>>,
     handles: Vec<SinkHandle>,
     report_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
     print_summary: bool,
     clear_filter_on_finish: bool,
-    metrics_armed: bool,
 }
 
 /// Configures and builds a [`Session`] (see [`Session::builder`]).
@@ -127,22 +127,22 @@ impl SessionBuilder {
         if let Some(prefixes) = self.filter {
             crate::set_filter(Some(prefixes));
         }
-        // An active session also arms the metrics registry so labeled
-        // histograms accumulate alongside the event stream.
-        let metrics_armed = !handles.is_empty();
-        if metrics_armed {
-            crate::metrics::set_enabled(true);
-        }
+        // Whatever the session records also folds into labelled series.
+        let metrics = (!handles.is_empty()).then(|| {
+            let m = Arc::new(Metrics::new());
+            handles.push(crate::attach(m.clone() as Arc<dyn Sink>));
+            m
+        });
         Session {
             name: self.name,
             collector,
             jsonl,
+            metrics,
             handles,
             report_path: self.report_path,
             metrics_path: self.metrics_path,
             print_summary: self.print_summary,
             clear_filter_on_finish,
-            metrics_armed,
         }
     }
 }
@@ -167,12 +167,12 @@ impl Session {
             name: name.into(),
             collector: None,
             jsonl: None,
+            metrics: None,
             handles: Vec::new(),
             report_path: None,
             metrics_path: None,
             print_summary: false,
             clear_filter_on_finish: false,
-            metrics_armed: false,
         }
     }
 
@@ -241,11 +241,11 @@ impl Session {
     /// (config + outcome entries); the session fills in the summary.
     pub fn finish_with(mut self, report: RunReport) {
         let summary = self.summary();
-        let metrics = if self.metrics_armed {
-            crate::metrics::snapshot()
-        } else {
-            crate::metrics::MetricsSnapshot::default()
-        };
+        let metrics = self
+            .metrics
+            .as_ref()
+            .map(|m| m.snapshot())
+            .unwrap_or_default();
         if let Some(jsonl) = &self.jsonl {
             jsonl.flush();
             eprintln!("qmkp-obs: wrote {}", jsonl.path().display());
@@ -270,10 +270,6 @@ impl Session {
                 Ok(()) => eprintln!("qmkp-obs: wrote {}", path.display()),
                 Err(err) => eprintln!("qmkp-obs: cannot write {}: {err}", path.display()),
             }
-        }
-        if self.metrics_armed {
-            crate::metrics::set_enabled(false);
-            crate::metrics::reset();
         }
         if self.clear_filter_on_finish {
             crate::set_filter(None);
@@ -353,7 +349,7 @@ mod tests {
             .report(&report)
             .build();
         assert!(s.is_active());
-        crate::counter("session.test.counter", 2);
+        crate::counter("session.test.counter", &[], 2);
         let sp = crate::span("session.test.span");
         sp.finish();
         s.finish_with(
@@ -395,15 +391,24 @@ mod tests {
             .report(&report)
             .metrics(&prom)
             .build();
-        assert!(crate::metrics::enabled(), "active session arms metrics");
-        crate::metrics::counter("session.m.count", &[("rung", "dense")], 3);
-        crate::metrics::observe("session.m.lat", &[], 500);
+        assert!(crate::enabled(), "active session records");
+        let own = Arc::new(Metrics::new());
+        let own_guard = crate::attach(own.clone());
+        crate::counter("session.m.count", &[("rung", "dense")], 3);
+        crate::observe("session.m.lat", &[], std::time::Duration::from_nanos(500));
+        drop(own_guard);
         s.finish();
-        assert!(!crate::metrics::enabled(), "finish disarms metrics");
-        assert!(
-            crate::metrics::snapshot().is_empty(),
-            "finish clears the registry"
-        );
+        assert!(!crate::enabled(), "finish detaches every sink");
+        assert_eq!(own.snapshot().series.len(), 2);
+        // A later session starts from empty series.
+        let later = dir.join(format!(
+            "qmkp_obs_metrics_later_{}.json",
+            std::process::id()
+        ));
+        Session::builder("later").report(&later).build().finish();
+        let rep_later = crate::json::parse(&std::fs::read_to_string(&later).unwrap()).unwrap();
+        assert!(rep_later.get("metrics").is_none(), "no series carried over");
+        let _ = std::fs::remove_file(&later);
 
         let rep = crate::json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
         let series = rep

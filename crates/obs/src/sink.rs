@@ -1,5 +1,6 @@
 //! Pluggable event sinks: the in-memory collector (tests, summaries,
-//! reports) and the JSONL writer (machine-readable run traces).
+//! reports) and the JSONL writer (machine-readable run traces). The third
+//! sink, [`crate::Metrics`], folds events into labelled series.
 
 use crate::event::Event;
 use std::fs::File;
@@ -86,7 +87,7 @@ impl Collector {
             .sum()
     }
 
-    /// Total of all increments to the named counter.
+    /// Total of all increments to the named counter, across label sets.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.events
             .lock()
@@ -99,7 +100,8 @@ impl Collector {
             .sum()
     }
 
-    /// The most recent value of the named gauge, if any was set.
+    /// The most recent value of the named gauge (any label set), if any
+    /// was set.
     pub fn last_gauge(&self, name: &str) -> Option<f64> {
         self.events
             .lock()
@@ -184,6 +186,7 @@ mod tests {
         Event::Counter {
             thread,
             name: name.to_string(),
+            labels: vec![],
             delta: 1,
         }
     }
@@ -196,11 +199,13 @@ mod tests {
         c.record(&Event::Gauge {
             thread: 1,
             name: "g".into(),
+            labels: vec![],
             value: 2.0,
         });
         c.record(&Event::Gauge {
             thread: 1,
             name: "g".into(),
+            labels: vec![],
             value: 5.0,
         });
         c.record(&Event::SpanEnd {

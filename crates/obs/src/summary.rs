@@ -263,26 +263,31 @@ mod tests {
             Event::Counter {
                 thread: 1,
                 name: "c".into(),
+                labels: vec![],
                 delta: 2,
             },
             Event::Counter {
                 thread: 1,
                 name: "c".into(),
+                labels: vec![],
                 delta: 3,
             },
             Event::Gauge {
                 thread: 1,
                 name: "g".into(),
+                labels: vec![],
                 value: 4.0,
             },
             Event::Gauge {
                 thread: 1,
                 name: "g".into(),
+                labels: vec![],
                 value: 1.0,
             },
             Event::Observe {
                 thread: 1,
                 name: "d".into(),
+                labels: vec![],
                 duration: Duration::from_nanos(7),
             },
             Event::Message {

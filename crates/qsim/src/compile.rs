@@ -587,14 +587,18 @@ impl CompiledCircuit {
             longest_ladder: longest_ladder(&out.ops),
         };
         if qmkp_obs::enabled_for("qsim.compile") {
-            qmkp_obs::counter("qsim.compile.gates", stats.source_gates as u64);
-            qmkp_obs::counter("qsim.compile.ops", stats.ops as u64);
-            qmkp_obs::counter("qsim.compile.cancelled", stats.cancelled_flips as u64);
-            qmkp_obs::counter("qsim.compile.merged", stats.merged_phases as u64);
-            qmkp_obs::counter("qsim.compile.merged_singles", stats.merged_singles as u64);
-            qmkp_obs::counter("qsim.compile.narrow", stats.narrow as u64);
-            qmkp_obs::counter("qsim.compile.commuted", stats.commuted_diagonals as u64);
-            qmkp_obs::counter("qsim.compile.layers", stats.layers as u64);
+            for (name, value) in [
+                ("qsim.compile.gates", stats.source_gates),
+                ("qsim.compile.ops", stats.ops),
+                ("qsim.compile.cancelled", stats.cancelled_flips),
+                ("qsim.compile.merged", stats.merged_phases),
+                ("qsim.compile.merged_singles", stats.merged_singles),
+                ("qsim.compile.narrow", usize::from(stats.narrow)),
+                ("qsim.compile.commuted", stats.commuted_diagonals),
+                ("qsim.compile.layers", stats.layers),
+            ] {
+                qmkp_obs::counter(name, &[], value as u64);
+            }
         }
         span.finish();
         Ok(CompiledCircuit {

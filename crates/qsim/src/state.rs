@@ -72,38 +72,30 @@ pub trait LayerObserver {
 }
 
 /// The observer [`QuantumState::run_compiled`] runs under, resolved once
-/// per circuit so the unobserved path stays a bare loop: `traced` streams
-/// per-layer observe events to sinks, `metered` folds the same timings
-/// into the labeled `qsim.kernel.layer` histogram (label
-/// `backend=dense|sparse`).
+/// per circuit so the unobserved path stays a bare loop: when recording,
+/// each layer's wall time is one `qsim.kernel.layer` observation labelled
+/// `backend=dense|sparse`.
 struct KernelMeter {
-    traced: bool,
-    metered: bool,
-    labels: [(&'static str, &'static str); 1],
+    on: bool,
+    backend: &'static str,
 }
 
 impl KernelMeter {
     fn new(backend: &'static str) -> KernelMeter {
         KernelMeter {
-            traced: qmkp_obs::enabled_for("qsim.kernel"),
-            metered: qmkp_obs::metrics::enabled(),
-            labels: [("backend", backend)],
+            on: qmkp_obs::enabled_for("qsim.kernel.layer"),
+            backend,
         }
     }
 }
 
 impl LayerObserver for KernelMeter {
     fn active(&self) -> bool {
-        self.traced || self.metered
+        self.on
     }
 
     fn layer(&mut self, _ops: Range<usize>, elapsed: Duration) {
-        if self.traced {
-            qmkp_obs::observe("qsim.kernel.layer", elapsed);
-        }
-        if self.metered {
-            qmkp_obs::metrics::observe_duration("qsim.kernel.layer", &self.labels, elapsed);
-        }
+        qmkp_obs::observe("qsim.kernel.layer", &[("backend", self.backend)], elapsed);
     }
 }
 
@@ -191,15 +183,15 @@ pub trait QuantumState {
         self.run_compiled(&CompiledCircuit::compile(circuit)?)
     }
 
-    /// Runs an already-compiled circuit, timing its layers into the
-    /// `qsim.kernel.layer` events and metrics when either is on.
+    /// Runs an already-compiled circuit, timing its layers as
+    /// `qsim.kernel.layer` observations when recording is on.
     ///
     /// # Errors
     /// Fails if the compiled width does not match the state width.
     fn run_compiled(&mut self, compiled: &CompiledCircuit) -> Result<(), SimError> {
         let mut meter = KernelMeter::new(self.backend_name());
         self.run_observed(compiled, None, &mut meter)?;
-        if meter.traced {
+        if meter.on {
             self.trace_gauges();
         }
         Ok(())
@@ -235,7 +227,7 @@ pub trait QuantumState {
         ctx.admit_bytes(self.memory_bytes())?;
         let mut meter = KernelMeter::new(self.backend_name());
         self.run_observed(compiled, Some(ctx), &mut meter)?;
-        if meter.traced {
+        if meter.on {
             self.trace_gauges();
         }
         Ok(())
@@ -707,7 +699,7 @@ impl QuantumState for DenseState {
     }
 
     fn trace_gauges(&self) {
-        qmkp_obs::gauge("qsim.dense.mem_bytes", self.memory_bytes() as f64);
+        qmkp_obs::gauge("qsim.dense.mem_bytes", &[], self.memory_bytes() as f64);
     }
 
     fn backend_name(&self) -> &'static str {
@@ -1431,8 +1423,8 @@ impl QuantumState for SparseState {
     }
 
     fn trace_gauges(&self) {
-        qmkp_obs::gauge("qsim.sparse.mem_bytes", self.memory_bytes() as f64);
-        qmkp_obs::gauge("qsim.sparse.support", self.support_size() as f64);
+        qmkp_obs::gauge("qsim.sparse.mem_bytes", &[], self.memory_bytes() as f64);
+        qmkp_obs::gauge("qsim.sparse.support", &[], self.support_size() as f64);
     }
 
     fn backend_name(&self) -> &'static str {

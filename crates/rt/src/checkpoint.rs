@@ -85,7 +85,7 @@ impl<C: Checkpoint> Interrupted<C> {
             .and_then(|()| std::fs::write(&path, self.checkpoint.to_json()));
         match outcome {
             Ok(()) => {
-                qmkp_obs::counter("rt.checkpoint_spills", 1);
+                qmkp_obs::counter("rt.checkpoint_spills", &[], 1);
                 qmkp_obs::message(&format!(
                     "checkpoint spilled to {} ({})",
                     path.display(),
@@ -93,7 +93,7 @@ impl<C: Checkpoint> Interrupted<C> {
                 ));
             }
             Err(e) => {
-                qmkp_obs::counter("rt.checkpoint_spill_failures", 1);
+                qmkp_obs::counter("rt.checkpoint_spill_failures", &[], 1);
                 qmkp_obs::message(&format!(
                     "checkpoint spill to {} failed: {e}",
                     path.display()

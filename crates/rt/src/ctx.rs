@@ -10,12 +10,10 @@ use std::time::Instant;
 /// kernel-chunk path amortizes it.
 const DEADLINE_CHECK_MASK: u64 = 63;
 
-/// Default wall-clock spacing between `rt.*` headroom samples emitted to
-/// the *event stream* ([`RtContext::with_sample_interval`] overrides).
-/// The metrics registry already receives headroom gauges on every
-/// amortized deadline read; the event-stream series is what
-/// `chrome_trace`/`flamegraph` render, so it is paced on wall-clock time
-/// instead.
+/// Default wall-clock spacing between `rt.*` headroom samples
+/// ([`RtContext::with_sample_interval`] overrides). Pacing on wall-clock
+/// time keeps the series readable in `chrome_trace` however fast the
+/// kernels charge ops.
 const SAMPLE_INTERVAL_MS_DEFAULT: u64 = 100;
 
 /// The runtime context threaded through every budgeted pass. Cheap to
@@ -118,21 +116,15 @@ impl RtContext {
         if used & DEADLINE_CHECK_MASK == 0 {
             self.maybe_sample_headroom();
             self.check_deadline()?;
-            // Same amortization window as the deadline read: headroom
-            // gauges cost nothing on the hot path between windows.
-            if let Some(limit) = self.budget.max_ops {
-                qmkp_obs::metrics::gauge("rt.ops_headroom", &[], limit.saturating_sub(used) as f64);
-            }
         }
         Ok(())
     }
 
-    /// Emits `rt.*` headroom gauges into the *event stream* as a periodic
-    /// wall-clock series (at most one sample per `sample_interval_ms`),
-    /// so deadline/op-budget pressure during long annealing runs is
-    /// visible as a counter track in `chrome_trace` and in folded
-    /// flamegraph output. Registry gauges are unaffected: they keep their
-    /// own amortization in [`RtContext::charge_ops`]/`check_deadline`.
+    /// Emits the `rt.deadline_headroom_ms` and `rt.ops_headroom` gauges
+    /// as a periodic wall-clock series (at most one sample per
+    /// `sample_interval_ms`), so deadline/op-budget pressure during long
+    /// annealing runs is visible as a counter track in `chrome_trace`
+    /// and as the last value in the run's metrics.
     fn maybe_sample_headroom(&self) {
         if self.budget.deadline.is_none() && self.budget.max_ops.is_none() {
             return;
@@ -156,11 +148,11 @@ impl RtContext {
         }
         if let Some(deadline) = self.budget.deadline {
             let headroom = deadline.saturating_sub(self.start.elapsed());
-            qmkp_obs::gauge("rt.deadline_headroom_ms", headroom.as_secs_f64() * 1e3);
+            qmkp_obs::gauge("rt.deadline_headroom_ms", &[], headroom.as_secs_f64() * 1e3);
         }
         if let Some(limit) = self.budget.max_ops {
             let used = self.ops.load(Ordering::Relaxed);
-            qmkp_obs::gauge("rt.ops_headroom", limit.saturating_sub(used) as f64);
+            qmkp_obs::gauge("rt.ops_headroom", &[], limit.saturating_sub(used) as f64);
         }
     }
 
@@ -170,7 +162,7 @@ impl RtContext {
     pub fn admit_bytes(&self, bytes: usize) -> Result<(), RtError> {
         if let Some(limit) = self.budget.max_bytes {
             if bytes > limit {
-                qmkp_obs::counter("rt.budget_rejections", 1);
+                qmkp_obs::counter("rt.budget_rejections", &[], 1);
                 return Err(RtError::MemoryBudget {
                     required: bytes,
                     limit,
@@ -189,11 +181,6 @@ impl RtContext {
                     deadline_ms: deadline.as_millis() as u64,
                 });
             }
-            qmkp_obs::metrics::gauge(
-                "rt.deadline_headroom_ms",
-                &[],
-                (deadline - elapsed).as_secs_f64() * 1e3,
-            );
         }
         Ok(())
     }
@@ -202,7 +189,7 @@ impl RtContext {
     /// counter exactly once per context however many layers observe it.
     fn cancelled(&self) -> RtError {
         if !self.cancel_reported.swap(true, Ordering::Relaxed) {
-            qmkp_obs::counter("rt.cancellations", 1);
+            qmkp_obs::counter("rt.cancellations", &[], 1);
         }
         RtError::Cancelled
     }

@@ -64,11 +64,11 @@ pub fn retry<T>(
     mut op: impl FnMut(usize) -> Result<T, RtError>,
 ) -> Result<T, RtError> {
     let attempts = policy.attempts.max(1);
-    let metered = qmkp_obs::metrics::enabled();
+    let metered = qmkp_obs::enabled_for("rt.retry.attempt");
     let mut last = None;
     for attempt in 0..attempts {
         if attempt > 0 {
-            qmkp_obs::counter("rt.retries", 1);
+            qmkp_obs::counter("rt.retries", &[], 1);
             let mut delay = policy.delay(attempt as u32 - 1);
             if let Some(deadline) = ctx.budget().deadline {
                 let remaining = deadline.saturating_sub(ctx.elapsed());
@@ -77,18 +77,14 @@ pub fn retry<T>(
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
-            qmkp_obs::metrics::observe_duration("rt.retry.backoff", &[], delay);
+            qmkp_obs::observe("rt.retry.backoff", &[], delay);
             ctx.check()?;
         }
         let attempt_start = metered.then(std::time::Instant::now);
         let result = op(attempt);
         if let Some(t0) = attempt_start {
             let outcome = if result.is_ok() { "ok" } else { "err" };
-            qmkp_obs::metrics::observe_duration(
-                "rt.retry.attempt",
-                &[("outcome", outcome)],
-                t0.elapsed(),
-            );
+            qmkp_obs::observe("rt.retry.attempt", &[("outcome", outcome)], t0.elapsed());
         }
         match result {
             Ok(v) => return Ok(v),

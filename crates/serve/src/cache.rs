@@ -20,10 +20,9 @@
 //!   requests wait on the flight's condvar and share the one artifact
 //!   (counted as hits — they skipped a compile).
 //!
-//! Every lookup emits `serve.cache.{hits,misses,evictions}` counters to
-//! both the event stream and the metrics registry, plus a
-//! `serve.cache.bytes` gauge, so a Prometheus scrape of a long-running
-//! service shows cache effectiveness directly.
+//! Every lookup emits `serve.cache.{hits,misses,evictions}` counters,
+//! plus a `serve.cache.bytes` gauge, so a recording session's Prometheus
+//! dump shows cache effectiveness directly.
 
 use qmkp_core::{CompiledOracle, OracleProvider};
 use qmkp_graph::Graph;
@@ -190,8 +189,7 @@ impl OracleCache {
             }
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        qmkp_obs::counter("serve.cache.misses", 1);
-        qmkp_obs::metrics::counter("serve.cache.misses", &[], 1);
+        qmkp_obs::counter("serve.cache.misses", &[], 1);
 
         // Compile outside the lock: concurrent lookups for *other* keys
         // proceed, duplicates for this key park on the flight.
@@ -212,8 +210,7 @@ impl OracleCache {
                     },
                 );
                 self.evict_lru(&mut state, key);
-                qmkp_obs::gauge("serve.cache.bytes", state.bytes as f64);
-                qmkp_obs::metrics::gauge("serve.cache.bytes", &[], state.bytes as f64);
+                qmkp_obs::gauge("serve.cache.bytes", &[], state.bytes as f64);
             }
             Err(_) => {
                 state.slots.remove(&key);
@@ -226,8 +223,7 @@ impl OracleCache {
 
     fn count_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        qmkp_obs::counter("serve.cache.hits", 1);
-        qmkp_obs::metrics::counter("serve.cache.hits", &[], 1);
+        qmkp_obs::counter("serve.cache.hits", &[], 1);
     }
 
     /// Drops least-recently-used `Ready` entries (never `Building`
@@ -252,8 +248,7 @@ impl OracleCache {
             if let Some(Slot::Ready { artifact, .. }) = state.slots.remove(&victim) {
                 state.bytes -= artifact.memory_bytes();
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                qmkp_obs::counter("serve.cache.evictions", 1);
-                qmkp_obs::metrics::counter("serve.cache.evictions", &[], 1);
+                qmkp_obs::counter("serve.cache.evictions", &[], 1);
             }
         }
     }

@@ -28,9 +28,11 @@
 //!    outcome wrapped in a [`RunReport`] envelope — down the ticket's
 //!    private channel; [`SolveTicket::wait`] collects it.
 //!
-//! `serve.queue_depth` gauges (labelled by lane) and the
-//! `serve.requests.{submitted,completed,rejected}` counters land in the
-//! metrics registry alongside the cache's `serve.cache.*` series.
+//! `serve.queue_depth` gauges, the
+//! `serve.requests.{submitted,completed,rejected}` counters and the
+//! `serve.request_seconds` histogram are all labelled by lane, and land
+//! in a recording session's metrics alongside the cache's `serve.cache.*`
+//! series.
 
 use crate::cache::OracleCache;
 use qmkp::{preflight_lane, solve_with, PreflightLane, SolveConfig, SolveOutcome};
@@ -245,8 +247,7 @@ impl Shared {
     fn depth_changed(&self, lane: PreflightLane, delta: i64) {
         let idx = Self::lane_index(lane);
         let depth = (self.depths[idx].fetch_add(delta, Ordering::Relaxed) + delta).max(0);
-        qmkp_obs::gauge("serve.queue_depth", depth as f64);
-        qmkp_obs::metrics::gauge("serve.queue_depth", &[("lane", lane.name())], depth as f64);
+        qmkp_obs::gauge("serve.queue_depth", &[("lane", lane.name())], depth as f64);
     }
 }
 
@@ -357,8 +358,7 @@ impl SolveService {
         match slot.tx.try_send(job) {
             Ok(()) => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
-                qmkp_obs::counter("serve.requests.submitted", 1);
-                qmkp_obs::metrics::counter("serve.requests.submitted", &[("lane", lane.name())], 1);
+                qmkp_obs::counter("serve.requests.submitted", &[("lane", lane.name())], 1);
                 self.shared.depth_changed(lane, 1);
                 Ok(SolveTicket {
                     id,
@@ -369,8 +369,7 @@ impl SolveService {
             }
             Err(TrySendError::Full(_)) => {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                qmkp_obs::counter("serve.requests.rejected", 1);
-                qmkp_obs::metrics::counter("serve.requests.rejected", &[("lane", lane.name())], 1);
+                qmkp_obs::counter("serve.requests.rejected", &[("lane", lane.name())], 1);
                 Err(ServeError::QueueFull {
                     lane,
                     capacity: self.config.queue_capacity.max(1),
@@ -380,9 +379,10 @@ impl SolveService {
         }
     }
 
-    /// A service-level report: request counters, cache statistics, and
-    /// the current metrics registry snapshot — the envelope
-    /// `obs_validate --report` checks in CI.
+    /// A service-level report: request counters and cache statistics.
+    /// Finishing it through a recording [`qmkp_obs::Session`] adds the
+    /// session's metrics — the envelope `obs_validate --report` checks in
+    /// CI.
     pub fn report(&self, name: &str) -> RunReport {
         let stats = self.shared.cache.stats();
         RunReport::new(name)
@@ -405,7 +405,6 @@ impl SolveService {
             .outcome("cache_evictions", stats.evictions)
             .outcome("cache_compiles", stats.compiles)
             .outcome("cache_bytes", stats.bytes)
-            .metrics(qmkp_obs::metrics::snapshot())
     }
 
     /// Closes the admission queues and joins every worker. Admitted
@@ -442,8 +441,7 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Shared>) {
         let lane = job.lane;
         execute(job, shared);
         shared.completed.fetch_add(1, Ordering::Relaxed);
-        qmkp_obs::counter("serve.requests.completed", 1);
-        qmkp_obs::metrics::counter("serve.requests.completed", &[("lane", lane.name())], 1);
+        qmkp_obs::counter("serve.requests.completed", &[("lane", lane.name())], 1);
     }
 }
 
@@ -468,8 +466,7 @@ fn execute(job: Job, shared: &Arc<Shared>) {
         &outcome,
         Err(ServeError::Rt(RtError::Faulted { site })) if site == WORKER_PANIC_SITE
     ) {
-        qmkp_obs::counter("serve.worker.panics", 1);
-        qmkp_obs::metrics::counter("serve.worker.panics", &[("lane", lane.name())], 1);
+        qmkp_obs::counter("serve.worker.panics", &[("lane", lane.name())], 1);
     }
     let elapsed = started.elapsed();
     let report = match &outcome {
@@ -482,7 +479,7 @@ fn execute(job: Job, shared: &Arc<Shared>) {
         .config("n", request.graph.n())
         .config("graph_digest", format!("{:016x}", request.graph.digest()))
         .outcome("elapsed_ms", elapsed.as_millis());
-    qmkp_obs::metrics::observe_duration("serve.request_seconds", &[("lane", lane.name())], elapsed);
+    qmkp_obs::observe("serve.request_seconds", &[("lane", lane.name())], elapsed);
     let _ = reply.send(SolveResponse {
         id,
         lane,

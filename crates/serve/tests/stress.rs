@@ -4,8 +4,8 @@
 //! `QMKP_OBS_METRICS` / `QMKP_OBS_REPORT` set and `--test-threads=1`,
 //! then greps `serve_cache_hits` out of the Prometheus dump and
 //! validates the folded report with `obs_validate --report`. The
-//! z-prefixed stress test runs last so its session sees every earlier
-//! test's registry activity.
+//! z-prefixed stress test runs last; its session records the cache and
+//! lane series of its own requests.
 
 use qmkp::core::{QmkpConfig, QtkpConfig};
 use qmkp::graph::gen::{gnm, paper_fig1_graph};

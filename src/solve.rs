@@ -415,7 +415,7 @@ fn outcome(
 ) -> SolveOutcome {
     let degraded = degraded_because.is_some();
     if degraded {
-        qmkp_obs::counter("rt.degradations", 1);
+        qmkp_obs::counter("rt.degradations", &[], 1);
     }
     SolveOutcome {
         best: finish.best,
@@ -427,12 +427,12 @@ fn outcome(
     }
 }
 
-/// Records one walked attempt's wall time into the `solve.rung`
-/// histogram, labeled with the rung name and whether the run degraded
-/// past it. A `None` start means metrics were disabled at rung entry.
+/// Records one walked attempt's wall time as a `solve.rung`
+/// observation, labeled with the rung name and whether the run degraded
+/// past it. A `None` start means recording was off at rung entry.
 fn rung_metric(start: Option<Instant>, rung: SolveBackend, degraded: bool) {
     if let Some(t0) = start {
-        qmkp_obs::metrics::observe_duration(
+        qmkp_obs::observe(
             "solve.rung",
             &[
                 ("rung", rung.name()),
@@ -601,8 +601,8 @@ impl Plan<'_> {
         };
         let mut degraded_because: Option<RtError> = None;
         for &(backend, projected) in &self.rungs {
-            qmkp_obs::gauge("solve.preflight_bytes", projected as f64);
-            let start = qmkp_obs::metrics::enabled().then(Instant::now);
+            qmkp_obs::gauge("solve.preflight_bytes", &[], projected as f64);
+            let start = qmkp_obs::enabled_for("solve.rung").then(Instant::now);
             let mut resume = None;
             let attempt = retry(&policy, ctx, |_attempt| {
                 self.quantum(backend, ctx, &mut resume)
@@ -638,7 +638,7 @@ impl Plan<'_> {
         // CPU (a cancelled context must never degrade).
         ctx.check()?;
         let floor = RtContext::new(Budget::unlimited(), ctx.token().clone());
-        let start = qmkp_obs::metrics::enabled().then(Instant::now);
+        let start = qmkp_obs::enabled_for("solve.rung").then(Instant::now);
         let finish = self.classical(&floor, &WarmStarts::default())?;
         rung_metric(start, finish.backend, true);
         Ok(outcome(finish, Some(because), None))
@@ -710,21 +710,17 @@ impl Plan<'_> {
         ));
 
         for name in &launched {
-            qmkp_obs::metrics::counter("solve.race.launched", &[("racer", name)], 1);
+            qmkp_obs::counter("solve.race.launched", &[("racer", name)], 1);
         }
-        qmkp_obs::counter("solve.race.runs", 1);
+        qmkp_obs::counter("solve.race.runs", &[], 1);
 
         let win = match qmkp_rt::race(racers, ctx.token()) {
             Ok(win) => win,
             Err(RtError::AllRacersFailed { failures }) => {
                 for (racer, _) in &failures {
-                    qmkp_obs::metrics::counter(
-                        "solve.race.faulted",
-                        &[("racer", racer.as_str())],
-                        1,
-                    );
+                    qmkp_obs::counter("solve.race.faulted", &[("racer", racer.as_str())], 1);
                 }
-                qmkp_obs::counter("solve.race.all_failed", 1);
+                qmkp_obs::counter("solve.race.all_failed", &[], 1);
                 return Err(RtError::AllRacersFailed { failures });
             }
             Err(e) => return Err(e),
@@ -746,23 +742,22 @@ impl Plan<'_> {
                     "solve.race.faulted"
                 }
             };
-            qmkp_obs::metrics::counter(metric, &[("racer", report.name.as_str())], 1);
+            qmkp_obs::counter(metric, &[("racer", report.name.as_str())], 1);
         }
         let grasp_to_sqa = warm.grasp_to_sqa.load(Ordering::Relaxed);
         let sqa_to_bnb = warm.sqa_to_bnb.load(Ordering::Relaxed);
         for (handoff, count) in [("grasp-to-sqa", grasp_to_sqa), ("sqa-to-bnb", sqa_to_bnb)] {
             if count > 0 {
-                qmkp_obs::metrics::counter("solve.race.warm_start", &[("handoff", handoff)], count);
+                qmkp_obs::counter("solve.race.warm_start", &[("handoff", handoff)], count);
             }
         }
         let bnb_nodes = warm.bnb_nodes.load(Ordering::Relaxed);
         if bnb_nodes > 0 {
-            qmkp_obs::metrics::gauge("solve.race.bnb_nodes", &[], bnb_nodes as f64);
+            qmkp_obs::gauge("solve.race.bnb_nodes", &[], bnb_nodes as f64);
         }
         if let Some(margin) = win.win_margin {
-            qmkp_obs::metrics::gauge("solve.race.win_margin_ms", &[], margin.as_secs_f64() * 1e3);
+            qmkp_obs::gauge("solve.race.win_margin_ms", &[], margin.as_secs_f64() * 1e3);
         }
-        qmkp_obs::counter("solve.race.won", 1);
         let summary = RaceSummary {
             winner: win.winner,
             launched,

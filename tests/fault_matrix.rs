@@ -349,7 +349,6 @@ fn single_racer_faults_still_yield_a_verified_winner() {
         portfolio: Some(true),
         ..SolveConfig::default()
     };
-    qmkp::obs::metrics::set_enabled(true);
     for (site, racer) in [
         ("core.qmkp.probe", "sparse"),
         ("core.grover.iterate", "sparse"),
@@ -367,13 +366,15 @@ fn single_racer_faults_still_yield_a_verified_winner() {
         for _attempt in 0..3 {
             failpoint::reset();
             failpoint::arm(site, 0);
-            qmkp::obs::metrics::reset();
+            let metrics = std::sync::Arc::new(qmkp::obs::Metrics::new());
+            let guard = qmkp::obs::attach(metrics.clone());
             let out = qmkp::solve(&g, 2, &config, &RtContext::unlimited())
                 .expect("a surviving racer must still answer");
+            drop(guard);
             assert!(qmkp::graph::is_kplex(&g, out.best, 2), "site {site}");
             let race = out.race.expect("a forced portfolio must race");
             assert_ne!(race.winner, racer, "the faulted racer cannot win ({site})");
-            let snap = qmkp::obs::metrics::snapshot();
+            let snap = metrics.snapshot();
             if snap.value_of("solve.race.faulted", &[("racer", racer)]) >= 1.0 {
                 assert!(race.faulted >= 1, "site {site}");
                 fault_observed = true;
@@ -385,7 +386,6 @@ fn single_racer_faults_still_yield_a_verified_winner() {
             "site {site}: racer {racer} never faulted across 3 races"
         );
     }
-    qmkp::obs::metrics::set_enabled(false);
     failpoint::reset();
 }
 
