@@ -43,6 +43,6 @@ pub use hybrid::{hybrid_solve, HybridConfig};
 pub use pacing::{paced_sweeps, remaining_deadline, PACING_SAFETY};
 pub use result::AnnealOutcome;
 pub use sa::{anneal_qubo, anneal_qubo_ctx, SaCheckpoint, SaConfig};
-pub use sqa::{sqa_qubo, sqa_qubo_ctx, sqa_qubo_ctx_observed, SqaCheckpoint, SqaConfig, SqaHooks};
+pub use sqa::{sqa_qubo, sqa_qubo_ctx, SqaCheckpoint, SqaConfig};
 pub use tempering::{temper_qubo, temper_qubo_ctx, TemperCheckpoint, TemperingConfig};
 pub use topology::Chimera;

@@ -334,53 +334,6 @@ pub fn sqa_qubo_ctx(
     ctx: &RtContext,
     resume: Option<&SqaCheckpoint>,
 ) -> Result<AnnealOutcome, Interrupted<SqaCheckpoint>> {
-    sqa_qubo_ctx_observed(q, config, ctx, resume, SqaHooks::default())
-}
-
-/// An incumbent callback: `(assignment, energy)` of a new running best.
-pub type IncumbentSink<'a> = &'a mut dyn FnMut(&[bool], f64);
-
-/// Warm-start and incumbent-export hooks for a portfolio SQA run.
-///
-/// Both default to off, in which case [`sqa_qubo_ctx_observed`] is
-/// bit-identical to [`sqa_qubo_ctx`].
-#[derive(Default)]
-pub struct SqaHooks<'a> {
-    /// Seeds every Trotter slice of shot 0 with this assignment instead
-    /// of the derived random init (fresh starts only — a resumed run
-    /// keeps its checkpointed replicas; ignored when the length does not
-    /// match the model). The portfolio feeds GRASP's best solution in
-    /// here.
-    pub warm_start: Option<&'a [bool]>,
-    /// Called with `(assignment, energy)` every time the running best
-    /// strictly improves, including improvements restored from a resume
-    /// checkpoint's completed shots. The portfolio forwards these to
-    /// BnB as candidate lower bounds while both racers are running.
-    pub on_incumbent: Option<IncumbentSink<'a>>,
-}
-
-impl std::fmt::Debug for SqaHooks<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SqaHooks")
-            .field("warm_start", &self.warm_start)
-            .field("on_incumbent", &self.on_incumbent.is_some())
-            .finish()
-    }
-}
-
-/// [`sqa_qubo_ctx`] with portfolio hooks: a warm-start seed for shot 0
-/// and an incumbent-export callback. See [`SqaHooks`].
-///
-/// # Errors
-/// [`Interrupted`] pairing the [`RtError`] with the sweep-boundary
-/// checkpoint; for a rejected configuration the checkpoint is empty.
-pub fn sqa_qubo_ctx_observed(
-    q: &QuboModel,
-    config: &SqaConfig,
-    ctx: &RtContext,
-    resume: Option<&SqaCheckpoint>,
-    mut hooks: SqaHooks<'_>,
-) -> Result<AnnealOutcome, Interrupted<SqaCheckpoint>> {
     let empty = || SqaCheckpoint {
         shot: 0,
         sweep: 0,
@@ -470,25 +423,16 @@ pub fn sqa_qubo_ctx_observed(
         shot_energies = cp.shot_energies.clone();
     }
 
-    let warm = hooks
-        .warm_start
-        .filter(|w| w.len() == n && resume.is_none());
     for shot in start_shot..config.shots {
         let mut replicas: Vec<Vec<i8>> = match resumed_replicas.take() {
             Some(r) => r,
-            None => match warm.filter(|_| shot == 0) {
-                Some(w) => {
-                    let slice: Vec<i8> = w.iter().map(|&b| if b { 1i8 } else { -1 }).collect();
-                    (0..p).map(|_| slice.clone()).collect()
-                }
-                None => {
-                    let mut init =
-                        StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, u64::MAX));
-                    (0..p)
-                        .map(|_| (0..n).map(|_| if init.gen() { 1i8 } else { -1 }).collect())
-                        .collect()
-                }
-            },
+            None => {
+                let mut init =
+                    StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, u64::MAX));
+                (0..p)
+                    .map(|_| (0..n).map(|_| if init.gen() { 1i8 } else { -1 }).collect())
+                    .collect()
+            }
         };
 
         let first_sweep = if shot == start_shot { start_sweep } else { 0 };
@@ -542,9 +486,6 @@ pub fn sqa_qubo_ctx_observed(
             best_energy = shot_best;
             best = shot_best_x;
             trace.push((start.elapsed(), shot_best));
-            if let Some(publish) = hooks.on_incumbent.as_mut() {
-                publish(&best, best_energy);
-            }
         }
     }
 
@@ -721,115 +662,6 @@ mod tests {
         )
         .expect_err("one slice");
         assert!(matches!(err.error, RtError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn default_hooks_are_bit_identical_to_the_plain_ctx_run() {
-        let q = small_model();
-        let config = SqaConfig {
-            shots: 8,
-            sweeps: 6,
-            trotter_slices: 4,
-            seed: 9,
-            ..SqaConfig::default()
-        };
-        let plain = sqa_qubo_ctx(&q, &config, &RtContext::unlimited(), None).unwrap();
-        let hooked = sqa_qubo_ctx_observed(
-            &q,
-            &config,
-            &RtContext::unlimited(),
-            None,
-            SqaHooks::default(),
-        )
-        .unwrap();
-        let a: Vec<u64> = plain.shot_energies.iter().map(|e| e.to_bits()).collect();
-        let b: Vec<u64> = hooked.shot_energies.iter().map(|e| e.to_bits()).collect();
-        assert_eq!(a, b);
-        assert_eq!(plain.best, hooked.best);
-    }
-
-    #[test]
-    fn incumbents_are_published_in_strictly_improving_order() {
-        let q = small_model();
-        let config = SqaConfig {
-            shots: 20,
-            sweeps: 8,
-            trotter_slices: 4,
-            seed: 2,
-            ..SqaConfig::default()
-        };
-        let mut seen: Vec<f64> = Vec::new();
-        let mut publish = |_x: &[bool], e: f64| seen.push(e);
-        let out = sqa_qubo_ctx_observed(
-            &q,
-            &config,
-            &RtContext::unlimited(),
-            None,
-            SqaHooks {
-                warm_start: None,
-                on_incumbent: Some(&mut publish),
-            },
-        )
-        .unwrap();
-        assert!(!seen.is_empty());
-        assert!(seen.windows(2).all(|w| w[1] < w[0]), "{seen:?}");
-        assert_eq!(*seen.last().unwrap(), out.best_energy);
-    }
-
-    #[test]
-    fn warm_start_seeds_shot_zero() {
-        let q = small_model();
-        let (bits, brute) = q.brute_force_min();
-        let warm: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
-        // One shot, one sweep: a cold start from this seed rarely lands
-        // on the optimum, but a warm start from the optimum can only
-        // anneal away from it between slices — the best slice stays at
-        // or near the seed and the first published incumbent must match
-        // the seeded energy or better.
-        let config = SqaConfig {
-            shots: 1,
-            sweeps: 1,
-            trotter_slices: 4,
-            seed: 0,
-            ..SqaConfig::default()
-        };
-        let mut first: Option<f64> = None;
-        let mut publish = |_x: &[bool], e: f64| {
-            if first.is_none() {
-                first = Some(e);
-            }
-        };
-        let out = sqa_qubo_ctx_observed(
-            &q,
-            &config,
-            &RtContext::unlimited(),
-            None,
-            SqaHooks {
-                warm_start: Some(&warm),
-                on_incumbent: Some(&mut publish),
-            },
-        )
-        .unwrap();
-        // With β = 8 a single sweep essentially never accepts an
-        // uphill move on every slice, so the optimum survives.
-        assert!(
-            (out.best_energy - brute).abs() < 1e-9,
-            "warm-seeded best {} vs brute {brute}",
-            out.best_energy
-        );
-        // Mismatched warm-start lengths are ignored, not panicked on.
-        let bad = vec![true; 9];
-        let ok = sqa_qubo_ctx_observed(
-            &q,
-            &config,
-            &RtContext::unlimited(),
-            None,
-            SqaHooks {
-                warm_start: Some(&bad),
-                on_incumbent: None,
-            },
-        );
-        assert!(ok.is_ok());
     }
 
     #[test]

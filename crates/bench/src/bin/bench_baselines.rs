@@ -1,10 +1,9 @@
-//! Emits `BENCH_baselines.json`: median wall-clock baselines for the two
-//! criterion groups that previously had no recorded `BENCH_*.json`
-//! artifact — Grover-side costs (oracle construction, one Grover
-//! iteration) and annealing-side costs (one SA shot, one SQA shot) —
-//! plus a portfolio group comparing a raced `qmkp::solve` of the fig-1
-//! instance against the sequential ladder, with an in-process guard on
-//! the race's overhead.
+//! Emits `BENCH_baselines.json`: median wall-clock baselines for
+//! Grover-side costs (oracle construction, one Grover iteration) and
+//! annealing-side costs (one SA shot, one SQA shot), plus a portfolio
+//! group comparing a raced `qmkp::solve` of the fig-1 instance against
+//! the sequential ladder, with an in-process guard on the race's
+//! overhead.
 //!
 //! A sibling of `bench_qsim`: numbers are medians over `SAMPLES` runs on
 //! this machine, meant for cross-PR regression tracking rather than

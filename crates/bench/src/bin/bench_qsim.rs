@@ -66,8 +66,7 @@ fn median_secs<F: FnMut()>(mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-/// The bench circuit of `benches/simulators.rs`: H layer then a Toffoli
-/// ladder out and back.
+/// The bench circuit: an H layer, then a Toffoli ladder out and back.
 fn layered_circuit(width: usize, sup: usize) -> Circuit {
     let mut c = Circuit::new(width);
     for q in 0..sup {

@@ -442,8 +442,8 @@ fn run_source_lint() -> ExitCode {
 
 /// The six oracle configurations the experiment drivers use. The two
 /// n=18 probes have 2^18 vertex assignments — far past the enumeration
-/// limit; their proofs are exact *because* of the symbolic pass, which
-/// `run_oracle_lint` enforces by failing on any sampled verdict.
+/// limit; their proofs are exact *because* of the symbolic pass, and
+/// without it the ancilla pass would report them `unproven` (an error).
 fn oracle_instances() -> Vec<(String, Graph, usize, usize)> {
     let mut out = Vec::new();
     for (k, t) in [(2, 4), (3, 4)] {
@@ -493,16 +493,6 @@ fn run_oracle_lint(json_path: Option<&str>) -> ExitCode {
         );
         if report.has_errors() {
             print!("{}", report.render());
-            failed = true;
-        }
-        // Every shipped config must get an *exact* verdict: a sampled
-        // fallback means the symbolic pass regressed on a real oracle.
-        if report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "sampled-proof-only")
-        {
-            println!("error[sampled-verdict]: {name} was only sampled, not proven");
             failed = true;
         }
         json_items.push(report.to_json());

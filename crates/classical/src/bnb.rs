@@ -21,8 +21,8 @@ const INCUMBENT_POLL_MASK: u64 = 255;
 pub struct BnbOutcome {
     /// The best (maximum, when the search completed) k-plex found.
     pub best: VertexSet,
-    /// Search-tree nodes expanded — the effort measure the portfolio's
-    /// warm-start tests assert shrinks under a tighter lower bound.
+    /// Search-tree nodes expanded — the effort measure a tighter verified
+    /// lower bound shrinks.
     pub nodes: u64,
 }
 
@@ -37,10 +37,10 @@ pub fn max_kplex_bnb(g: &Graph, k: usize) -> VertexSet {
         .best
 }
 
-/// Budgeted/cancellable branch & bound with warm-start hooks.
+/// Budgeted/cancellable branch & bound with external lower bounds.
 ///
-/// * `lower_bound` — an externally supplied incumbent (e.g. a GRASP or
-///   SQA solution). It is *verified* before being trusted: an invalid or
+/// * `lower_bound` — an externally supplied incumbent (e.g. a GRASP
+///   solution). It is *verified* before being trusted: an invalid or
 ///   smaller set is ignored, a larger verified one prunes the search
 ///   from node one.
 /// * `incumbent` — polled every 256 nodes for a better incumbent
@@ -49,11 +49,11 @@ pub fn max_kplex_bnb(g: &Graph, k: usize) -> VertexSet {
 ///
 /// The context is polled every 64 nodes, and the
 /// `classical.bnb.node` failpoint fires per expanded node under the
-/// `failpoints` feature. Returns a structured [`RtError`] on budget
-/// exhaustion, cancellation, or an injected fault.
+/// `failpoints` feature.
 ///
-/// # Panics
-/// Panics if `k == 0`.
+/// # Errors
+/// [`RtError::InvalidConfig`] if `k == 0`; otherwise a structured
+/// [`RtError`] on budget exhaustion, cancellation, or an injected fault.
 pub fn max_kplex_bnb_ctx(
     g: &Graph,
     k: usize,
@@ -61,7 +61,9 @@ pub fn max_kplex_bnb_ctx(
     lower_bound: Option<VertexSet>,
     incumbent: Option<&dyn Fn() -> Option<VertexSet>>,
 ) -> Result<BnbOutcome, RtError> {
-    assert!(k >= 1, "k must be ≥ 1");
+    if k == 0 {
+        return Err(RtError::InvalidConfig("bnb: k must be ≥ 1".into()));
+    }
     bnb_inner(g, k, Some(ctx), lower_bound, incumbent)
 }
 
@@ -220,6 +222,16 @@ mod tests {
             warm.nodes <= cold.nodes,
             "adopting the optimum cannot cost nodes"
         );
+    }
+
+    #[test]
+    fn ctx_variant_rejects_bad_parameters_structurally() {
+        let g = paper_fig1_graph();
+        let ctx = qmkp_rt::RtContext::unlimited();
+        assert!(matches!(
+            max_kplex_bnb_ctx(&g, 0, &ctx, None, None),
+            Err(qmkp_rt::RtError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -21,18 +21,15 @@ use rand::{Rng, SeedableRng};
 pub fn grasp_kplex(g: &Graph, k: usize, iterations: usize, alpha: f64, seed: u64) -> VertexSet {
     assert!(k >= 1, "k must be ≥ 1");
     assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    grasp_kplex_ctx(g, k, iterations, alpha, seed, &RtContext::unlimited(), None)
+    grasp_kplex_ctx(g, k, iterations, alpha, seed, &RtContext::unlimited())
         .expect("unbudgeted GRASP cannot fail")
 }
 
-/// Budgeted/cancellable GRASP with an incumbent-export hook.
+/// Budgeted/cancellable GRASP.
 ///
 /// The search [`grasp_kplex`] runs (it calls this under an unlimited
 /// context), plus: the context (and, under the `failpoints` feature, the
-/// `classical.grasp.iter` site) is polled once per restart, and every
-/// strict improvement of the running best is published through
-/// `on_best` — a raced solve uses this to seed SQA's initial state with
-/// GRASP's best solution while both are still running.
+/// `classical.grasp.iter` site) is polled once per restart.
 ///
 /// Invalid parameters return [`RtError::InvalidConfig`] instead of
 /// panicking.
@@ -43,7 +40,6 @@ pub fn grasp_kplex_ctx(
     alpha: f64,
     seed: u64,
     ctx: &RtContext,
-    mut on_best: Option<&mut dyn FnMut(VertexSet)>,
 ) -> Result<VertexSet, RtError> {
     if k == 0 {
         return Err(RtError::InvalidConfig("grasp: k must be ≥ 1".into()));
@@ -67,9 +63,6 @@ pub fn grasp_kplex_ctx(
         let p = local_search(g, k, p);
         if p.len() > best.len() {
             best = p;
-            if let Some(publish) = on_best.as_deref_mut() {
-                publish(best);
-            }
         }
     }
     qmkp_obs::gauge("classical.grasp.best_size", &[], best.len() as f64);
@@ -170,18 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn ctx_variant_matches_legacy_and_publishes_incumbents() {
+    fn ctx_variant_matches_legacy() {
         let g = gnm(12, 30, 2).unwrap();
         let ctx = qmkp_rt::RtContext::unlimited();
-        let mut published: Vec<VertexSet> = Vec::new();
-        let mut publish = |p: VertexSet| published.push(p);
-        let got = grasp_kplex_ctx(&g, 2, 10, 0.3, 5, &ctx, Some(&mut publish)).unwrap();
+        let got = grasp_kplex_ctx(&g, 2, 10, 0.3, 5, &ctx).unwrap();
         assert_eq!(got, grasp_kplex(&g, 2, 10, 0.3, 5));
-        assert!(!published.is_empty(), "improvements must be published");
-        assert_eq!(*published.last().unwrap(), got);
-        for p in &published {
-            assert!(is_kplex(&g, *p, 2));
-        }
     }
 
     #[test]
@@ -189,11 +175,11 @@ mod tests {
         let g = paper_fig1_graph();
         let ctx = qmkp_rt::RtContext::unlimited();
         assert!(matches!(
-            grasp_kplex_ctx(&g, 0, 1, 0.3, 0, &ctx, None),
+            grasp_kplex_ctx(&g, 0, 1, 0.3, 0, &ctx),
             Err(qmkp_rt::RtError::InvalidConfig(_))
         ));
         assert!(matches!(
-            grasp_kplex_ctx(&g, 2, 1, 1.5, 0, &ctx, None),
+            grasp_kplex_ctx(&g, 2, 1, 1.5, 0, &ctx),
             Err(qmkp_rt::RtError::InvalidConfig(_))
         ));
     }
@@ -205,7 +191,7 @@ mod tests {
         token.cancel();
         let ctx = qmkp_rt::RtContext::new(qmkp_rt::Budget::unlimited(), token);
         assert_eq!(
-            grasp_kplex_ctx(&g, 2, 10, 0.3, 0, &ctx, None),
+            grasp_kplex_ctx(&g, 2, 10, 0.3, 0, &ctx),
             Err(qmkp_rt::RtError::Cancelled)
         );
     }

@@ -125,7 +125,7 @@ impl Oracle {
         // Opt-in static self-verification: prove the ancilla discipline
         // and resource bounds at construction time in debug builds. The
         // symbolic pass is exact at any width, so the proof must be
-        // exhaustive — a sampled fallback here is itself a regression.
+        // exhaustive — an `unproven` verdict here is itself a regression.
         #[cfg(all(debug_assertions, feature = "verify"))]
         {
             let report = oracle.lint_report();

@@ -86,7 +86,7 @@ pub struct QmkpProbe {
 /// bit-identically to an uninterrupted run (wall-clock fields aside).
 /// When the interrupt landed inside a probe's Grover phase, [`Self::probe`]
 /// additionally records the completed iterations for intra-probe resume.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QmkpCheckpoint {
     /// The `k` the search was started with (resume guard).
     pub k: usize,
@@ -266,9 +266,8 @@ pub fn qmkp(g: &Graph, k: usize, config: &QmkpConfig) -> QmkpOutcome {
 /// # Errors
 /// [`Interrupted`] pairing the [`RtError`] with the resume checkpoint;
 /// for a rejected configuration the checkpoint is the initial position.
-///
-/// # Panics
-/// Panics if the graph is empty or `k == 0`.
+/// An empty graph or `k == 0` is [`RtError::InvalidConfig`], with an
+/// empty checkpoint.
 pub fn qmkp_ctx<S: BackendState>(
     g: &Graph,
     k: usize,
@@ -288,9 +287,6 @@ pub fn qmkp_ctx<S: BackendState>(
 /// # Errors
 /// As [`qmkp_ctx`], plus whatever the provider reports (wrapped with the
 /// probe-boundary checkpoint like any other probe failure).
-///
-/// # Panics
-/// Panics if the graph is empty or `k == 0`.
 pub fn qmkp_ctx_with<S: BackendState>(
     g: &Graph,
     k: usize,
@@ -299,8 +295,18 @@ pub fn qmkp_ctx_with<S: BackendState>(
     resume: Option<&QmkpCheckpoint>,
     provider: &dyn OracleProvider,
 ) -> Result<QmkpOutcome, Interrupted<QmkpCheckpoint>> {
-    assert!(g.n() > 0, "graph must be non-empty");
-    assert!(k >= 1, "k must be ≥ 1");
+    if g.n() == 0 || k == 0 {
+        let why = if k == 0 {
+            "qmkp: k must be ≥ 1"
+        } else {
+            "qmkp: graph must be non-empty"
+        };
+        let empty = QmkpCheckpoint {
+            k,
+            ..QmkpCheckpoint::default()
+        };
+        return Err(Interrupted::new(RtError::InvalidConfig(why.into()), empty));
+    }
     let span = qmkp_obs::span("core.qmkp.run");
     let result = qmkp_ctx_inner::<S>(g, k, config, ctx, resume, provider);
     span.finish();
@@ -752,6 +758,23 @@ mod tests {
         let err = qmkp_ctx::<SparseState>(&g, 2, &config, &RtContext::unlimited(), None)
             .expect_err("max_attempts = 0 must be rejected");
         assert!(matches!(err.error, RtError::InvalidConfig(ref m) if m.contains("max_attempts")));
+
+        // An empty graph and `k = 0` are rejected the same way, not
+        // panicked on, and their checkpoint records no progress.
+        let default = QmkpConfig::default();
+        let empty = Graph::new(0).unwrap();
+        for (graph, k, why) in [(&empty, 2, "non-empty"), (&g, 0, "k must be")] {
+            let err = qmkp_ctx::<SparseState>(graph, k, &default, &RtContext::unlimited(), None)
+                .expect_err("degenerate input must be rejected");
+            assert!(
+                matches!(err.error, RtError::InvalidConfig(ref m) if m.contains(why)),
+                "{:?}",
+                err.error
+            );
+            assert_eq!(err.checkpoint.k, k);
+            assert!(err.checkpoint.calls.is_empty());
+            assert_eq!(err.checkpoint.total_iterations, 0);
+        }
     }
 
     #[test]

@@ -39,14 +39,14 @@ fn paper_oracles_have_zero_diagnostics() {
         assert!(report.exhaustive, "n=6 must be proven exhaustively");
         assert_eq!(report.proof, ProofMethod::Symbolic);
         let (_, warnings, _) = report.counts();
-        assert_eq!(warnings, 0, "no sampling fallback expected at n=6");
+        assert_eq!(warnings, 0, "no warnings expected at n=6");
     }
 }
 
 /// n=18 on the complement of a Hamiltonian cycle and of a perfect
 /// matching: 2^18 vertex assignments, past the 16-bit enumeration limit.
-/// Before the symbolic pass these probes could only be *sampled*; now
-/// the same `lint_report()` call proves them exactly.
+/// Only the symbolic pass can decide them; without it the same
+/// `lint_report()` call would report them `unproven`.
 fn wide_probes() -> [(Graph, usize, usize); 2] {
     let mut cycle = Graph::complete(18).unwrap();
     for i in 0..18 {
@@ -77,7 +77,7 @@ fn wide_qtkp_probes_get_exact_symbolic_verdicts() {
         assert_eq!(
             warnings,
             0,
-            "sampled-proof-only is retired at n=18:\n{}",
+            "no warnings expected at n=18:\n{}",
             report.render()
         );
     }
@@ -87,7 +87,7 @@ fn wide_qtkp_probes_get_exact_symbolic_verdicts() {
 fn wide_probe_mutations_are_still_detected() {
     // Past the enumeration limit the only exact refutation is symbolic:
     // drop one live uncompute gate from the n=18 cycle probe and the
-    // pass must produce an error-severity witness, not a sampling shrug.
+    // pass must produce an error-severity witness, not an `unproven` shrug.
     let [(g, k, t), _] = wide_probes();
     let oracle = Oracle::new(&g, k, t);
     let spec = oracle.lint_spec();
@@ -109,7 +109,7 @@ fn wide_probe_mutations_are_still_detected() {
             .any(|d| d.severity == Severity::Error),
         "dropping live gate #{victim} went undetected at n=18"
     );
-    assert!(report.exhaustive, "the refutation is exact, not sampled");
+    assert!(report.exhaustive, "the refutation is exact");
 }
 
 #[test]

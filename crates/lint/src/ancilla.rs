@@ -12,7 +12,7 @@
 //! the diffusion step then interferes branches that should be identical
 //! outside the search register.
 //!
-//! Proofs come from a ladder of three methods, recorded in the report's
+//! Proofs come from a ladder of two methods, recorded in the report's
 //! [`ProofMethod`]:
 //!
 //! 1. **Symbolic** ([`crate::symbolic`]) — the default: an XOR-affine
@@ -20,10 +20,11 @@
 //!    circuit width (chunked bitsets, no 128-qubit cap). Residuals it
 //!    cannot decide within the case-split budget demote the run to…
 //! 2. **Enumerated** — concrete evaluation of all `2^|free|` inputs over
-//!    chunked bitset states, exact while `|free|` is small enough; else…
-//! 3. **Sampled** — deterministic pseudo-random inputs only, and the
-//!    verdict is *downgraded*: a clean run is reported with a
-//!    `sampled-proof-only` warning, never silently presented as exact.
+//!    chunked bitset states, exact while `|free|` is small enough.
+//!
+//! A free register too wide to enumerate that the symbolic pass leaves
+//! undecided gets no verdict at all: an `unproven` error, never a
+//! partial check presented as a proof.
 //!
 //! Violations are attributed by concrete replay either way: the
 //! diagnostic names the violating free-register input and the gate that
@@ -46,11 +47,9 @@ pub struct AncillaSpec {
     /// qubit starts `|0⟩` and must end `|0⟩`.
     pub dirty_ok: Vec<usize>,
     /// When the symbolic pass demurs: enumerate exhaustively while
-    /// `|free| ≤ max_exhaustive_bits`; beyond that, sample. Default 16
-    /// (65 536 inputs).
+    /// `|free| ≤ max_exhaustive_bits`; beyond that, the verdict is an
+    /// `unproven` error. Default 16 (65 536 inputs).
     pub max_exhaustive_bits: usize,
-    /// Number of sampled inputs in the fallback mode. Default 512.
-    pub samples: usize,
     /// Try the symbolic XOR-affine proof first (default). Disable to
     /// force the enumerative path — differential tests do.
     pub symbolic: bool,
@@ -67,7 +66,6 @@ impl AncillaSpec {
             free,
             dirty_ok,
             max_exhaustive_bits: 16,
-            samples: 512,
             symbolic: true,
             split_budget: 20,
         }
@@ -81,8 +79,6 @@ pub enum ProofMethod {
     Symbolic,
     /// Concrete evaluation of every free-register assignment.
     Enumerated,
-    /// Concrete evaluation of sampled assignments only — not a proof.
-    Sampled,
 }
 
 impl ProofMethod {
@@ -92,7 +88,6 @@ impl ProofMethod {
         match self {
             ProofMethod::Symbolic => "symbolic",
             ProofMethod::Enumerated => "enumerated",
-            ProofMethod::Sampled => "sampled",
         }
     }
 }
@@ -100,15 +95,15 @@ impl ProofMethod {
 /// The outcome of one ancilla-lifecycle verification.
 #[derive(Debug, Clone)]
 pub struct AncillaReport {
-    /// Findings, if any. Clean circuits produce none (exact modes) or
-    /// a single sampling warning (fallback mode).
+    /// Findings, if any. A clean verdict carries no errors; notes (dead
+    /// gates, a symbolic budget fallback) may accompany it.
     pub diagnostics: Vec<Diagnostic>,
     /// Whether the verdict covers *every* free-register assignment
     /// (symbolic proof or full enumeration).
     pub exhaustive: bool,
     /// The method that established the verdict.
     pub proof: ProofMethod,
-    /// Concrete inputs evaluated: enumerated/sampled assignments,
+    /// Concrete inputs evaluated: enumerated assignments,
     /// case-split cases inside the symbolic pass, and witness replays. A
     /// purely syntactic symbolic proof legitimately reports 0.
     pub inputs_checked: u64,
@@ -121,8 +116,7 @@ pub struct AncillaReport {
 }
 
 impl AncillaReport {
-    /// Whether the pass proved (or, in sampling mode, failed to refute)
-    /// cleanliness.
+    /// Whether the pass proved cleanliness.
     pub fn is_clean(&self) -> bool {
         !crate::diagnostic::has_errors(&self.diagnostics)
     }
@@ -135,15 +129,6 @@ fn section_of(circuit: &Circuit, gate: usize) -> Option<String> {
         .iter()
         .find(|s| s.range.contains(&gate))
         .map(|s| s.name.clone())
-}
-
-/// Splitmix64: deterministic sampling without a rand dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Renders a free-register assignment for diagnostics: binary like the
@@ -262,8 +247,8 @@ fn push_dead_gate_notes(circuit: &Circuit, live: &[bool], diagnostics: &mut Vec<
 }
 
 /// Statically verifies ancilla cleanliness: for every assignment of the
-/// free register (proven symbolically, enumerated, or sampled — see the
-/// module docs for the ladder), with all other qubits starting `|0⟩`,
+/// free register (proven symbolically or enumerated — see the module
+/// docs for the ladder), with all other qubits starting `|0⟩`,
 /// the circuit must restore every qubit outside `spec.dirty_ok` to its
 /// input value. Violations are reported with the gate index that last
 /// flipped the offending qubit — the gate whose uncompute partner is
@@ -311,14 +296,15 @@ pub fn verify_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> AncillaReport {
             ));
         }
     }
+    let no_verdict = |diagnostics| AncillaReport {
+        diagnostics,
+        exhaustive: false,
+        proof: ProofMethod::Enumerated,
+        inputs_checked: 0,
+        live_gates: vec![false; circuit.len()],
+    };
     if crate::diagnostic::has_errors(&diagnostics) {
-        return AncillaReport {
-            diagnostics,
-            exhaustive: false,
-            proof: ProofMethod::Enumerated,
-            inputs_checked: 0,
-            live_gates: vec![false; circuit.len()],
-        };
+        return no_verdict(diagnostics);
     }
 
     let dirty_ok = {
@@ -419,36 +405,29 @@ pub fn verify_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> AncillaReport {
         }
     }
 
-    // Rungs 2/3: concrete enumeration (exhaustive when the free register
-    // is small enough) or deterministic sampling, over chunked bitsets.
+    // Rung 2: concrete enumeration over chunked bitsets, when the free
+    // register is small enough; a wider one stays unproven.
     let free_bits = spec.free.len();
-    let exhaustive = free_bits <= spec.max_exhaustive_bits && free_bits < 63;
-    let total: u64 = if exhaustive {
-        1u64 << free_bits
-    } else {
-        spec.samples as u64
-    };
+    if free_bits > spec.max_exhaustive_bits || free_bits >= 63 {
+        diagnostics.push(Diagnostic::error(
+            "unproven",
+            Span::default(),
+            format!(
+                "free register has {free_bits} qubits (> {} exhaustive limit) and the \
+                 symbolic pass did not decide it; cleanliness is unproven",
+                spec.max_exhaustive_bits
+            ),
+        ));
+        return no_verdict(diagnostics);
+    }
+    let total = 1u64 << free_bits;
 
     let mut live = vec![false; circuit.len()];
     let mut last_flip: Vec<Option<usize>> = vec![None; width.max(1)];
-    let mut rng_state = 0x71c9_a57c_8d2b_f00du64;
     let mut inputs_checked = 0u64;
 
     for step in 0..total {
-        let assignment: BitVec = if exhaustive {
-            BitVec::from_u128(u128::from(step))
-        } else {
-            let mut words = Vec::with_capacity(free_bits.div_ceil(64));
-            for _ in 0..free_bits.div_ceil(64) {
-                words.push(splitmix64(&mut rng_state));
-            }
-            if !free_bits.is_multiple_of(64) {
-                if let Some(last) = words.last_mut() {
-                    *last &= (1u64 << (free_bits % 64)) - 1;
-                }
-            }
-            BitVec::from_words(words)
-        };
+        let assignment = BitVec::from_u128(u128::from(step));
         // Scatter assignment bits onto the free qubits.
         let mut input = BitVec::new();
         for (bit, &q) in spec.free.iter().enumerate() {
@@ -479,35 +458,21 @@ pub fn verify_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> AncillaReport {
         }
     }
 
-    if !exhaustive {
-        diagnostics.push(Diagnostic::warning(
-            "sampled-proof-only",
-            Span::default(),
-            format!(
-                "free register has {free_bits} qubits (> {} exhaustive limit); \
-                 cleanliness checked on {inputs_checked} sampled inputs only",
-                spec.max_exhaustive_bits
-            ),
-        ));
-    } else if !crate::diagnostic::has_errors(&diagnostics) && inputs_checked == total {
+    if !crate::diagnostic::has_errors(&diagnostics) && inputs_checked == total {
         push_dead_gate_notes(circuit, &live, &mut diagnostics);
     }
 
     AncillaReport {
         diagnostics,
-        exhaustive,
-        proof: if exhaustive {
-            ProofMethod::Enumerated
-        } else {
-            ProofMethod::Sampled
-        },
+        exhaustive: true,
+        proof: ProofMethod::Enumerated,
         inputs_checked,
         live_gates: live,
     }
 }
 
 /// Convenience predicate: `true` when the pass finds no error-severity
-/// diagnostics (sampling warnings and dead-gate notes are allowed).
+/// diagnostics (warnings and dead-gate notes are allowed).
 pub fn is_clean(circuit: &Circuit, spec: &AncillaSpec) -> bool {
     verify_ancillas(circuit, spec)
         .diagnostics
@@ -642,37 +607,33 @@ mod tests {
     }
 
     #[test]
-    fn wide_free_register_falls_back_to_sampling_without_symbolic() {
+    fn wide_free_register_without_symbolic_is_unproven() {
         let mut spec = AncillaSpec::new((0..10).collect(), vec![]);
         spec.max_exhaustive_bits = 4;
-        spec.samples = 32;
         spec.symbolic = false;
         let c = Circuit::new(10);
         let report = verify_ancillas(&c, &spec);
+        assert!(!report.is_clean(), "no rung decided it: not clean");
         assert!(!report.exhaustive);
-        assert_eq!(report.proof, ProofMethod::Sampled);
-        assert_eq!(report.inputs_checked, 32);
+        assert_eq!(report.proof, ProofMethod::Enumerated);
+        assert_eq!(report.inputs_checked, 0);
         assert!(report
             .diagnostics
             .iter()
-            .any(|d| d.code == "sampled-proof-only" && d.severity == Severity::Warning));
+            .any(|d| d.code == "unproven" && d.severity == Severity::Error));
     }
 
     #[test]
-    fn symbolic_proof_retires_the_sampling_fallback() {
+    fn symbolic_proof_decides_what_enumeration_cannot() {
         // Same wide spec, symbolic left on: the proof is exact where
-        // enumeration had to sample.
+        // enumeration would have been out of reach.
         let mut spec = AncillaSpec::new((0..10).collect(), vec![]);
         spec.max_exhaustive_bits = 4;
-        spec.samples = 32;
         let c = Circuit::new(10);
         let report = verify_ancillas(&c, &spec);
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
         assert!(report.exhaustive);
         assert_eq!(report.proof, ProofMethod::Symbolic);
-        assert!(report
-            .diagnostics
-            .iter()
-            .all(|d| d.code != "sampled-proof-only"));
     }
 
     #[test]

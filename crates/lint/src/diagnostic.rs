@@ -14,7 +14,8 @@ use std::fmt;
 pub enum Severity {
     /// Informational: an observation (e.g. a cancellation opportunity).
     Note,
-    /// Suspicious but not provably wrong (e.g. a sampled-only proof).
+    /// Suspicious but not provably wrong (e.g. a symbolic witness that
+    /// does not replay concretely).
     Warning,
     /// A proven violation: the circuit breaks a required invariant.
     Error,

@@ -11,9 +11,9 @@
 //!   input, at any circuit width — that every ancilla returns to |0⟩,
 //!   pointing at the gate that last flipped the offending qubit when one
 //!   does not. Residuals the symbolic domain cannot decide within its
-//!   case-split budget fall back to concrete enumeration over chunked
-//!   bitsets (exhaustive when the free register is small, deterministic
-//!   sampling with an explicit warning otherwise). A dirty ancilla
+//!   case-split budget fall back to exhaustive concrete enumeration over
+//!   chunked bitsets when the free register is small; a wider one is an
+//!   `unproven` error, never a partial check. A dirty ancilla
 //!   entangles with the search register and silently destroys Grover
 //!   amplitude amplification, which is why this is the crate's headline
 //!   pass.

@@ -30,14 +30,15 @@ pub struct AnalysisReport {
     /// All diagnostics from all passes, in pass order.
     pub diagnostics: Vec<Diagnostic>,
     /// Whether the ancilla verdict covers *every* free-register input
-    /// (`false` means the cleanliness claim rests on sampling).
+    /// (`false` means there is no verdict: the ancilla pass was skipped
+    /// or reported an error before deciding).
     pub exhaustive: bool,
-    /// How the ancilla verdict was established (symbolic proof, full
-    /// enumeration, or sampling).
+    /// How the ancilla verdict was established (symbolic proof or full
+    /// enumeration).
     pub proof: ProofMethod,
-    /// Concrete inputs the ancilla pass evaluated (enumerated or
-    /// sampled assignments, symbolic case-split cases, and witness
-    /// replays; a purely syntactic symbolic proof reports 0).
+    /// Concrete inputs the ancilla pass evaluated (enumerated
+    /// assignments, symbolic case-split cases, and witness replays; a
+    /// purely syntactic symbolic proof reports 0).
     pub inputs_checked: u64,
     /// Per-section gate counts, in circuit order.
     pub sections: Vec<(String, usize)>,

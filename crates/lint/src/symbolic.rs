@@ -49,7 +49,7 @@
 //! 3. **Fallback** — a cone wider than the budget yields
 //!    [`SymbolicOutcome::BudgetExceeded`]; the caller (the ancilla pass)
 //!    reports a `symbolic-budget-exceeded` note and falls back to
-//!    enumeration or sampling.
+//!    enumeration (or, past its limit, an `unproven` error).
 //!
 //! Gate liveness (for `dead-gate` notes and mutation-test seeding) is
 //! resolved the same way over each gate's control conjunction.

@@ -38,8 +38,8 @@ fn main() {
     );
     match &out.race {
         Some(race) => println!(
-            "race: winner={} staked={:?} cancelled={} faulted={} warm_starts={}",
-            race.winner, race.launched, race.cancelled, race.faulted, race.warm_starts
+            "race: winner={} staked={:?} cancelled={} faulted={}",
+            race.winner, race.launched, race.cancelled, race.faulted
         ),
         None => println!("race: disabled (sequential ladder)"),
     }

@@ -27,11 +27,12 @@
 //!   ([`SolveConfig::portfolio`] overrides the choice): the staked rungs,
 //!   SQA, and the classical body run on their own threads under one
 //!   shared cancel token ([`qmkp_rt::race()`]), and the first verified
-//!   k-plex wins. A panicking racer becomes [`RtError::Faulted`] without
-//!   touching its siblings; losers still help through warm-start
-//!   handoffs (GRASP's quick best seeds SQA, and SQA's incumbent bounds
-//!   branch & bound); when every racer fails the caller gets
-//!   [`RtError::AllRacersFailed`]. A race win is never degraded.
+//!   k-plex wins. The token is all the racers share: each body's answer
+//!   depends only on the graph, `k`, the seed and its own budget slice,
+//!   so the race decides only which body answers first. A panicking
+//!   racer becomes [`RtError::Faulted`] without touching its siblings;
+//!   when every racer fails the caller gets [`RtError::AllRacersFailed`].
+//!   A race win is never degraded.
 //!
 //! Explicit cancellation and configuration errors are never degraded —
 //! they surface as errors, because the caller asked for them.
@@ -39,11 +40,9 @@
 //! serving layer (the `qmkp-serve` crate) supply pre-compiled oracles
 //! from a cross-request cache.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use qmkp_annealer::{sqa_qubo_ctx_observed, SqaConfig, SqaHooks};
+use qmkp_annealer::{sqa_qubo_ctx, SqaConfig};
 use qmkp_classical::bnb::max_kplex_bnb_ctx;
 use qmkp_classical::grasp::grasp_kplex_ctx;
 use qmkp_core::{
@@ -103,9 +102,6 @@ pub struct SolveConfig {
     /// the sequential ladder. `None` is automatic: race whenever at
     /// least one quantum rung preflights under the byte budget.
     pub portfolio: Option<bool>,
-    /// Schedule for the portfolio's SQA racer. `None` uses
-    /// [`SqaConfig::default`] reseeded from the quantum seed.
-    pub sqa: Option<SqaConfig>,
 }
 
 /// Outcome of a budgeted [`solve`] run.
@@ -143,8 +139,7 @@ impl SolveOutcome {
             report = report
                 .outcome("race_winner", race.winner.as_str())
                 .outcome("race_launched", race.launched.len())
-                .outcome("race_faulted", race.faulted)
-                .outcome("race_warm_starts", race.warm_starts);
+                .outcome("race_faulted", race.faulted);
         }
         report
     }
@@ -166,9 +161,6 @@ pub struct RaceSummary {
     /// Wall-clock gap between the winner and the next racer to finish,
     /// when a runner-up finished at all.
     pub win_margin: Option<Duration>,
-    /// Warm-start handoffs that occurred (GRASP→SQA seed plus SQA→BnB
-    /// incumbent adoptions).
-    pub warm_starts: u64,
 }
 
 /// Estimated peak bytes for a dense simulation of `width` qubits:
@@ -306,14 +298,13 @@ pub fn solve_with(
         provider,
         rungs,
         cheapest,
-        hold: None,
     };
     // The automatic gate races exactly when a quantum rung preflighted:
     // that is when a race can save the quantum pipeline's worst case,
     // while a pure-classical instance gains nothing from racing its only
     // lane against SQA and its walked floor stays deterministic.
     let result = if config.portfolio.unwrap_or(!plan.rungs.is_empty()) {
-        plan.race(ctx, &WarmStarts::default())
+        plan.race(ctx)
     } else {
         plan.walk(ctx)
     };
@@ -322,68 +313,12 @@ pub fn solve_with(
 }
 
 /// Restarts of the quick GRASP pass the exact classical body runs
-/// before branch & bound: enough to seed the warm-start bus, cheap
+/// before branch & bound: enough for a useful initial lower bound, cheap
 /// enough not to delay the bound search.
 const QUICK_GRASP_ITERATIONS: usize = 8;
 
 /// The greedy/random balance of every GRASP pass.
 const GRASP_ALPHA: f64 = 0.3;
-
-/// Locks a mutex, recovering the data from a poisoned lock: a racer
-/// panic between lock and unlock is already contained by the race
-/// supervisor, and a half-updated warm-start hint is still just a hint.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The per-solve warm-start bus shared by the bodies: best-so-far slots
-/// written by the heuristic bodies and read by the others, plus this
-/// solve's handoff and search-effort counts. Slots only ever grow (a
-/// smaller candidate never replaces a larger one), so a late read is at
-/// worst conservative.
-#[derive(Default)]
-struct WarmStarts {
-    /// Best k-plex any GRASP restart has published.
-    grasp: Mutex<Option<VertexSet>>,
-    /// Best verified k-plex decoded from an SQA incumbent.
-    sqa: Mutex<Option<VertexSet>>,
-    /// GRASP→SQA seed handoffs (0 or 1: SQA reads once at start).
-    grasp_to_sqa: AtomicU64,
-    /// SQA→BnB incumbent handoffs (counted once, on the first poll that
-    /// finds a candidate).
-    sqa_to_bnb: AtomicU64,
-    /// Search-tree nodes of the last completed exact classical search.
-    bnb_nodes: AtomicU64,
-}
-
-impl WarmStarts {
-    fn offer(slot: &Mutex<Option<VertexSet>>, p: VertexSet) {
-        let mut best = lock_recover(slot);
-        if best.is_none_or(|cur| p.len() > cur.len()) {
-            *best = Some(p);
-        }
-    }
-
-    /// The GRASP slot, read once by the SQA body at startup; a hit is a
-    /// GRASP→SQA handoff.
-    fn take_grasp_for_sqa(&self) -> Option<VertexSet> {
-        let got = *lock_recover(&self.grasp);
-        if got.is_some() {
-            self.grasp_to_sqa.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
-    /// The SQA slot, polled by branch & bound; the first poll that
-    /// finds a candidate is an SQA→BnB handoff.
-    fn sqa_incumbent_for_bnb(&self) -> Option<VertexSet> {
-        let got = *lock_recover(&self.sqa);
-        if got.is_some() && self.sqa_to_bnb.load(Ordering::Relaxed) == 0 {
-            self.sqa_to_bnb.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-}
 
 /// The low 128 assignment bits as a basis-state mask — the vertex bits
 /// of a QUBO assignment (slack variables beyond bit 127 are irrelevant
@@ -456,13 +391,6 @@ struct Plan<'a> {
     rungs: Vec<(SolveBackend, usize)>,
     /// The cheapest quantum footprint, fitting or not.
     cheapest: usize,
-    /// When set, the exact classical body skips its quick GRASP pass and
-    /// holds branch & bound until SQA publishes an incumbent (or this
-    /// cap expires), so that incumbent is its *only* initial lower
-    /// bound. Tests use it to make the SQA→BnB handoff deterministic;
-    /// the public entry points always build the plan with `None`, leaving
-    /// the handoff purely opportunistic.
-    hold: Option<Duration>,
 }
 
 impl Plan<'_> {
@@ -511,38 +439,16 @@ impl Plan<'_> {
         }
     }
 
-    /// The SQA body: QUBO-encode the instance, seed shot 0 from the
-    /// GRASP slot when one is already published, publish every
-    /// decoded-and-verified incumbent to the SQA slot, and return the
+    /// The SQA body: QUBO-encode the instance, anneal it with the
+    /// default schedule reseeded from the quantum seed, and return the
     /// polished final sample.
-    fn sqa(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<Finish, RtError> {
-        let (g, k) = (self.g, self.k);
-        let qubo = qmkp_qubo::MkpQubo::new(g, qmkp_qubo::MkpQuboParams { k, r: 2.0 });
-        let sqa_config = self.config.sqa.clone().unwrap_or_else(|| SqaConfig {
+    fn sqa(&self, ctx: &RtContext) -> Result<Finish, RtError> {
+        let qubo = qmkp_qubo::MkpQubo::new(self.g, qmkp_qubo::MkpQuboParams { k: self.k, r: 2.0 });
+        let sqa_config = SqaConfig {
             seed: self.config.qmkp.qtkp.seed,
             ..SqaConfig::default()
-        });
-        // The slack registers sit above the vertex bits; encoding a seed
-        // needs the whole assignment to fit the u128 the encoder works in.
-        let warm_bits: Option<Vec<bool>> = if qubo.num_vars() <= 128 {
-            warm.take_grasp_for_sqa().map(|p| {
-                let bits = qubo.encode_feasible(p);
-                (0..qubo.num_vars()).map(|i| (bits >> i) & 1 == 1).collect()
-            })
-        } else {
-            None
         };
-        let mut publish = |bits: &[bool], _energy: f64| {
-            let polished = qubo.decode_polished(head_bits(bits));
-            if !polished.is_empty() && is_kplex(g, polished, k) {
-                WarmStarts::offer(&warm.sqa, polished);
-            }
-        };
-        let hooks = SqaHooks {
-            warm_start: warm_bits.as_deref(),
-            on_incumbent: Some(&mut publish),
-        };
-        let out = sqa_qubo_ctx_observed(&qubo.model, &sqa_config, ctx, None, hooks)
+        let out = sqa_qubo_ctx(&qubo.model, &sqa_config, ctx, None)
             .map_err(|interrupted| interrupted.error)?;
         self.verified(
             qubo.decode_polished(head_bits(&out.best)),
@@ -552,39 +458,17 @@ impl Plan<'_> {
     }
 
     /// The classical body. Up to the exact threshold, a quick GRASP pass
-    /// (published to the warm-start bus for SQA) seeds an exact branch &
-    /// bound that polls the SQA slot for tighter lower bounds while it
-    /// searches. Above it, the full GRASP run, still publishing
-    /// improvements.
-    fn classical(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<Finish, RtError> {
+    /// gives an exact branch & bound its initial lower bound; above it,
+    /// the full GRASP run.
+    fn classical(&self, ctx: &RtContext) -> Result<Finish, RtError> {
         let (g, k, seed) = (self.g, self.k, self.config.qmkp.qtkp.seed);
-        let mut publish = |p: VertexSet| WarmStarts::offer(&warm.grasp, p);
-        let mut grasp = |iterations| {
-            grasp_kplex_ctx(g, k, iterations, GRASP_ALPHA, seed, ctx, Some(&mut publish))
-        };
+        let grasp = |iterations| grasp_kplex_ctx(g, k, iterations, GRASP_ALPHA, seed, ctx);
         if g.n() > self.config.exact_threshold.unwrap_or(20) {
             let best = grasp(self.config.grasp_iterations.unwrap_or(64))?;
             return self.verified(best, SolveBackend::ClassicalHeuristic, None);
         }
-        let lower = if let Some(cap) = self.hold {
-            // The SQA slot is the sole bound source; a dead SQA racer
-            // leaves branch & bound unbounded.
-            let start = Instant::now();
-            while lock_recover(&warm.sqa).is_none() && start.elapsed() < cap {
-                ctx.check()?;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            warm.sqa_incumbent_for_bnb()
-        } else {
-            let quick = grasp(QUICK_GRASP_ITERATIONS)?;
-            Some(match warm.sqa_incumbent_for_bnb() {
-                Some(hint) if hint.len() > quick.len() => hint,
-                _ => quick,
-            })
-        };
-        let poll = || warm.sqa_incumbent_for_bnb();
-        let out = max_kplex_bnb_ctx(g, k, ctx, lower, Some(&poll))?;
-        warm.bnb_nodes.store(out.nodes, Ordering::Relaxed);
+        let quick = grasp(QUICK_GRASP_ITERATIONS)?;
+        let out = max_kplex_bnb_ctx(g, k, ctx, Some(quick), None)?;
         self.verified(out.best, SolveBackend::ClassicalExact, None)
     }
 
@@ -639,15 +523,15 @@ impl Plan<'_> {
         ctx.check()?;
         let floor = RtContext::new(Budget::unlimited(), ctx.token().clone());
         let start = qmkp_obs::enabled_for("solve.rung").then(Instant::now);
-        let finish = self.classical(&floor, &WarmStarts::default())?;
+        let finish = self.classical(&floor)?;
         rung_metric(start, finish.backend, true);
         Ok(outcome(finish, Some(because), None))
     }
 
     /// Races the plan: every staked quantum rung, SQA, and the classical
     /// body on their own threads under one shared token (see the module
-    /// docs); `warm` is this race's warm-start bus.
-    fn race(&self, ctx: &RtContext, warm: &WarmStarts) -> Result<SolveOutcome, RtError> {
+    /// docs).
+    fn race(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
         // A cancelled caller must not spend threads; an invalid quantum
         // configuration must surface as an error even if a heuristic
         // racer could have masked it by winning.
@@ -701,12 +585,12 @@ impl Plan<'_> {
         racers.push(Racer::new(
             SolveBackend::Sqa.name(),
             slice(None, None),
-            move |rctx: &RtContext| self.sqa(rctx, warm),
+            move |rctx: &RtContext| self.sqa(rctx),
         ));
         racers.push(Racer::new(
             "classical",
             slice(None, None),
-            move |rctx: &RtContext| self.classical(rctx, warm),
+            move |rctx: &RtContext| self.classical(rctx),
         ));
 
         for name in &launched {
@@ -744,17 +628,6 @@ impl Plan<'_> {
             };
             qmkp_obs::counter(metric, &[("racer", report.name.as_str())], 1);
         }
-        let grasp_to_sqa = warm.grasp_to_sqa.load(Ordering::Relaxed);
-        let sqa_to_bnb = warm.sqa_to_bnb.load(Ordering::Relaxed);
-        for (handoff, count) in [("grasp-to-sqa", grasp_to_sqa), ("sqa-to-bnb", sqa_to_bnb)] {
-            if count > 0 {
-                qmkp_obs::counter("solve.race.warm_start", &[("handoff", handoff)], count);
-            }
-        }
-        let bnb_nodes = warm.bnb_nodes.load(Ordering::Relaxed);
-        if bnb_nodes > 0 {
-            qmkp_obs::gauge("solve.race.bnb_nodes", &[], bnb_nodes as f64);
-        }
         if let Some(margin) = win.win_margin {
             qmkp_obs::gauge("solve.race.win_margin_ms", &[], margin.as_secs_f64() * 1e3);
         }
@@ -764,7 +637,6 @@ impl Plan<'_> {
             cancelled,
             faulted,
             win_margin: win.win_margin,
-            warm_starts: grasp_to_sqa + sqa_to_bnb,
         };
         Ok(outcome(win.value, None, Some(summary)))
     }
@@ -1106,139 +978,5 @@ mod tests {
         long[127] = true;
         long[150] = true; // beyond u128: ignored
         assert_eq!(head_bits(&long), 1 | (1u128 << 127));
-    }
-
-    #[test]
-    fn warm_start_slots_only_grow() {
-        let warm = WarmStarts::default();
-        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([1, 2, 3]));
-        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([4]));
-        assert_eq!(lock_recover(&warm.grasp).unwrap().len(), 3);
-        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([0, 1, 2, 3]));
-        assert_eq!(lock_recover(&warm.grasp).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn handoff_counters_fire_once_per_direction() {
-        let warm = WarmStarts::default();
-        assert!(warm.take_grasp_for_sqa().is_none());
-        assert!(warm.sqa_incumbent_for_bnb().is_none());
-        assert_eq!(warm.grasp_to_sqa.load(Ordering::Relaxed), 0);
-        assert_eq!(warm.sqa_to_bnb.load(Ordering::Relaxed), 0);
-
-        WarmStarts::offer(&warm.grasp, VertexSet::from_iter([0, 1]));
-        WarmStarts::offer(&warm.sqa, VertexSet::from_iter([2, 3]));
-        assert!(warm.take_grasp_for_sqa().is_some());
-        assert_eq!(warm.grasp_to_sqa.load(Ordering::Relaxed), 1);
-        assert!(warm.sqa_incumbent_for_bnb().is_some());
-        assert!(warm.sqa_incumbent_for_bnb().is_some());
-        assert_eq!(
-            warm.sqa_to_bnb.load(Ordering::Relaxed),
-            1,
-            "repeated polls count one handoff"
-        );
-    }
-
-    /// The scripted warm-start race: with a hold, the exact classical
-    /// body's only lower bound is the SQA racer's published incumbent,
-    /// so branch & bound is *unbounded* in a control race whose SQA racer
-    /// is killed at sweep zero. The handoff must reach branch & bound
-    /// and strictly shrink its node count relative to that control. Both
-    /// figures are read from each race's own warm-start bus, which
-    /// concurrently running tests cannot touch.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn sqa_incumbent_tightens_the_bnb_bound() {
-        use qmkp_rt::failpoint;
-        let _guard = failpoint::exclusive();
-        failpoint::reset();
-        // On this instance the SQA racer's first verified publish is
-        // already a maximum 4-plex (size 10), so adopting it bounds branch
-        // & bound strictly tighter than anything the search would have
-        // self-found by that point.
-        let g = gnm(24, 140, 6).expect("valid G(n, m) parameters");
-        let k = 4;
-        let config = SolveConfig {
-            // n = 24 must still take the exact branch & bound path.
-            exact_threshold: Some(30),
-            // Slow the SQA racer down (its first incumbent still lands
-            // within shot zero) so the classical racer always finishes its
-            // bounded search first and its node count is always recorded.
-            sqa: Some(SqaConfig {
-                shots: 50,
-                sweeps: 64,
-                seed: 4,
-                ..SqaConfig::default()
-            }),
-            ..SolveConfig::default()
-        };
-        // A byte ceiling far below any statevector: only the SQA and
-        // classical racers stake, so the race is exactly the handoff pair.
-        let ctx = RtContext::with_budget(Budget {
-            deadline: None,
-            max_bytes: Some(1024),
-            max_ops: None,
-        });
-        let race = |hold: u64, bus: &WarmStarts| {
-            let (rungs, cheapest) = preflight(&g, k, ctx.budget());
-            let plan = Plan {
-                g: &g,
-                k,
-                config: &config,
-                provider: &CompileFresh,
-                rungs,
-                cheapest,
-                hold: Some(Duration::from_millis(hold)),
-            };
-            plan.race(&ctx, bus)
-        };
-
-        // Control: the SQA racer dies on its first sweep, the classical
-        // racer's 50 ms hold expires empty, and branch & bound runs with no
-        // initial bound at all.
-        failpoint::arm("annealer.sqa.sweep", 0);
-        let cold_bus = WarmStarts::default();
-        let cold = race(50, &cold_bus).expect("the classical racer survives alone");
-        let cold_nodes = cold_bus.bnb_nodes.load(Ordering::Relaxed);
-        let cold_handoffs = cold_bus.sqa_to_bnb.load(Ordering::Relaxed);
-
-        // Warm: the fault is cleared, the hold waits for SQA's first
-        // verified incumbent, and that incumbent is the whole bound.
-        failpoint::reset();
-        let warm_bus = WarmStarts::default();
-        let warm = race(2000, &warm_bus).expect("both racers healthy");
-        let warm_nodes = warm_bus.bnb_nodes.load(Ordering::Relaxed);
-        let warm_handoffs = warm_bus.sqa_to_bnb.load(Ordering::Relaxed);
-
-        let cold_race = cold.race.expect("forced portfolio must race");
-        assert_eq!(cold_race.winner, "classical");
-        assert_eq!(
-            cold_race.faulted, 1,
-            "the control's SQA racer must have died"
-        );
-        assert_eq!(
-            cold_handoffs, 0,
-            "a dead SQA racer cannot hand anything off"
-        );
-        assert!(cold_nodes > 0, "the control search must have been measured");
-
-        let warm_race = warm.race.expect("forced portfolio must race");
-        assert_eq!(warm_race.winner, "classical");
-        assert!(
-            warm_handoffs >= 1,
-            "the SQA incumbent must reach branch & bound"
-        );
-        assert!(warm_race.warm_starts >= 1);
-        assert!(warm_nodes > 0, "the bounded search must have been measured");
-        assert!(
-            warm_nodes < cold_nodes,
-            "the handoff must strictly prune the search: warm {warm_nodes} vs cold {cold_nodes}"
-        );
-        assert!(is_kplex(&g, warm.best, k));
-        assert_eq!(
-            warm.best.len(),
-            cold.best.len(),
-            "both exact searches must agree on the optimum size"
-        );
     }
 }
