@@ -21,8 +21,8 @@
 //! * [`hybrid`] — a classical portfolio solver with a minimum-runtime
 //!   contract, standing in for the D-Wave Hybrid BQM solver ("haMKP").
 //! * [`pacing`] — deadline-aware schedule sizing: when a runtime context
-//!   carries a wall-clock deadline, the `*_ctx` samplers probe one sweep
-//!   and shrink the schedule to fit instead of interrupting mid-run.
+//!   carries a wall-clock deadline, [`sqa_qubo_ctx`] probes one sweep and
+//!   shrinks its schedule to fit instead of interrupting mid-run.
 
 #![deny(unsafe_code)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
@@ -40,9 +40,8 @@ pub use embedding::{
     find_embedding_with_tries, refine_embedding, unembed, ChainStats, Embedding,
 };
 pub use hybrid::{hybrid_solve, HybridConfig};
-pub use pacing::{paced_sweeps, remaining_deadline, PACING_SAFETY};
 pub use result::AnnealOutcome;
-pub use sa::{anneal_qubo, anneal_qubo_ctx, SaCheckpoint, SaConfig};
-pub use sqa::{sqa_qubo, sqa_qubo_ctx, SqaCheckpoint, SqaConfig};
-pub use tempering::{temper_qubo, temper_qubo_ctx, TemperCheckpoint, TemperingConfig};
+pub use sa::{anneal_qubo, SaConfig};
+pub use sqa::{sqa_qubo, sqa_qubo_ctx, SqaConfig};
+pub use tempering::{temper_qubo, TemperingConfig};
 pub use topology::Chimera;

@@ -1,22 +1,17 @@
 //! Deadline-aware schedule pacing.
 //!
-//! A `Budget` deadline used to interact badly with the annealers: the
-//! configured sweep schedule either finished well inside the deadline
-//! (wasting the time the caller granted) or ran straight into a
-//! [`qmkp_rt::RtError::DeadlineExceeded`] interrupt mid-schedule,
-//! forcing the caller through checkpoint/resume plumbing for what is
-//! really a sizing problem. The `*_ctx` annealers therefore *pace*
-//! fresh-start runs: one probe sweep on a cloned, deterministically
-//! seeded initial state measures the per-sweep wall cost, and the
-//! schedule shrinks to what fits in the remaining time (times
-//! [`PACING_SAFETY`] headroom), clamped to `[1, configured]`.
+//! Under a `Budget` deadline, a configured sweep schedule either finishes
+//! well inside the deadline (wasting the time the caller granted) or runs
+//! straight into a [`qmkp_rt::RtError::DeadlineExceeded`] interrupt
+//! mid-schedule. [`crate::sqa_qubo_ctx`] therefore *paces* its run: one
+//! probe sweep on clones of the generator and the first shot's replicas
+//! measures the per-sweep wall cost, and the schedule shrinks to what fits
+//! in the remaining time (times [`PACING_SAFETY`] headroom), clamped to
+//! `[1, configured]`.
 //!
 //! Pacing never *extends* a schedule past its configuration, only
 //! shortens it, so an un-deadlined run is untouched and results stay
-//! deterministic for a fixed effective sweep count. Resumed runs skip
-//! pacing entirely: their β/Γ schedules were fixed by the run that wrote
-//! the checkpoint, and re-deriving a different sweep count would splice
-//! two incompatible schedules together.
+//! deterministic for a fixed effective sweep count.
 
 use qmkp_rt::RtContext;
 use std::time::Duration;
@@ -38,9 +33,7 @@ pub fn remaining_deadline(ctx: &RtContext) -> Option<Duration> {
 /// Sweeps per unit of work that fit the remaining deadline.
 ///
 /// `units` is how many times the sweep schedule will run back-to-back
-/// (shots for SA/SQA, 1 for tempering's single replica ladder — fold
-/// the per-round replica/sweep product into `per_sweep` instead). The
-/// result is `⌊PACING_SAFETY · remaining / (per_sweep · units)⌋` clamped
+/// (SQA's shots). The result is `⌊PACING_SAFETY · remaining / (per_sweep · units)⌋` clamped
 /// to `[1, configured]`; degenerate measurements (zero-cost probe, zero
 /// units) disable pacing and return `configured` unchanged.
 pub fn paced_sweeps(

@@ -24,14 +24,11 @@
 use crate::result::AnnealOutcome;
 use crate::sa::SweepMeter;
 use qmkp_qubo::{IsingModel, QuboModel};
-use qmkp_rt::checkpoint::{
-    bools_to_json, f64_to_json, f64s_to_json, parse_object, require, require_bools,
-    require_f64_bits, require_f64s, require_u64,
-};
-use qmkp_rt::{derive_seed, Checkpoint, Interrupted, RtContext, RtError};
+use qmkp_rt::{RtContext, RtError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use std::convert::Infallible;
+use std::time::{Duration, Instant};
 
 /// PIMC sweeps that stand in for one microsecond of annealing time.
 pub const SWEEPS_PER_MICROSECOND: usize = 8;
@@ -141,6 +138,13 @@ fn best_slice(q: &QuboModel, replicas: &[Vec<i8>]) -> (f64, Vec<bool>) {
     (shot_best, shot_best_x)
 }
 
+/// Random Trotter replicas: `p` slices of `n` spins, each ±1.
+fn random_replicas(p: usize, n: usize, rng: &mut StdRng) -> Vec<Vec<i8>> {
+    (0..p)
+        .map(|_| (0..n).map(|_| if rng.gen() { 1i8 } else { -1 }).collect())
+        .collect()
+}
+
 /// Runs simulated quantum annealing on a QUBO (converted to Ising
 /// internally); energies reported are logical QUBO energies.
 ///
@@ -156,143 +160,9 @@ pub fn sqa_qubo(q: &QuboModel, config: &SqaConfig) -> AnnealOutcome {
         config.gamma_start > config.gamma_end && config.gamma_end > 0.0,
         "transverse field must anneal downward to a positive value"
     );
-    let span = qmkp_obs::span("anneal.sqa.run");
-    let traced = qmkp_obs::enabled_for("anneal.sqa");
-    let meter = SweepMeter::new("sqa");
-    let ising = IsingModel::from_qubo(q);
-    let n = ising.num_spins();
-    let p = config.trotter_slices;
-    let adj = ising.neighbor_lists();
-    let inv_p = 1.0 / p as f64;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let start = Instant::now();
-
-    let mut best: Vec<bool> = vec![false; n];
-    let mut best_energy = f64::INFINITY;
-    let mut shot_energies = Vec::with_capacity(config.shots);
-    let mut trace = Vec::new();
-
-    for _ in 0..config.shots {
-        // replicas[p][i] ∈ {−1, +1}
-        let mut replicas: Vec<Vec<i8>> = (0..p)
-            .map(|_| (0..n).map(|_| if rng.gen() { 1i8 } else { -1 }).collect())
-            .collect();
-
-        for sweep in 0..config.sweeps {
-            let (gamma, j_perp) = transverse_schedule(config, sweep);
-            let timed = meter.start();
-            pimc_sweep(
-                &ising.h,
-                &adj,
-                config.beta,
-                inv_p,
-                j_perp,
-                &mut replicas,
-                &mut rng,
-            );
-            meter.finish(timed);
-            if traced {
-                qmkp_obs::gauge("anneal.sqa.gamma", &[], gamma);
-            }
-        }
-
-        // Each slice is a candidate classical solution; keep the best.
-        let (shot_best, shot_best_x) = best_slice(q, &replicas);
-        if traced {
-            qmkp_obs::counter("anneal.sqa.shots", &[], 1);
-            qmkp_obs::gauge("anneal.sqa.shot_energy", &[], shot_best);
-        }
-        shot_energies.push(shot_best);
-        if shot_best < best_energy {
-            best_energy = shot_best;
-            best = shot_best_x;
-            trace.push((start.elapsed(), shot_best));
-        }
-    }
-
-    qmkp_obs::gauge("anneal.sqa.best_energy", &[], best_energy);
-    span.finish();
-    AnnealOutcome {
-        best,
-        best_energy,
-        shot_energies,
-        trace,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// A resumable position inside a budgeted SQA run, taken at PIMC-sweep
-/// boundaries. The Trotter replicas fully determine the Markov state, and
-/// [`sqa_qubo_ctx`] derives each sweep's RNG from `(seed, shot, sweep)`,
-/// so resuming replays the remaining sweeps exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SqaCheckpoint {
-    /// Shot being annealed when the run was interrupted.
-    pub shot: usize,
-    /// Next sweep to run within that shot.
-    pub sweep: usize,
-    /// Trotter slices of the interrupted shot (`true` ⇔ spin +1).
-    pub replicas: Vec<Vec<bool>>,
-    /// Best assignment over completed shots.
-    pub best: Vec<bool>,
-    /// Energy of `best` (`f64::INFINITY` before the first completed shot).
-    pub best_energy: f64,
-    /// Final energies of completed shots.
-    pub shot_energies: Vec<f64>,
-}
-
-impl Checkpoint for SqaCheckpoint {
-    fn to_json(&self) -> String {
-        let mut replicas = String::from("[");
-        for (i, slice) in self.replicas.iter().enumerate() {
-            if i > 0 {
-                replicas.push_str(", ");
-            }
-            replicas.push_str(&bools_to_json(slice));
-        }
-        replicas.push(']');
-        format!(
-            "{{\"shot\": {}, \"sweep\": {}, \"replicas\": {}, \"best\": {}, \
-             \"best_energy\": {}, \"shot_energies\": {}}}",
-            self.shot,
-            self.sweep,
-            replicas,
-            bools_to_json(&self.best),
-            f64_to_json(self.best_energy),
-            f64s_to_json(&self.shot_energies),
-        )
-    }
-
-    fn from_json(s: &str) -> Result<Self, RtError> {
-        let obj = parse_object(s)?;
-        let slices = require(&obj, "replicas")?
-            .as_array()
-            .ok_or_else(|| RtError::InvalidConfig("checkpoint: replicas is not an array".into()))?;
-        let mut replicas = Vec::with_capacity(slices.len());
-        for slice in slices {
-            let raw = slice.as_str().ok_or_else(|| {
-                RtError::InvalidConfig("checkpoint: replica slice is not a string".into())
-            })?;
-            replicas.push(
-                raw.chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        _ => Err(RtError::InvalidConfig(
-                            "checkpoint: replica slice is not a 0/1 string".into(),
-                        )),
-                    })
-                    .collect::<Result<Vec<bool>, RtError>>()?,
-            );
-        }
-        Ok(SqaCheckpoint {
-            shot: require_u64(&obj, "shot")? as usize,
-            sweep: require_u64(&obj, "sweep")? as usize,
-            replicas,
-            best: require_bools(&obj, "best")?,
-            best_energy: require_f64_bits(&obj, "best_energy")?,
-            shot_energies: require_f64s(&obj, "shot_energies")?,
-        })
+    match anneal(q, config, None, || Ok::<(), Infallible>(())) {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
 }
 
@@ -315,36 +185,36 @@ fn validate_sqa(config: &SqaConfig) -> Result<(), RtError> {
 
 /// Runs simulated quantum annealing under an execution-runtime context.
 ///
-/// Cancellation and the budget are polled at PIMC-sweep granularity (plus
-/// the `annealer.sqa.sweep` failpoint). Shot `s` draws its starting
-/// replicas from `derive_seed(seed, s, u64::MAX)` and sweep `w` of shot
-/// `s` from `derive_seed(seed, s, w)`, so an interrupted run resumes from
-/// its [`SqaCheckpoint`] bit-identically (trace timestamps aside).
-///
-/// Fresh-start runs under a deadline pace their sweep schedule from one
-/// probe PIMC sweep (see [`crate::pacing`]), reported via the
+/// This is [`sqa_qubo`]'s loop and random stream, so an uninterrupted
+/// run returns exactly what [`sqa_qubo`] returns. Before every PIMC sweep
+/// it consults the `annealer.sqa.sweep` failpoint, then polls the
+/// context. Under a deadline the sweep schedule is paced from one probe
+/// sweep (see [`crate::pacing`]), reported via the
 /// `anneal.sqa.paced_sweeps` gauge.
 ///
 /// # Errors
-/// [`Interrupted`] pairing the [`RtError`] with the sweep-boundary
-/// checkpoint; for a rejected configuration the checkpoint is empty.
+/// [`RtError::InvalidConfig`] for a configuration [`sqa_qubo`] panics
+/// on; otherwise the error of the poll that stopped the run.
 pub fn sqa_qubo_ctx(
     q: &QuboModel,
     config: &SqaConfig,
     ctx: &RtContext,
-    resume: Option<&SqaCheckpoint>,
-) -> Result<AnnealOutcome, Interrupted<SqaCheckpoint>> {
-    let empty = || SqaCheckpoint {
-        shot: 0,
-        sweep: 0,
-        replicas: Vec::new(),
-        best: Vec::new(),
-        best_energy: f64::INFINITY,
-        shot_energies: Vec::new(),
-    };
-    if let Err(e) = validate_sqa(config) {
-        return Err(Interrupted::new(e, empty()));
-    }
+) -> Result<AnnealOutcome, RtError> {
+    validate_sqa(config)?;
+    anneal(q, config, crate::pacing::remaining_deadline(ctx), || {
+        qmkp_rt::failpoint::check("annealer.sqa.sweep").and_then(|()| ctx.check())
+    })
+}
+
+/// The SQA loop of [`sqa_qubo`] and [`sqa_qubo_ctx`]. `poll` runs before
+/// every sweep and its error ends the run; `remaining` is the wall-clock
+/// time the schedule is paced to fit.
+fn anneal<E>(
+    q: &QuboModel,
+    config: &SqaConfig,
+    remaining: Option<Duration>,
+    mut poll: impl FnMut() -> Result<(), E>,
+) -> Result<AnnealOutcome, E> {
     let span = qmkp_obs::span("anneal.sqa.run");
     let traced = qmkp_obs::enabled_for("anneal.sqa");
     let meter = SweepMeter::new("sqa");
@@ -353,18 +223,17 @@ pub fn sqa_qubo_ctx(
     let p = config.trotter_slices;
     let adj = ising.neighbor_lists();
     let inv_p = 1.0 / p as f64;
+    let mut rng = StdRng::seed_from_u64(config.seed);
     let start = Instant::now();
 
-    let mut paced = config.clone();
-    if resume.is_none() {
-        if let Some(remaining) = crate::pacing::remaining_deadline(ctx) {
-            // Probe one PIMC sweep on a clone of the shot-0 replicas; the
-            // real shot 0 re-derives the same init, so the probe leaves
-            // no trace in the results beyond the effective sweep count.
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, 0, u64::MAX));
-            let mut replicas: Vec<Vec<i8>> = (0..p)
-                .map(|_| (0..n).map(|_| if rng.gen() { 1i8 } else { -1 }).collect())
-                .collect();
+    let paced;
+    let config = match remaining {
+        None => config,
+        Some(remaining) => {
+            // Probe one PIMC sweep on clones of the generator and of shot
+            // 0's replicas, so the real run draws the unpaced stream.
+            let mut probe_rng = rng.clone();
+            let mut replicas = random_replicas(p, n, &mut probe_rng);
             let (_, j_perp) = transverse_schedule(config, 0);
             let probe = Instant::now();
             pimc_sweep(
@@ -374,91 +243,34 @@ pub fn sqa_qubo_ctx(
                 inv_p,
                 j_perp,
                 &mut replicas,
-                &mut rng,
+                &mut probe_rng,
             );
             let per_sweep = probe.elapsed();
-            paced.sweeps = crate::pacing::paced_sweeps(
-                remaining.saturating_sub(per_sweep),
-                per_sweep,
-                config.shots,
-                config.sweeps,
-            );
+            paced = SqaConfig {
+                sweeps: crate::pacing::paced_sweeps(
+                    remaining.saturating_sub(per_sweep),
+                    per_sweep,
+                    config.shots,
+                    config.sweeps,
+                ),
+                ..config.clone()
+            };
             qmkp_obs::gauge("anneal.sqa.paced_sweeps", &[], paced.sweeps as f64);
+            &paced
         }
-    }
-    let config = &paced;
+    };
 
     let mut best: Vec<bool> = vec![false; n];
     let mut best_energy = f64::INFINITY;
     let mut shot_energies = Vec::with_capacity(config.shots);
     let mut trace = Vec::new();
-    let mut start_shot = 0;
-    let mut start_sweep = 0;
-    let mut resumed_replicas: Option<Vec<Vec<i8>>> = None;
 
-    if let Some(cp) = resume {
-        let shape_ok = cp.shot < config.shots
-            && cp.sweep < config.sweeps
-            && cp.replicas.len() == p
-            && cp.replicas.iter().all(|s| s.len() == n);
-        if !shape_ok {
-            span.finish();
-            return Err(Interrupted::new(
-                RtError::InvalidConfig(
-                    "sqa: checkpoint does not match the model or schedule".into(),
-                ),
-                cp.clone(),
-            ));
-        }
-        start_shot = cp.shot;
-        start_sweep = cp.sweep;
-        resumed_replicas = Some(
-            cp.replicas
-                .iter()
-                .map(|s| s.iter().map(|&b| if b { 1i8 } else { -1 }).collect())
-                .collect(),
-        );
-        best = cp.best.clone();
-        best_energy = cp.best_energy;
-        shot_energies = cp.shot_energies.clone();
-    }
+    for _ in 0..config.shots {
+        // replicas[p][i] ∈ {−1, +1}
+        let mut replicas = random_replicas(p, n, &mut rng);
 
-    for shot in start_shot..config.shots {
-        let mut replicas: Vec<Vec<i8>> = match resumed_replicas.take() {
-            Some(r) => r,
-            None => {
-                let mut init =
-                    StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, u64::MAX));
-                (0..p)
-                    .map(|_| (0..n).map(|_| if init.gen() { 1i8 } else { -1 }).collect())
-                    .collect()
-            }
-        };
-
-        let first_sweep = if shot == start_shot { start_sweep } else { 0 };
-        for sweep in first_sweep..config.sweeps {
-            let interrupted = qmkp_rt::failpoint::check("annealer.sqa.sweep")
-                .and_then(|()| ctx.check())
-                .err();
-            if let Some(e) = interrupted {
-                span.finish();
-                return Err(Interrupted::new(
-                    e,
-                    SqaCheckpoint {
-                        shot,
-                        sweep,
-                        replicas: replicas
-                            .iter()
-                            .map(|s| s.iter().map(|&v| v > 0).collect())
-                            .collect(),
-                        best,
-                        best_energy,
-                        shot_energies,
-                    },
-                ));
-            }
-            let mut rng =
-                StdRng::seed_from_u64(derive_seed(config.seed, shot as u64, sweep as u64));
+        for sweep in 0..config.sweeps {
+            poll()?;
             let (gamma, j_perp) = transverse_schedule(config, sweep);
             let timed = meter.start();
             pimc_sweep(
@@ -476,6 +288,7 @@ pub fn sqa_qubo_ctx(
             }
         }
 
+        // Each slice is a candidate classical solution; keep the best.
         let (shot_best, shot_best_x) = best_slice(q, &replicas);
         if traced {
             qmkp_obs::counter("anneal.sqa.shots", &[], 1);
@@ -644,7 +457,7 @@ mod tests {
             sweeps: 30,
             ..SqaConfig::default()
         };
-        let out = sqa_qubo_ctx(&q, &config, &RtContext::unlimited(), None).unwrap();
+        let out = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
         assert!((out.best_energy - brute).abs() < 1e-9);
     }
 
@@ -658,10 +471,9 @@ mod tests {
                 ..SqaConfig::default()
             },
             &RtContext::unlimited(),
-            None,
         )
         .expect_err("one slice");
-        assert!(matches!(err.error, RtError::InvalidConfig(_)));
+        assert!(matches!(err, RtError::InvalidConfig(_)));
     }
 
     #[test]
@@ -675,10 +487,10 @@ mod tests {
             trotter_slices: 4,
             ..SqaConfig::default()
         };
-        let plain = sqa_qubo_ctx(&q, &config, &RtContext::unlimited(), None).unwrap();
+        let plain = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
         let ctx =
             RtContext::with_budget(Budget::unlimited().with_deadline(Duration::from_secs(3600)));
-        let paced = sqa_qubo_ctx(&q, &config, &ctx, None).unwrap();
+        let paced = sqa_qubo_ctx(&q, &config, &ctx).unwrap();
         assert_eq!(paced.best, plain.best);
         assert_eq!(paced.best_energy.to_bits(), plain.best_energy.to_bits());
         let a: Vec<u64> = paced.shot_energies.iter().map(|e| e.to_bits()).collect();
@@ -687,7 +499,44 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_run_resumes_bit_identically() {
+    fn tight_deadline_paces_the_schedule_and_completes() {
+        use qmkp_rt::Budget;
+        use std::sync::Arc;
+        // A model big enough that per-sweep cost is stable to measure.
+        let mut q = QuboModel::new(200);
+        for i in 0..200 {
+            q.add_linear(i, -1.0);
+            q.add_quadratic(i, (i + 1) % 200, 2.0);
+        }
+        let config = SqaConfig {
+            shots: 2,
+            sweeps: 50_000_000, // hours at full length
+            ..SqaConfig::default()
+        };
+        let collector = Arc::new(qmkp_obs::Collector::for_current_thread());
+        let guard = qmkp_obs::attach(collector.clone());
+        let ctx = RtContext::with_budget(Budget::unlimited().with_deadline(Duration::from_secs(1)));
+        let result = sqa_qubo_ctx(&q, &config, &ctx);
+        drop(guard);
+        let paced = collector
+            .last_gauge("anneal.sqa.paced_sweeps")
+            .expect("pacing gauge must be emitted under a deadline");
+        assert!(paced >= 1.0, "at least one sweep always runs");
+        assert!(
+            paced < config.sweeps as f64,
+            "the schedule must have shrunk (got {paced})"
+        );
+        match result {
+            Ok(out) => assert_eq!(out.shot_energies.len(), config.shots, "every shot ran"),
+            // Parallel test execution can slow the real sweeps past the
+            // probe's measurement; the per-sweep deadline poll then still
+            // interrupts.
+            Err(e) => assert!(matches!(e, RtError::DeadlineExceeded { .. }), "{e}"),
+        }
+    }
+
+    #[test]
+    fn cancellation_fuse_stops_the_run_before_a_sweep() {
         use qmkp_rt::{Budget, CancelToken};
         let q = small_model();
         let config = SqaConfig {
@@ -697,25 +546,73 @@ mod tests {
             seed: 11,
             ..SqaConfig::default()
         };
-        let straight = sqa_qubo_ctx(&q, &config, &RtContext::unlimited(), None).unwrap();
-
-        // One runtime poll per sweep: fuse f interrupts before sweep f.
+        // One runtime poll per sweep: fuse f cancels before sweep f of the
+        // 30, and a fuse past the schedule lets the run finish.
         for fuse in [0u64, 1, 7, 13, 29] {
             let ctx = RtContext::new(Budget::unlimited(), CancelToken::cancel_after_checks(fuse));
-            let err = sqa_qubo_ctx(&q, &config, &ctx, None).expect_err("fuse inside schedule");
-            assert_eq!(err.error, RtError::Cancelled, "fuse={fuse}");
+            let err = sqa_qubo_ctx(&q, &config, &ctx).expect_err("fuse inside schedule");
+            assert_eq!(err, RtError::Cancelled, "fuse={fuse}");
+        }
+        let ctx = RtContext::new(Budget::unlimited(), CancelToken::cancel_after_checks(30));
+        let out = sqa_qubo_ctx(&q, &config, &ctx).expect("fuse past the schedule");
+        assert_eq!(out.shot_energies, sqa_qubo(&q, &config).shot_energies);
+    }
 
-            let cp = SqaCheckpoint::from_json(&err.checkpoint.to_json()).unwrap();
-            assert_eq!(cp, *err.checkpoint, "serialization must be lossless");
-            let resumed = sqa_qubo_ctx(&q, &config, &RtContext::unlimited(), Some(&cp)).unwrap();
-            assert_eq!(resumed.best, straight.best, "fuse={fuse}");
-            assert_eq!(
-                resumed.best_energy.to_bits(),
-                straight.best_energy.to_bits()
-            );
-            let a: Vec<u64> = resumed.shot_energies.iter().map(|e| e.to_bits()).collect();
-            let b: Vec<u64> = straight.shot_energies.iter().map(|e| e.to_bits()).collect();
-            assert_eq!(a, b, "fuse={fuse}");
+    /// Pins the plain sampler's random stream. Tables V–VII, Figs. 9–10
+    /// and the `anneal_qamkp` benchmark all draw it, and the
+    /// `deterministic_*` test only compares two runs of the same build.
+    #[test]
+    fn plain_stream_is_pinned() {
+        let g = qmkp_graph::gen::paper_fig1_graph();
+        let mq = MkpQubo::new(&g, MkpQuboParams { k: 2, r: 2.0 });
+        let out = sqa_qubo(
+            &mq.model,
+            &SqaConfig {
+                shots: 6,
+                sweeps: 4,
+                trotter_slices: 4,
+                seed: 7,
+                ..SqaConfig::default()
+            },
+        );
+        let bits: Vec<u64> = out.shot_energies.iter().map(|e| e.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3ff0000000000000,
+                0xbff0000000000000,
+                0x3ff0000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc010000000000000,
+            ]
+        );
+        let best: String = out
+            .best
+            .iter()
+            .map(|&b| if b { '1' } else { '0' })
+            .collect();
+        assert_eq!(best, "1101101001001000100");
+    }
+
+    #[test]
+    fn ctx_variant_is_the_plain_sampler() {
+        let q = small_model();
+        for seed in [0, 1, 7, 42] {
+            let config = SqaConfig {
+                shots: 6,
+                sweeps: 5,
+                trotter_slices: 4,
+                seed,
+                ..SqaConfig::default()
+            };
+            let plain = sqa_qubo(&q, &config);
+            let ctx = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
+            assert_eq!(ctx.best, plain.best, "seed {seed}");
+            assert_eq!(ctx.best_energy.to_bits(), plain.best_energy.to_bits());
+            let a: Vec<u64> = ctx.shot_energies.iter().map(|e| e.to_bits()).collect();
+            let b: Vec<u64> = plain.shot_energies.iter().map(|e| e.to_bits()).collect();
+            assert_eq!(a, b, "seed {seed}");
         }
     }
 }

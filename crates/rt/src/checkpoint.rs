@@ -1,10 +1,10 @@
 //! Checkpoint/resume plumbing.
 //!
-//! Long-running solves (the qMKP binary search, annealing schedules)
-//! serialize their progress as JSON via [`Checkpoint`] whenever the
-//! runtime interrupts them, and accept the same value back to resume
-//! bit-identically. Serialization rides on `qmkp_obs::json` so the crate
-//! stays zero-dependency beyond the workspace facade.
+//! Long-running solves (the qMKP binary search) serialize their progress
+//! as JSON via [`Checkpoint`] whenever the runtime interrupts them, and
+//! accept the same value back to resume bit-identically. Serialization
+//! rides on `qmkp_obs::json` so the crate stays zero-dependency beyond
+//! the workspace facade.
 //!
 //! # Disk spill
 //!
@@ -153,95 +153,6 @@ pub fn require_u64(obj: &qmkp_obs::json::Json, field: &str) -> Result<u64, RtErr
     Ok(v as u64)
 }
 
-/// Encodes an `f64` as a JSON string of its bit pattern in hex, so the
-/// value round-trips exactly (decimal formatting would not).
-pub fn f64_to_json(v: f64) -> String {
-    format!("\"{:x}\"", v.to_bits())
-}
-
-/// Looks up a required field written by [`f64_to_json`].
-///
-/// # Errors
-/// [`RtError::InvalidConfig`] when the field is absent or not a hex bit
-/// pattern.
-pub fn require_f64_bits(obj: &qmkp_obs::json::Json, field: &str) -> Result<f64, RtError> {
-    let raw = require(obj, field)?.as_str().ok_or_else(|| {
-        RtError::InvalidConfig(format!("checkpoint: field `{field}` is not a string"))
-    })?;
-    u64::from_str_radix(raw, 16)
-        .map(f64::from_bits)
-        .map_err(|_| {
-            RtError::InvalidConfig(format!("checkpoint: field `{field}` is not hex f64 bits"))
-        })
-}
-
-/// Encodes a slice of `f64`s as a JSON array of [`f64_to_json`] strings.
-pub fn f64s_to_json(vs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&f64_to_json(v));
-    }
-    out.push(']');
-    out
-}
-
-/// Looks up a required field written by [`f64s_to_json`].
-///
-/// # Errors
-/// [`RtError::InvalidConfig`] when the field is absent or any element is
-/// not a hex bit pattern.
-pub fn require_f64s(obj: &qmkp_obs::json::Json, field: &str) -> Result<Vec<f64>, RtError> {
-    let arr = require(obj, field)?.as_array().ok_or_else(|| {
-        RtError::InvalidConfig(format!("checkpoint: field `{field}` is not an array"))
-    })?;
-    arr.iter()
-        .map(|v| {
-            v.as_str()
-                .and_then(|raw| u64::from_str_radix(raw, 16).ok())
-                .map(f64::from_bits)
-                .ok_or_else(|| {
-                    RtError::InvalidConfig(format!(
-                        "checkpoint: field `{field}` holds a non-hex element"
-                    ))
-                })
-        })
-        .collect()
-}
-
-/// Encodes a boolean vector as a JSON string of `0`/`1` characters.
-pub fn bools_to_json(bits: &[bool]) -> String {
-    let mut out = String::with_capacity(bits.len() + 2);
-    out.push('"');
-    for &b in bits {
-        out.push(if b { '1' } else { '0' });
-    }
-    out.push('"');
-    out
-}
-
-/// Looks up a required field written by [`bools_to_json`].
-///
-/// # Errors
-/// [`RtError::InvalidConfig`] when the field is absent or contains
-/// characters other than `0`/`1`.
-pub fn require_bools(obj: &qmkp_obs::json::Json, field: &str) -> Result<Vec<bool>, RtError> {
-    let raw = require(obj, field)?.as_str().ok_or_else(|| {
-        RtError::InvalidConfig(format!("checkpoint: field `{field}` is not a string"))
-    })?;
-    raw.chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            _ => Err(RtError::InvalidConfig(format!(
-                "checkpoint: field `{field}` is not a 0/1 string"
-            ))),
-        })
-        .collect()
-}
-
 /// Parses a checkpoint payload into a JSON object.
 ///
 /// # Errors
@@ -305,19 +216,6 @@ mod tests {
             Demo::from_json("{\"lo\": 1.5, \"hi\": 2}"),
             Err(RtError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn f64_bits_and_bools_round_trip() {
-        for v in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 0.1 + 0.2, f64::INFINITY] {
-            let obj = parse_object(&format!("{{\"v\": {}}}", f64_to_json(v))).unwrap();
-            assert_eq!(require_f64_bits(&obj, "v").unwrap().to_bits(), v.to_bits());
-        }
-        let bits = vec![true, false, false, true, true];
-        let obj = parse_object(&format!("{{\"b\": {}}}", bools_to_json(&bits))).unwrap();
-        assert_eq!(require_bools(&obj, "b").unwrap(), bits);
-        let obj = parse_object("{\"b\": \"01x\"}").unwrap();
-        assert!(require_bools(&obj, "b").is_err());
     }
 
     #[test]

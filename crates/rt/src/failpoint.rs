@@ -1,7 +1,7 @@
 //! Deterministic fault injection at named sites.
 //!
 //! Sites are named `crate.component.point` (e.g. `qsim.dense.alloc`,
-//! `core.grover.iterate`, `annealer.sa.sweep`) and are consulted through
+//! `core.grover.iterate`, `annealer.sqa.sweep`) and are consulted through
 //! [`check`]. Without the `failpoints` cargo feature, [`check`] compiles
 //! to an inlined `Ok(())` — zero cost in production builds. With the
 //! feature, tests arm sites in a process-global registry: a site armed
@@ -9,11 +9,9 @@
 //! [`crate::RtError::Faulted`] on every subsequent hit until disarmed.
 //!
 //! The registry is process-global, so tests that arm failpoints must
-//! serialize on `exclusive()` and disarm with `reset()` when done
-//! (both exported only under the feature).
-//! Deterministic *plans* (which sites to arm and after how many hits) are
-//! derived from seeds via [`crate::splitmix64`], the same mixer the lint
-//! sampler uses.
+//! serialize on `exclusive()`, which hands each holder a disarmed
+//! registry even when the previous holder panicked before its own
+//! `reset()` (both exported only under the feature).
 
 /// Consults a named failpoint.
 ///
@@ -53,12 +51,17 @@ mod enabled {
     }
 
     /// Serializes tests that use the process-global registry. Hold the
-    /// guard for the whole test.
+    /// guard for the whole test. Every site is disarmed when the guard is
+    /// handed out, so a test that panicked while holding it leaves no
+    /// armed site behind for the next holder.
     pub fn exclusive() -> MutexGuard<'static, ()> {
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        GATE.get_or_init(|| Mutex::new(()))
+        let guard = GATE
+            .get_or_init(|| Mutex::new(()))
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        reset();
+        guard
     }
 
     /// Consults a named failpoint (feature-on implementation).

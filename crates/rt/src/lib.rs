@@ -16,14 +16,13 @@
 //!   from any layer, with a deterministic check-count fuse for tests.
 //! * [`RtContext`] — binds a budget and a token to a running solve;
 //!   checked at kernel-chunk granularity in the simulator, iteration
-//!   granularity in the Grover/counting drivers, and sweep granularity
-//!   in the annealers.
+//!   granularity in the Grover/counting drivers, and PIMC-sweep
+//!   granularity in budgeted SQA.
 //! * [`retry()`] — exponential backoff with deterministic jitter for the
 //!   stochastic solvers.
 //! * [`Checkpoint`] — JSON (de)serialization contract for resumable
-//!   solver state (qMKP's binary search, annealing schedules), plus
-//!   [`Interrupted`] — the "error + resume state" pair every resumable
-//!   `*_ctx` entry point returns.
+//!   solver state (qMKP's binary search), plus [`Interrupted`] — the
+//!   "error + resume state" pair a resumable `*_ctx` entry point returns.
 //! * [`race()`] — first-verified-wins portfolio racing: fault-contained
 //!   racers on scoped threads under one shared token, panics mapped to
 //!   structured [`RtError::Faulted`], aggregate
@@ -55,24 +54,13 @@ pub use race::{race, RaceWin, Racer, RacerOutcome, RacerReport};
 pub use retry::{retry, RetryPolicy};
 pub use token::CancelToken;
 
-/// SplitMix64 — the deterministic mixer used for retry jitter, derived
-/// annealing sub-streams, and sampled failpoint plans (the same mixer the
-/// lint sampler uses, so seeded test plans are reproducible everywhere).
+/// SplitMix64 — the deterministic mixer behind [`retry()`]'s jitter.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Mixes a seed with stream coordinates (e.g. shot and sweep indices)
-/// into an independent derived seed. Used by the checkpointable annealing
-/// paths so that resuming at any sweep boundary replays the exact random
-/// stream of an uninterrupted run.
-#[inline]
-pub fn derive_seed(seed: u64, a: u64, b: u64) -> u64 {
-    splitmix64(splitmix64(seed ^ a.wrapping_mul(0xA076_1D64_78BD_642F)) ^ b)
 }
 
 #[cfg(test)]
@@ -84,13 +72,5 @@ mod tests {
         assert_eq!(splitmix64(0), splitmix64(0));
         assert_ne!(splitmix64(0), splitmix64(1));
         assert_ne!(splitmix64(1), splitmix64(2));
-    }
-
-    #[test]
-    fn derived_seeds_differ_per_coordinate() {
-        let s = 42;
-        assert_ne!(derive_seed(s, 0, 0), derive_seed(s, 0, 1));
-        assert_ne!(derive_seed(s, 0, 0), derive_seed(s, 1, 0));
-        assert_eq!(derive_seed(s, 3, 7), derive_seed(s, 3, 7));
     }
 }

@@ -178,16 +178,17 @@ pub fn dense_cost(width: usize) -> usize {
 }
 
 /// Estimated peak bytes for a sparse simulation of a graph with `n`
-/// vertices: the support reaches `2^n` basis states under the uniform
-/// superposition, with a same-size scratch vec during compaction —
-/// `32·2^(n+1)` for 32-byte `(basis, amplitude)` entries. Saturates to
-/// [`usize::MAX`] like [`dense_cost`].
+/// vertices: the support holds `2^(n+1)` basis states (the uniform vertex
+/// register times the `|−⟩` oracle qubit), and a single-qubit gate's
+/// scratch vecs hold twice that — `3·2^(n+1)·32` for 32-byte
+/// `(basis, amplitude)` entries. Saturates to [`usize::MAX`] like
+/// [`dense_cost`].
 pub fn sparse_cost(n: usize) -> usize {
     let entry = std::mem::size_of::<(u128, [f64; 2])>();
     if n as u32 >= usize::BITS - 1 {
         return usize::MAX;
     }
-    (1usize << (n + 1)).saturating_mul(entry)
+    (1usize << (n + 1)).saturating_mul(3 * entry)
 }
 
 fn fits(budget: &Budget, bytes: usize) -> bool {
@@ -448,8 +449,7 @@ impl Plan<'_> {
             seed: self.config.qmkp.qtkp.seed,
             ..SqaConfig::default()
         };
-        let out = sqa_qubo_ctx(&qubo.model, &sqa_config, ctx, None)
-            .map_err(|interrupted| interrupted.error)?;
+        let out = sqa_qubo_ctx(&qubo.model, &sqa_config, ctx)?;
         self.verified(
             qubo.decode_polished(head_bits(&out.best)),
             SolveBackend::Sqa,
@@ -781,11 +781,56 @@ mod tests {
         // Small widths keep the exact documented formulas.
         assert_eq!(dense_cost(10), 32 << 10);
         assert_eq!(dense_cost(0), 32);
-        assert_eq!(sparse_cost(6), 32 << 7);
+        assert_eq!(sparse_cost(6), 3 * (32 << 7));
         // Monotone up to the saturation point.
         for w in 0..usize::BITS as usize {
             assert!(dense_cost(w) <= dense_cost(w + 1));
             assert!(sparse_cost(w) <= sparse_cost(w + 1));
+        }
+    }
+
+    /// The preflight admits the sparse rung on `sparse_cost(n)`, so that
+    /// figure must bound the bytes the state actually holds, scratch
+    /// included, through several Grover iterations.
+    #[test]
+    fn sparse_cost_bounds_the_observed_peak() {
+        use qmkp_graph::gen::{paper_gate_dataset, GATE_DATASETS, GATE_DATASET_K};
+        let mut instances = vec![(paper_fig1_graph(), 2)];
+        for (n, m) in GATE_DATASETS {
+            instances.push((paper_gate_dataset(n, m), 2));
+        }
+        let (n, m) = GATE_DATASET_K;
+        for k in 2..=5 {
+            instances.push((paper_gate_dataset(n, m), k));
+        }
+        for seed in 0..4 {
+            instances.push((gnm(8, 12, seed).unwrap(), 2));
+        }
+        for (g, k) in instances {
+            let collector = std::sync::Arc::new(qmkp_obs::Collector::for_current_thread());
+            let guard = qmkp_obs::attach(collector.clone());
+            let mut driver = qmkp_core::GroverDriver::new(qmkp_core::Oracle::new(&g, k, 3));
+            driver.iterate_n(3);
+            drop(guard);
+            let peak = collector
+                .events()
+                .iter()
+                .filter_map(|ev| match ev {
+                    qmkp_obs::Event::Gauge { name, value, .. }
+                        if name == "core.grover.mem_bytes" =>
+                    {
+                        Some(*value)
+                    }
+                    _ => None,
+                })
+                .fold(0.0, f64::max);
+            assert!(peak > 0.0, "n {} k {k}: no memory gauge", g.n());
+            assert!(
+                peak <= sparse_cost(g.n()) as f64,
+                "n {} k {k}: peak {peak} over the modelled {}",
+                g.n(),
+                sparse_cost(g.n())
+            );
         }
     }
 

@@ -9,9 +9,7 @@
 //! CI `faults` job does exactly that.
 #![cfg(feature = "failpoints")]
 
-use qmkp::annealer::{
-    anneal_qubo_ctx, sqa_qubo_ctx, temper_qubo_ctx, SaConfig, SqaConfig, TemperingConfig,
-};
+use qmkp::annealer::{sqa_qubo, sqa_qubo_ctx, SqaConfig};
 use qmkp::core::{qmkp_ctx, quantum_count_ctx, QmkpCheckpoint, QmkpConfig, QmkpProbe};
 use qmkp::qsim::SparseState;
 use qmkp::qubo::QuboModel;
@@ -101,96 +99,29 @@ fn counting_sites_fault_structurally() {
     failpoint::reset();
 }
 
-/// The annealer sites: each schedule interrupts with `Faulted` and its
-/// checkpoint resumes to the bit-identical uninterrupted outcome.
+/// The annealer's sweep site: armed, it interrupts budgeted SQA with
+/// `Faulted`; cleared, the run completes with the plain sampler's answer.
 #[test]
-fn annealer_sites_fault_structurally_and_resume() {
+fn sqa_sweep_site_faults_structurally_and_completes_once_cleared() {
     let _guard = failpoint::exclusive();
     let q = small_qubo();
-
-    // SA ------------------------------------------------------------
-    let sa = SaConfig {
-        shots: 4,
-        sweeps: 5,
-        ..SaConfig::default()
-    };
-    let straight = anneal_qubo_ctx(&q, &sa, &RtContext::unlimited(), None)
-        .expect("unlimited context cannot be interrupted");
-    failpoint::reset();
-    failpoint::arm("annealer.sa.sweep", 3);
-    let interrupted = anneal_qubo_ctx(&q, &sa, &RtContext::unlimited(), None)
-        .expect_err("armed sweep site must interrupt SA");
-    assert_eq!(interrupted.error, faulted("annealer.sa.sweep"));
-    failpoint::reset();
-    let resumed = anneal_qubo_ctx(
-        &q,
-        &sa,
-        &RtContext::unlimited(),
-        Some(&interrupted.checkpoint),
-    )
-    .expect("fault cleared: SA resume must complete");
-    assert_eq!(resumed.best, straight.best);
-    assert_eq!(
-        resumed.best_energy.to_bits(),
-        straight.best_energy.to_bits()
-    );
-
-    // SQA -----------------------------------------------------------
     let sqa = SqaConfig {
         shots: 3,
         sweeps: 4,
         trotter_slices: 4,
         ..SqaConfig::default()
     };
-    let straight = sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited(), None)
-        .expect("unlimited context cannot be interrupted");
-    failpoint::reset();
     failpoint::arm("annealer.sqa.sweep", 3);
-    let interrupted = sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited(), None)
+    let err = sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited())
         .expect_err("armed sweep site must interrupt SQA");
-    assert_eq!(interrupted.error, faulted("annealer.sqa.sweep"));
+    assert_eq!(err, faulted("annealer.sqa.sweep"));
+    assert_eq!(failpoint::hits("annealer.sqa.sweep"), Some(4));
     failpoint::reset();
-    let resumed = sqa_qubo_ctx(
-        &q,
-        &sqa,
-        &RtContext::unlimited(),
-        Some(&interrupted.checkpoint),
-    )
-    .expect("fault cleared: SQA resume must complete");
-    assert_eq!(resumed.best, straight.best);
-    assert_eq!(
-        resumed.best_energy.to_bits(),
-        straight.best_energy.to_bits()
-    );
-
-    // Parallel tempering --------------------------------------------
-    let pt = TemperingConfig {
-        replicas: 4,
-        rounds: 6,
-        ..TemperingConfig::default()
-    };
-    let straight = temper_qubo_ctx(&q, &pt, &RtContext::unlimited(), None)
-        .expect("unlimited context cannot be interrupted");
-    failpoint::reset();
-    failpoint::arm("annealer.tempering.round", 2);
-    let interrupted = temper_qubo_ctx(&q, &pt, &RtContext::unlimited(), None)
-        .expect_err("armed round site must interrupt tempering");
-    assert_eq!(interrupted.error, faulted("annealer.tempering.round"));
-    failpoint::reset();
-    let resumed = temper_qubo_ctx(
-        &q,
-        &pt,
-        &RtContext::unlimited(),
-        Some(&interrupted.checkpoint),
-    )
-    .expect("fault cleared: tempering resume must complete");
-    assert_eq!(resumed.best, straight.best);
-    assert_eq!(
-        resumed.best_energy.to_bits(),
-        straight.best_energy.to_bits()
-    );
-
-    failpoint::reset();
+    let out =
+        sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited()).expect("fault cleared: SQA must complete");
+    let plain = sqa_qubo(&q, &sqa);
+    assert_eq!(out.best, plain.best);
+    assert_eq!(out.best_energy.to_bits(), plain.best_energy.to_bits());
 }
 
 /// With `QMKP_RT_CHECKPOINT_DIR` set, an interrupt also spills its
@@ -338,6 +269,11 @@ fn interrupt_inside_a_probe_resumes_from_the_iteration_boundary() {
     assert_eq!(resumed.total_iterations, straight.total_iterations);
 }
 
+/// Races run per site until the armed site is hit. Run alone, the
+/// sparse racer reached `qsim.run.op` in 47 and 54 of 60 forced races,
+/// so 50 races leave a miss negligible.
+const RACES_PER_SITE: usize = 50;
+
 /// Any single racer faulting must not cost the caller the answer: the
 /// race returns a verified winner from a surviving racer and accounts
 /// the casualty on the `solve.race.faulted` metric.
@@ -358,12 +294,13 @@ fn single_racer_faults_still_yield_a_verified_winner() {
         ("classical.grasp.iter", "classical"),
         ("classical.bnb.node", "classical"),
     ] {
-        // An `after = 0` arm faults the racer on its very first site
-        // hit, which in practice precedes any win; if the scheduler
-        // nonetheless cancelled the racer before it reached the site,
-        // the race was still correct — rerun until the fault lands.
+        // An `after = 0` arm faults the racer on its first site hit. A
+        // racer cancelled by an earlier win may never reach its site (the
+        // sparse racer polls the token before its first kernel layer
+        // consults `qsim.run.op`), so race until the site is hit; every
+        // race that hit it must count the racer as faulted.
         let mut fault_observed = false;
-        for _attempt in 0..3 {
+        for _attempt in 0..RACES_PER_SITE {
             failpoint::reset();
             failpoint::arm(site, 0);
             let metrics = std::sync::Arc::new(qmkp::obs::Metrics::new());
@@ -374,8 +311,12 @@ fn single_racer_faults_still_yield_a_verified_winner() {
             assert!(qmkp::graph::is_kplex(&g, out.best, 2), "site {site}");
             let race = out.race.expect("a forced portfolio must race");
             assert_ne!(race.winner, racer, "the faulted racer cannot win ({site})");
-            let snap = metrics.snapshot();
-            if snap.value_of("solve.race.faulted", &[("racer", racer)]) >= 1.0 {
+            if failpoint::hits(site).unwrap_or(0) >= 1 {
+                let snap = metrics.snapshot();
+                assert!(
+                    snap.value_of("solve.race.faulted", &[("racer", racer)]) >= 1.0,
+                    "site {site} was hit but racer {racer} was not counted as faulted"
+                );
                 assert!(race.faulted >= 1, "site {site}");
                 fault_observed = true;
                 break;
@@ -383,7 +324,7 @@ fn single_racer_faults_still_yield_a_verified_winner() {
         }
         assert!(
             fault_observed,
-            "site {site}: racer {racer} never faulted across 3 races"
+            "site {site}: racer {racer} never faulted across {RACES_PER_SITE} races"
         );
     }
     failpoint::reset();

@@ -52,6 +52,41 @@ fn grover_matches_closed_form_through_all_iterations() {
     }
 }
 
+/// Every qTKP probe reports the closed-form success probability for the
+/// `M` and iteration count it used, on the paper's instances and random
+/// graphs, at every threshold.
+#[test]
+fn every_qtkp_probe_matches_the_closed_form() {
+    use qmkp::graph::gen::{paper_gate_dataset, GATE_DATASETS, GATE_DATASET_K};
+    let mut instances = vec![(paper_fig1_graph(), 2)];
+    for (n, m) in GATE_DATASETS {
+        instances.push((paper_gate_dataset(n, m), 2));
+    }
+    let (n, m) = GATE_DATASET_K;
+    for k in 2..=5 {
+        instances.push((paper_gate_dataset(n, m), k));
+    }
+    for seed in 0..6 {
+        instances.push((gnm(7, 10, seed).unwrap(), 2));
+    }
+    let config = QtkpConfig {
+        m_estimate: MEstimate::Exact,
+        ..QtkpConfig::default()
+    };
+    for (g, k) in &instances {
+        for t in 1..=g.n() {
+            let out = qtkp(g, *k, t, &config);
+            let theory = success_probability_theory(g.n(), out.m, out.iterations);
+            assert!(
+                (out.success_probability - theory).abs() < 1e-9,
+                "n {} k {k} t {t}: {} vs {theory}",
+                g.n(),
+                out.success_probability
+            );
+        }
+    }
+}
+
 /// qTKP over every threshold T: non-empty answers are verified k-plexes,
 /// and T above the maximum size yields ∅.
 #[test]
