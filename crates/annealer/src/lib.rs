@@ -20,15 +20,11 @@
 //!   majority-vote unembedding and chain statistics (Figure 11).
 //! * [`hybrid`] — a classical portfolio solver with a minimum-runtime
 //!   contract, standing in for the D-Wave Hybrid BQM solver ("haMKP").
-//! * [`pacing`] — deadline-aware schedule sizing: when a runtime context
-//!   carries a wall-clock deadline, [`sqa_qubo_ctx`] probes one sweep and
-//!   shrinks its schedule to fit instead of interrupting mid-run.
 
 #![deny(unsafe_code)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
 pub mod embedding;
 pub mod hybrid;
-pub mod pacing;
 pub mod result;
 pub mod sa;
 pub mod sqa;
@@ -42,6 +38,6 @@ pub use embedding::{
 pub use hybrid::{hybrid_solve, HybridConfig};
 pub use result::AnnealOutcome;
 pub use sa::{anneal_qubo, SaConfig};
-pub use sqa::{sqa_qubo, sqa_qubo_ctx, SqaConfig};
+pub use sqa::{sqa_qubo, SqaConfig};
 pub use tempering::{temper_qubo, TemperingConfig};
 pub use topology::Chimera;

@@ -24,11 +24,9 @@
 use crate::result::AnnealOutcome;
 use crate::sa::SweepMeter;
 use qmkp_qubo::{IsingModel, QuboModel};
-use qmkp_rt::{RtContext, RtError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::convert::Infallible;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// PIMC sweeps that stand in for one microsecond of annealing time.
 pub const SWEEPS_PER_MICROSECOND: usize = 8;
@@ -160,61 +158,6 @@ pub fn sqa_qubo(q: &QuboModel, config: &SqaConfig) -> AnnealOutcome {
         config.gamma_start > config.gamma_end && config.gamma_end > 0.0,
         "transverse field must anneal downward to a positive value"
     );
-    match anneal(q, config, None, || Ok::<(), Infallible>(())) {
-        Ok(out) => out,
-        Err(never) => match never {},
-    }
-}
-
-fn validate_sqa(config: &SqaConfig) -> Result<(), RtError> {
-    if config.shots == 0 || config.sweeps == 0 {
-        return Err(RtError::InvalidConfig("sqa: need shots and sweeps".into()));
-    }
-    if config.trotter_slices < 2 {
-        return Err(RtError::InvalidConfig(
-            "sqa: need at least 2 Trotter slices".into(),
-        ));
-    }
-    if !(config.gamma_start > config.gamma_end && config.gamma_end > 0.0) {
-        return Err(RtError::InvalidConfig(
-            "sqa: transverse field must anneal downward to a positive value".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Runs simulated quantum annealing under an execution-runtime context.
-///
-/// This is [`sqa_qubo`]'s loop and random stream, so an uninterrupted
-/// run returns exactly what [`sqa_qubo`] returns. Before every PIMC sweep
-/// it consults the `annealer.sqa.sweep` failpoint, then polls the
-/// context. Under a deadline the sweep schedule is paced from one probe
-/// sweep (see [`crate::pacing`]), reported via the
-/// `anneal.sqa.paced_sweeps` gauge.
-///
-/// # Errors
-/// [`RtError::InvalidConfig`] for a configuration [`sqa_qubo`] panics
-/// on; otherwise the error of the poll that stopped the run.
-pub fn sqa_qubo_ctx(
-    q: &QuboModel,
-    config: &SqaConfig,
-    ctx: &RtContext,
-) -> Result<AnnealOutcome, RtError> {
-    validate_sqa(config)?;
-    anneal(q, config, crate::pacing::remaining_deadline(ctx), || {
-        qmkp_rt::failpoint::check("annealer.sqa.sweep").and_then(|()| ctx.check())
-    })
-}
-
-/// The SQA loop of [`sqa_qubo`] and [`sqa_qubo_ctx`]. `poll` runs before
-/// every sweep and its error ends the run; `remaining` is the wall-clock
-/// time the schedule is paced to fit.
-fn anneal<E>(
-    q: &QuboModel,
-    config: &SqaConfig,
-    remaining: Option<Duration>,
-    mut poll: impl FnMut() -> Result<(), E>,
-) -> Result<AnnealOutcome, E> {
     let span = qmkp_obs::span("anneal.sqa.run");
     let traced = qmkp_obs::enabled_for("anneal.sqa");
     let meter = SweepMeter::new("sqa");
@@ -226,40 +169,6 @@ fn anneal<E>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let start = Instant::now();
 
-    let paced;
-    let config = match remaining {
-        None => config,
-        Some(remaining) => {
-            // Probe one PIMC sweep on clones of the generator and of shot
-            // 0's replicas, so the real run draws the unpaced stream.
-            let mut probe_rng = rng.clone();
-            let mut replicas = random_replicas(p, n, &mut probe_rng);
-            let (_, j_perp) = transverse_schedule(config, 0);
-            let probe = Instant::now();
-            pimc_sweep(
-                &ising.h,
-                &adj,
-                config.beta,
-                inv_p,
-                j_perp,
-                &mut replicas,
-                &mut probe_rng,
-            );
-            let per_sweep = probe.elapsed();
-            paced = SqaConfig {
-                sweeps: crate::pacing::paced_sweeps(
-                    remaining.saturating_sub(per_sweep),
-                    per_sweep,
-                    config.shots,
-                    config.sweeps,
-                ),
-                ..config.clone()
-            };
-            qmkp_obs::gauge("anneal.sqa.paced_sweeps", &[], paced.sweeps as f64);
-            &paced
-        }
-    };
-
     let mut best: Vec<bool> = vec![false; n];
     let mut best_energy = f64::INFINITY;
     let mut shot_energies = Vec::with_capacity(config.shots);
@@ -270,7 +179,6 @@ fn anneal<E>(
         let mut replicas = random_replicas(p, n, &mut rng);
 
         for sweep in 0..config.sweeps {
-            poll()?;
             let (gamma, j_perp) = transverse_schedule(config, sweep);
             let timed = meter.start();
             pimc_sweep(
@@ -304,13 +212,13 @@ fn anneal<E>(
 
     qmkp_obs::gauge("anneal.sqa.best_energy", &[], best_energy);
     span.finish();
-    Ok(AnnealOutcome {
+    AnnealOutcome {
         best,
         best_energy,
         shot_energies,
         trace,
         elapsed: start.elapsed(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -448,116 +356,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ctx_variant_finds_the_same_optimum() {
-        let q = small_model();
-        let (_, brute) = q.brute_force_min();
-        let config = SqaConfig {
-            shots: 40,
-            sweeps: 30,
-            ..SqaConfig::default()
-        };
-        let out = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
-        assert!((out.best_energy - brute).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ctx_variant_rejects_invalid_configs_without_panicking() {
-        let q = small_model();
-        let err = sqa_qubo_ctx(
-            &q,
-            &SqaConfig {
-                trotter_slices: 1,
-                ..SqaConfig::default()
-            },
-            &RtContext::unlimited(),
-        )
-        .expect_err("one slice");
-        assert!(matches!(err, RtError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn generous_deadline_leaves_results_identical() {
-        use qmkp_rt::Budget;
-        use std::time::Duration;
-        let q = small_model();
-        let config = SqaConfig {
-            shots: 6,
-            sweeps: 5,
-            trotter_slices: 4,
-            ..SqaConfig::default()
-        };
-        let plain = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
-        let ctx =
-            RtContext::with_budget(Budget::unlimited().with_deadline(Duration::from_secs(3600)));
-        let paced = sqa_qubo_ctx(&q, &config, &ctx).unwrap();
-        assert_eq!(paced.best, plain.best);
-        assert_eq!(paced.best_energy.to_bits(), plain.best_energy.to_bits());
-        let a: Vec<u64> = paced.shot_energies.iter().map(|e| e.to_bits()).collect();
-        let b: Vec<u64> = plain.shot_energies.iter().map(|e| e.to_bits()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tight_deadline_paces_the_schedule_and_completes() {
-        use qmkp_rt::Budget;
-        use std::sync::Arc;
-        // A model big enough that per-sweep cost is stable to measure.
-        let mut q = QuboModel::new(200);
-        for i in 0..200 {
-            q.add_linear(i, -1.0);
-            q.add_quadratic(i, (i + 1) % 200, 2.0);
-        }
-        let config = SqaConfig {
-            shots: 2,
-            sweeps: 50_000_000, // hours at full length
-            ..SqaConfig::default()
-        };
-        let collector = Arc::new(qmkp_obs::Collector::for_current_thread());
-        let guard = qmkp_obs::attach(collector.clone());
-        let ctx = RtContext::with_budget(Budget::unlimited().with_deadline(Duration::from_secs(1)));
-        let result = sqa_qubo_ctx(&q, &config, &ctx);
-        drop(guard);
-        let paced = collector
-            .last_gauge("anneal.sqa.paced_sweeps")
-            .expect("pacing gauge must be emitted under a deadline");
-        assert!(paced >= 1.0, "at least one sweep always runs");
-        assert!(
-            paced < config.sweeps as f64,
-            "the schedule must have shrunk (got {paced})"
-        );
-        match result {
-            Ok(out) => assert_eq!(out.shot_energies.len(), config.shots, "every shot ran"),
-            // Parallel test execution can slow the real sweeps past the
-            // probe's measurement; the per-sweep deadline poll then still
-            // interrupts.
-            Err(e) => assert!(matches!(e, RtError::DeadlineExceeded { .. }), "{e}"),
-        }
-    }
-
-    #[test]
-    fn cancellation_fuse_stops_the_run_before_a_sweep() {
-        use qmkp_rt::{Budget, CancelToken};
-        let q = small_model();
-        let config = SqaConfig {
-            shots: 6,
-            sweeps: 5,
-            trotter_slices: 4,
-            seed: 11,
-            ..SqaConfig::default()
-        };
-        // One runtime poll per sweep: fuse f cancels before sweep f of the
-        // 30, and a fuse past the schedule lets the run finish.
-        for fuse in [0u64, 1, 7, 13, 29] {
-            let ctx = RtContext::new(Budget::unlimited(), CancelToken::cancel_after_checks(fuse));
-            let err = sqa_qubo_ctx(&q, &config, &ctx).expect_err("fuse inside schedule");
-            assert_eq!(err, RtError::Cancelled, "fuse={fuse}");
-        }
-        let ctx = RtContext::new(Budget::unlimited(), CancelToken::cancel_after_checks(30));
-        let out = sqa_qubo_ctx(&q, &config, &ctx).expect("fuse past the schedule");
-        assert_eq!(out.shot_energies, sqa_qubo(&q, &config).shot_energies);
-    }
-
     /// Pins the plain sampler's random stream. Tables V–VII, Figs. 9–10
     /// and the `anneal_qamkp` benchmark all draw it, and the
     /// `deterministic_*` test only compares two runs of the same build.
@@ -593,26 +391,5 @@ mod tests {
             .map(|&b| if b { '1' } else { '0' })
             .collect();
         assert_eq!(best, "1101101001001000100");
-    }
-
-    #[test]
-    fn ctx_variant_is_the_plain_sampler() {
-        let q = small_model();
-        for seed in [0, 1, 7, 42] {
-            let config = SqaConfig {
-                shots: 6,
-                sweeps: 5,
-                trotter_slices: 4,
-                seed,
-                ..SqaConfig::default()
-            };
-            let plain = sqa_qubo(&q, &config);
-            let ctx = sqa_qubo_ctx(&q, &config, &RtContext::unlimited()).unwrap();
-            assert_eq!(ctx.best, plain.best, "seed {seed}");
-            assert_eq!(ctx.best_energy.to_bits(), plain.best_energy.to_bits());
-            let a: Vec<u64> = ctx.shot_energies.iter().map(|e| e.to_bits()).collect();
-            let b: Vec<u64> = plain.shot_energies.iter().map(|e| e.to_bits()).collect();
-            assert_eq!(a, b, "seed {seed}");
-        }
     }
 }

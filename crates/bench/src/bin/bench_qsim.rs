@@ -16,6 +16,12 @@
 //!   unrecorded dense scheduled run (per-kernel histograms must stay out
 //!   of the hot path's way).
 //!
+//! The budget and metrics overheads are timed as interleaved pairs: the
+//! two sides run back to back [`PAIRS`] times, alternating which side
+//! goes first, and the guard reads the median of the per-pair ratios.
+//! Host drift between two separately timed blocks then cannot land in
+//! the ratio.
+//!
 //! Usage: `bench_qsim [output-path]` (default `BENCH_qsim.json` in the
 //! working directory).
 
@@ -25,7 +31,11 @@ use qmkp_qsim::{Circuit, CompiledCircuit, DenseState, Gate, QuantumState, Sparse
 use qmkp_rt::{Budget, RtContext};
 use std::time::{Duration, Instant};
 
+/// Runs behind each interpreted-timing median.
 const SAMPLES: usize = 9;
+
+/// Interleaved pairs behind each overhead ratio.
+const PAIRS: usize = 21;
 
 /// Budgeted / unbudgeted wall-clock ratio above which the guard fails.
 const MAX_BUDGET_OVERHEAD: f64 = 1.5;
@@ -51,19 +61,60 @@ fn armed_context() -> RtContext {
     )
 }
 
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
+    values[values.len() / 2]
+}
+
+/// Wall-clock seconds of one run of `f`.
+fn secs(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
 /// Median wall-clock seconds of `SAMPLES` runs of `f`.
 fn median_secs<F: FnMut()>(mut f: F) -> f64 {
     // One warm-up run outside the measurement.
     f();
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-    times[times.len() / 2]
+    median((0..SAMPLES).map(|_| secs(&mut f)).collect())
+}
+
+/// Two sides timed as interleaved pairs.
+struct Paired {
+    /// Median seconds of the base side.
+    base_s: f64,
+    /// Median seconds of the measured side.
+    measured_s: f64,
+    /// Median of the per-pair `measured / base` ratios.
+    ratio: f64,
+}
+
+/// Times `base` and `measured` in [`PAIRS`] back-to-back pairs,
+/// alternating which side runs first, after one warm-up run of each.
+/// Each side returns the seconds of its own timed region, so setup it
+/// does outside that region stays out of the ratio.
+fn paired(mut base: impl FnMut() -> f64, mut measured: impl FnMut() -> f64) -> Paired {
+    base();
+    measured();
+    let (mut bases, mut measures, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        let (b, m) = if pair % 2 == 0 {
+            let b = base();
+            (b, measured())
+        } else {
+            let m = measured();
+            (base(), m)
+        };
+        bases.push(b);
+        measures.push(m);
+        ratios.push(m / b);
+    }
+    Paired {
+        base_s: median(bases),
+        measured_s: median(measures),
+        ratio: median(ratios),
+    }
 }
 
 /// The bench circuit: an H layer, then a Toffoli ladder out and back.
@@ -96,35 +147,35 @@ fn main() {
         s.run_interpreted(&dense_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
-    let dense_scheduled = median_secs(|| {
-        let mut s = DenseState::zero(dense_width).unwrap();
-        s.run_compiled(&dense_sched_circ).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
+    let dense_run = || {
+        secs(|| {
+            let mut s = DenseState::zero(dense_width).unwrap();
+            s.run_compiled(&dense_sched_circ).unwrap();
+            std::hint::black_box(s.probability(0));
+        })
+    };
     let dense_ctx = armed_context();
-    let dense_budgeted = median_secs(|| {
-        let mut s = DenseState::zero(dense_width).unwrap();
-        s.run_compiled_ctx(&dense_sched_circ, &dense_ctx).unwrap();
-        std::hint::black_box(s.probability(0));
+    let dense_budget = paired(dense_run, || {
+        secs(|| {
+            let mut s = DenseState::zero(dense_width).unwrap();
+            s.run_compiled_ctx(&dense_sched_circ, &dense_ctx).unwrap();
+            std::hint::black_box(s.probability(0));
+        })
     });
+    let (dense_scheduled, dense_budgeted) = (dense_budget.base_s, dense_budget.measured_s);
 
     // Metrics overhead: the same dense scheduled run without, then with,
-    // an attached metrics sink. Both sides are re-measured back-to-back
-    // (instead of reusing `dense_scheduled`) so they share identical
-    // cache and frequency conditions.
-    let dense_unmetered = median_secs(|| {
-        let mut s = DenseState::zero(dense_width).unwrap();
-        s.run_compiled(&dense_sched_circ).unwrap();
-        std::hint::black_box(s.probability(0));
+    // an attached metrics sink, attached and detached outside the timed
+    // region.
+    let metrics = std::sync::Arc::new(qmkp_obs::Metrics::new());
+    let dense_metrics = paired(dense_run, || {
+        let sink = qmkp_obs::attach(metrics.clone());
+        let t = dense_run();
+        drop(sink);
+        t
     });
-    let metrics_sink = qmkp_obs::attach(std::sync::Arc::new(qmkp_obs::Metrics::new()));
-    let dense_metered = median_secs(|| {
-        let mut s = DenseState::zero(dense_width).unwrap();
-        s.run_compiled(&dense_sched_circ).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
-    drop(metrics_sink);
-    let metrics_overhead = dense_metered / dense_unmetered;
+    let (dense_unmetered, dense_metered) = (dense_metrics.base_s, dense_metrics.measured_s);
+    let metrics_overhead = dense_metrics.ratio;
 
     // Sparse backend: uniform superposition + qTKP U_check.
     let g = qmkp_graph::gen::paper_fig1_graph();
@@ -140,20 +191,27 @@ fn main() {
         s.run_interpreted(&sparse_circ).unwrap();
         std::hint::black_box(s.probability(0));
     });
-    let sparse_scheduled = median_secs(|| {
-        let mut s = SparseState::zero(sparse_circ.width());
-        s.run_compiled(&sparse_sched_circ).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
     let sparse_ctx = armed_context();
-    let sparse_budgeted = median_secs(|| {
-        let mut s = SparseState::zero(sparse_circ.width());
-        s.run_compiled_ctx(&sparse_sched_circ, &sparse_ctx).unwrap();
-        std::hint::black_box(s.probability(0));
-    });
+    let sparse_budget = paired(
+        || {
+            secs(|| {
+                let mut s = SparseState::zero(sparse_circ.width());
+                s.run_compiled(&sparse_sched_circ).unwrap();
+                std::hint::black_box(s.probability(0));
+            })
+        },
+        || {
+            secs(|| {
+                let mut s = SparseState::zero(sparse_circ.width());
+                s.run_compiled_ctx(&sparse_sched_circ, &sparse_ctx).unwrap();
+                std::hint::black_box(s.probability(0));
+            })
+        },
+    );
+    let (sparse_scheduled, sparse_budgeted) = (sparse_budget.base_s, sparse_budget.measured_s);
 
-    let dense_overhead = dense_budgeted / dense_scheduled;
-    let sparse_overhead = sparse_budgeted / sparse_scheduled;
+    let dense_overhead = dense_budget.ratio;
+    let sparse_overhead = sparse_budget.ratio;
     let dense_sched_stats = dense_sched_circ.stats();
     let sparse_sched_stats = sparse_sched_circ.stats();
 
@@ -185,6 +243,7 @@ fn main() {
          \"budget_overhead\": {sov:.3},\n    \
          \"scheduled_speedup\": {sssp:.2}\n  }},\n  \
          \"samples\": {samples},\n  \
+         \"pairs\": {pairs},\n  \
          \"max_budget_overhead\": {max_ov},\n  \
          \"max_metrics_overhead\": {max_mov},\n  \
          \"min_sparse_scheduled_speedup\": {min_ssp},\n  \
@@ -213,6 +272,7 @@ fn main() {
         sov = sparse_overhead,
         sssp = sparse_interpreted / sparse_scheduled,
         samples = SAMPLES,
+        pairs = PAIRS,
         max_ov = MAX_BUDGET_OVERHEAD,
         max_mov = MAX_METRICS_OVERHEAD,
         min_ssp = MIN_SPARSE_SCHEDULED_SPEEDUP,
@@ -225,6 +285,7 @@ fn main() {
         RunReport::new("bench_qsim")
             .config("dense_width", dense_width)
             .config("samples", SAMPLES)
+            .config("pairs", PAIRS)
             .config("parallel_feature", qmkp_qsim::parallel_enabled())
             .outcome("dense_interpreted_s", format!("{dense_interpreted:.6}"))
             .outcome(

@@ -4,9 +4,6 @@ use crate::compile::CompileError;
 use std::fmt;
 
 /// Errors produced while building circuits or simulating them.
-///
-/// Not `Eq` because [`SimError::NotNormalized`] carries the measured
-/// squared norm as an `f64` diagnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A gate referenced a qubit at or above the circuit width.
@@ -33,21 +30,6 @@ pub enum SimError {
         expected: usize,
         /// Width of the argument.
         actual: usize,
-    },
-    /// A measurement was requested on a state whose squared norm has
-    /// drifted to (or was set to) something indistinguishable from zero,
-    /// so outcome probabilities are undefined.
-    NotNormalized {
-        /// The state's squared norm at the time of the measurement.
-        norm_sqr: f64,
-    },
-    /// A post-selection collapsed onto a branch with zero probability:
-    /// the conditioned state does not exist.
-    ZeroProbabilityBranch {
-        /// The measured qubit.
-        qubit: usize,
-        /// The impossible outcome that was forced.
-        value: bool,
     },
     /// Circuit compilation failed (see [`CompileError`]).
     Compile(CompileError),
@@ -90,19 +72,6 @@ impl fmt::Display for SimError {
                     "circuit width mismatch: expected {expected}, got {actual}"
                 )
             }
-            SimError::NotNormalized { norm_sqr } => {
-                write!(
-                    f,
-                    "state is not normalized (squared norm {norm_sqr:.3e}); cannot measure"
-                )
-            }
-            SimError::ZeroProbabilityBranch { qubit, value } => {
-                write!(
-                    f,
-                    "post-selecting qubit {qubit} = {} collapses onto a zero-probability branch",
-                    *value as u8
-                )
-            }
             SimError::Compile(e) => write!(f, "compile error: {e}"),
             SimError::Interrupted(e) => write!(f, "run interrupted: {e}"),
         }
@@ -135,15 +104,6 @@ mod tests {
         }
         .to_string()
         .contains("expected 3"));
-        assert!(SimError::NotNormalized { norm_sqr: 1e-30 }
-            .to_string()
-            .contains("not normalized"));
-        assert!(SimError::ZeroProbabilityBranch {
-            qubit: 2,
-            value: true
-        }
-        .to_string()
-        .contains("qubit 2 = 1"));
         assert!(
             SimError::from(crate::compile::CompileError::DuplicateQubit(1))
                 .to_string()

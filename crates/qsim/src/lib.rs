@@ -30,7 +30,6 @@ pub mod dag;
 pub mod decompose;
 pub mod error;
 pub mod gate;
-pub mod measure;
 pub mod register;
 pub mod state;
 pub mod validate;
@@ -46,7 +45,6 @@ pub use dag::{Schedule, MAX_LAYER_SINGLES, UNSECTIONED};
 pub use decompose::{lower_to_toffoli, Lowered};
 pub use error::SimError;
 pub use gate::{Control, Gate};
-pub use measure::{collapse, measure_and_collapse, measure_and_collapse_dense};
 pub use register::{QubitAllocator, Register};
 pub use state::{
     BackendState, DenseState, LayerObserver, QuantumState, SparseState, MAX_DENSE_QUBITS,

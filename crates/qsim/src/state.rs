@@ -397,12 +397,19 @@ impl DenseState {
     /// `|basis⟩` over `width` qubits.
     ///
     /// # Errors
-    /// Fails if `width > 26`.
+    /// Fails if `width > 26`, or with [`SimError::QubitOutOfRange`]
+    /// naming the highest set bit of a `basis` outside the register.
     pub fn from_basis(width: usize, basis: u128) -> Result<Self, SimError> {
         if width > MAX_DENSE_QUBITS {
             return Err(SimError::TooManyQubitsForDense {
                 requested: width,
                 max: MAX_DENSE_QUBITS,
+            });
+        }
+        if basis >> width != 0 {
+            return Err(SimError::QubitOutOfRange {
+                qubit: 127 - basis.leading_zeros() as usize,
+                width,
             });
         }
         let mut amps = vec![Complex::ZERO; 1usize << width];
@@ -425,18 +432,6 @@ impl DenseState {
     /// Direct read-only access to the amplitude vector.
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amps
-    }
-
-    /// Zeroes every basis state for which `keep` is false and scales the
-    /// survivors (used by measurement collapse).
-    pub fn project(&mut self, keep: impl Fn(u128) -> bool, scale: f64) {
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if keep(i as u128) {
-                *a = a.scale(scale);
-            } else {
-                *a = Complex::ZERO;
-            }
-        }
     }
 
     /// One gather pass applying a fused permutation: `out[i] = in[P⁻¹(i)]`.
@@ -890,30 +885,6 @@ impl<K: BasisKey> SparseCore<K> {
         self.amps.iter().map(|(_, a)| a.norm_sqr()).sum()
     }
 
-    fn prune(&mut self, eps: f64) {
-        self.amps.retain(|(_, a)| !a.is_negligible(eps));
-    }
-
-    /// Replaces the amplitudes wholesale. Entries are sorted; for
-    /// duplicate keys the last entry wins (matching the insert semantics
-    /// of the former `HashMap` representation).
-    fn set_amplitudes(&mut self, entries: Vec<(K, Complex)>) {
-        let mut v = entries;
-        // Stable sort keeps duplicate keys in insertion order, so "keep
-        // the last of each equal-key run" below is exactly last-wins.
-        v.sort_by_key(|&(b, _)| b);
-        let mut w = 0;
-        for i in 0..v.len() {
-            if i + 1 < v.len() && v[i + 1].0 == v[i].0 {
-                continue;
-            }
-            v[w] = v[i];
-            w += 1;
-        }
-        v.truncate(w);
-        self.amps = v;
-    }
-
     /// Exact heap footprint: capacity of every buffer times entry size.
     fn memory_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(K, Complex)>();
@@ -1325,26 +1296,6 @@ impl SparseState {
         match &self.repr {
             Repr::Narrow(c) => c.amps.len(),
             Repr::Wide(c) => c.amps.len(),
-        }
-    }
-
-    /// Drops amplitudes with magnitude below `eps`.
-    pub fn prune(&mut self, eps: f64) {
-        match &mut self.repr {
-            Repr::Narrow(c) => c.prune(eps),
-            Repr::Wide(c) => c.prune(eps),
-        }
-    }
-
-    /// Replaces the state's amplitudes wholesale (used by measurement
-    /// collapse; the caller is responsible for normalization). For
-    /// duplicate basis keys the last entry wins.
-    pub fn set_amplitudes<I: IntoIterator<Item = (u128, Complex)>>(&mut self, amps: I) {
-        match &mut self.repr {
-            Repr::Narrow(c) => {
-                c.set_amplitudes(amps.into_iter().map(|(b, a)| (b as u64, a)).collect())
-            }
-            Repr::Wide(c) => c.set_amplitudes(amps.into_iter().collect()),
         }
     }
 }
@@ -1901,22 +1852,26 @@ mod tests {
         let mut s = SparseState::zero(1);
         s.apply(&Gate::H(0));
         s.apply(&Gate::H(0));
-        // |1⟩ amplitude is exactly 0 up to rounding; prune removes it.
-        s.prune(1e-12);
+        // H·H cancels the |1⟩ amplitude; the butterfly itself drops it.
         assert_eq!(s.support_size(), 1);
     }
 
     #[test]
-    fn set_amplitudes_is_last_wins_on_duplicates() {
-        let mut s = SparseState::zero(4);
-        s.set_amplitudes([
-            (0b0001, Complex::real(0.5)),
-            (0b0010, Complex::real(0.5)),
-            (0b0001, Complex::real(-0.5)),
-        ]);
-        assert_eq!(s.support_size(), 2);
-        assert_close(s.amplitude(0b0001).re, -0.5);
-        assert_close(s.amplitude(0b0010).re, 0.5);
+    fn dense_from_basis_rejects_a_basis_outside_the_register() {
+        assert_eq!(
+            DenseState::from_basis(3, 0b1000).unwrap_err(),
+            SimError::QubitOutOfRange { qubit: 3, width: 3 }
+        );
+        // Bits beyond a usize index must not truncate to |0⟩.
+        assert_eq!(
+            DenseState::from_basis(3, 1 << 64).unwrap_err(),
+            SimError::QubitOutOfRange {
+                qubit: 64,
+                width: 3
+            }
+        );
+        let s = DenseState::from_basis(3, 0b111).unwrap();
+        assert_close(s.probability(0b111), 1.0);
     }
 
     #[test]

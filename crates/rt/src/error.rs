@@ -132,9 +132,9 @@ mod tests {
             failures: vec![
                 ("dense".into(), RtError::Cancelled),
                 (
-                    "sqa".into(),
+                    "classical".into(),
                     RtError::Faulted {
-                        site: "annealer.sqa.sweep".into(),
+                        site: "classical.grasp.iter".into(),
                     },
                 ),
             ],
@@ -142,7 +142,7 @@ mod tests {
         let text = agg.to_string();
         assert!(text.contains("all 2 racers failed"), "{text}");
         assert!(text.contains("dense: cancelled"), "{text}");
-        assert!(text.contains("sqa: injected fault"), "{text}");
+        assert!(text.contains("classical: injected fault"), "{text}");
     }
 
     #[test]

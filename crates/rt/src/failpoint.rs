@@ -1,7 +1,7 @@
 //! Deterministic fault injection at named sites.
 //!
 //! Sites are named `crate.component.point` (e.g. `qsim.dense.alloc`,
-//! `core.grover.iterate`, `annealer.sqa.sweep`) and are consulted through
+//! `core.grover.iterate`, `classical.bnb.node`) and are consulted through
 //! [`check`]. Without the `failpoints` cargo feature, [`check`] compiles
 //! to an inlined `Ok(())` — zero cost in production builds. With the
 //! feature, tests arm sites in a process-global registry: a site armed

@@ -2,10 +2,10 @@
 //!
 //! Nothing in the solve path should be able to run away with the machine:
 //! a dense simulation allocates `2^w` amplitudes, a Grover schedule runs
-//! `O(2^{n/2})` oracle calls, and an annealing portfolio sweeps for as
-//! long as it is told to. This crate is the supervisor layer the paper's
-//! classical post-processing assumes: every long-running pass in
-//! `qmkp-qsim`, `qmkp-core` and `qmkp-annealer` periodically consults an
+//! `O(2^{n/2})` oracle calls, and branch & bound can visit exponentially
+//! many nodes. This crate is the supervisor layer the paper's classical
+//! post-processing assumes: every long-running pass in `qmkp-qsim`,
+//! `qmkp-core` and `qmkp-classical` periodically consults an
 //! [`RtContext`] and returns a structured [`RtError`] instead of
 //! panicking or running past its budget.
 //!
@@ -16,8 +16,8 @@
 //!   from any layer, with a deterministic check-count fuse for tests.
 //! * [`RtContext`] — binds a budget and a token to a running solve;
 //!   checked at kernel-chunk granularity in the simulator, iteration
-//!   granularity in the Grover/counting drivers, and PIMC-sweep
-//!   granularity in budgeted SQA.
+//!   granularity in the Grover/counting drivers, every restart in GRASP
+//!   and every few search nodes in branch & bound.
 //! * [`retry()`] — exponential backoff with deterministic jitter for the
 //!   stochastic solvers.
 //! * [`Checkpoint`] — JSON (de)serialization contract for resumable

@@ -561,8 +561,15 @@ mod tests {
         // Same panicking provider, portfolio on (the default for this
         // instance): only the quantum racers die — the panic is
         // contained per racer, a survivor still answers, and the race
-        // summary records the loss.
-        let request = SolveRequest::new(paper_fig1_graph(), 2);
+        // summary records the loss. Exact branch & bound can win fig-1
+        // before the sparse racer first calls its provider, so the
+        // classical lane runs a long GRASP instead; GRASP polls the
+        // cancel token on every restart.
+        let request = SolveRequest::new(paper_fig1_graph(), 2).with_config(SolveConfig {
+            exact_threshold: Some(0),
+            grasp_iterations: Some(20_000),
+            ..SolveConfig::default()
+        });
         let out = run_contained(&request, &RtContext::unlimited(), &PanickingProvider)
             .expect("a surviving racer must still answer");
         assert!(qmkp::graph::is_kplex(&request.graph, out.best, 2));

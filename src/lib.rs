@@ -18,8 +18,8 @@
 //!   retries, checkpoint/resume, deterministic fault injection
 //!   (`QMKP_RT_DEADLINE_MS` / `QMKP_RT_MAX_BYTES` / `QMKP_RT_MAX_OPS`).
 //! * [`mod@solve`] — one budgeted solve plan, raced or walked: the
-//!   fitting quantum rungs plus SQA and the classical floor race under
-//!   one cancel token (first verified k-plex wins), or walk the
+//!   fitting quantum rungs and the classical body race under one
+//!   cancel token (first verified k-plex wins), or walk the
 //!   degradation ladder dense → sparse → classical (`degraded = true`
 //!   when the quantum pipeline does not fit the budget).
 //!

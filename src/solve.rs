@@ -7,7 +7,7 @@
 //! does not, still return a valid k-plex. [`solve`] plans every run the
 //! same way: a preflight keeps the quantum rungs that fit the
 //! [`Budget`]'s byte ceiling, in ladder order, and every solver body —
-//! quantum (dense or sparse), SQA, classical (branch & bound or GRASP) —
+//! quantum (dense or sparse) or classical (branch & bound or GRASP) —
 //! verifies its own answer (a non-empty [`is_kplex`] set, or
 //! [`RtError::Faulted`]). The plan then runs one of two ways:
 //!
@@ -24,15 +24,17 @@
 //!   would spend the same exhausted budget. Either way the run is marked
 //!   `degraded = true` (and counted in `rt.degradations`).
 //! * **Raced** — the portfolio, the default whenever a quantum rung fits
-//!   ([`SolveConfig::portfolio`] overrides the choice): the staked rungs,
-//!   SQA, and the classical body run on their own threads under one
-//!   shared cancel token ([`qmkp_rt::race()`]), and the first verified
-//!   k-plex wins. The token is all the racers share: each body's answer
-//!   depends only on the graph, `k`, the seed and its own budget slice,
-//!   so the race decides only which body answers first. A panicking
-//!   racer becomes [`RtError::Faulted`] without touching its siblings;
-//!   when every racer fails the caller gets [`RtError::AllRacersFailed`].
-//!   A race win is never degraded.
+//!   ([`SolveConfig::portfolio`] overrides the choice): the staked rungs
+//!   and the classical body run on their own threads under one shared
+//!   cancel token ([`qmkp_rt::race()`]), and the first verified k-plex
+//!   wins. Up to the classical body's exact threshold every racer
+//!   searches for a maximum k-plex: branch & bound exactly, qMKP up to
+//!   its error bound. The token is all the racers share: each body's
+//!   answer depends only on the graph, `k`, the seed and its own budget
+//!   slice, so the race decides only which body answers first. A
+//!   panicking racer becomes [`RtError::Faulted`] without touching its
+//!   siblings; when every racer fails the caller gets
+//!   [`RtError::AllRacersFailed`]. A race win is never degraded.
 //!
 //! Explicit cancellation and configuration errors are never degraded —
 //! they surface as errors, because the caller asked for them.
@@ -42,7 +44,6 @@
 
 use std::time::{Duration, Instant};
 
-use qmkp_annealer::{sqa_qubo_ctx, SqaConfig};
 use qmkp_classical::bnb::max_kplex_bnb_ctx;
 use qmkp_classical::grasp::grasp_kplex_ctx;
 use qmkp_core::{
@@ -61,8 +62,9 @@ pub enum SolveBackend {
     Dense,
     /// Sparse (sorted-vec) statevector simulation.
     Sparse,
-    /// Simulated quantum annealing over the QUBO encoding (portfolio
-    /// racer only), verified with [`is_kplex`].
+    /// Simulated quantum annealing over the QUBO encoding. No solve plan
+    /// produces it any more; the variant stays for callers that match on
+    /// it.
     Sqa,
     /// Classical exact branch & bound (small graphs).
     ClassicalExact,
@@ -148,7 +150,7 @@ impl SolveOutcome {
 /// How one raced [`solve`] went, carried on [`SolveOutcome::race`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceSummary {
-    /// The racer that produced the answer (`dense`, `sparse`, `sqa`,
+    /// The racer that produced the answer (`dense`, `sparse`,
     /// `classical`).
     pub winner: String,
     /// Every racer staked, in staking (preflight-cost) order.
@@ -302,8 +304,7 @@ pub fn solve_with(
     };
     // The automatic gate races exactly when a quantum rung preflighted:
     // that is when a race can save the quantum pipeline's worst case,
-    // while a pure-classical instance gains nothing from racing its only
-    // lane against SQA and its walked floor stays deterministic.
+    // while a pure-classical instance has only one lane to run.
     let result = if config.portfolio.unwrap_or(!plan.rungs.is_empty()) {
         plan.race(ctx)
     } else {
@@ -320,17 +321,6 @@ const QUICK_GRASP_ITERATIONS: usize = 8;
 
 /// The greedy/random balance of every GRASP pass.
 const GRASP_ALPHA: f64 = 0.3;
-
-/// The low 128 assignment bits as a basis-state mask — the vertex bits
-/// of a QUBO assignment (slack variables beyond bit 127 are irrelevant
-/// to decoding, which masks to the vertex register anyway).
-fn head_bits(bools: &[bool]) -> u128 {
-    bools
-        .iter()
-        .take(128)
-        .enumerate()
-        .fold(0u128, |acc, (i, &b)| acc | (u128::from(b)) << i)
-}
 
 /// What a solver body hands back: its verified answer and who found it.
 struct Finish {
@@ -440,23 +430,6 @@ impl Plan<'_> {
         }
     }
 
-    /// The SQA body: QUBO-encode the instance, anneal it with the
-    /// default schedule reseeded from the quantum seed, and return the
-    /// polished final sample.
-    fn sqa(&self, ctx: &RtContext) -> Result<Finish, RtError> {
-        let qubo = qmkp_qubo::MkpQubo::new(self.g, qmkp_qubo::MkpQuboParams { k: self.k, r: 2.0 });
-        let sqa_config = SqaConfig {
-            seed: self.config.qmkp.qtkp.seed,
-            ..SqaConfig::default()
-        };
-        let out = sqa_qubo_ctx(&qubo.model, &sqa_config, ctx)?;
-        self.verified(
-            qubo.decode_polished(head_bits(&out.best)),
-            SolveBackend::Sqa,
-            None,
-        )
-    }
-
     /// The classical body. Up to the exact threshold, a quick GRASP pass
     /// gives an exact branch & bound its initial lower bound; above it,
     /// the full GRASP run.
@@ -528,9 +501,8 @@ impl Plan<'_> {
         Ok(outcome(finish, Some(because), None))
     }
 
-    /// Races the plan: every staked quantum rung, SQA, and the classical
-    /// body on their own threads under one shared token (see the module
-    /// docs).
+    /// Races the plan: every staked quantum rung and the classical body
+    /// on their own threads under one shared token (see the module docs).
     fn race(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
         // A cancelled caller must not spend threads; an invalid quantum
         // configuration must surface as an error even if a heuristic
@@ -567,7 +539,7 @@ impl Plan<'_> {
         let launched: Vec<&'static str> = staked
             .iter()
             .map(|&(backend, _)| backend.name())
-            .chain([SolveBackend::Sqa.name(), "classical"])
+            .chain(["classical"])
             .collect();
         // Quantum racers get a single attempt, no retry loop: the sibling
         // racers *are* the recovery mechanism, so a faulting rung loses
@@ -582,11 +554,6 @@ impl Plan<'_> {
                 )
             })
             .collect();
-        racers.push(Racer::new(
-            SolveBackend::Sqa.name(),
-            slice(None, None),
-            move |rctx: &RtContext| self.sqa(rctx),
-        ));
         racers.push(Racer::new(
             "classical",
             slice(None, None),
@@ -930,8 +897,8 @@ mod tests {
             .race
             .expect("the auto gate races when a quantum rung preflights");
         // Fig-1's oracle is 68 qubits wide: no dense racer, but the
-        // sparse, SQA, and classical lanes all stake.
-        assert_eq!(race.launched, vec!["sparse", "sqa", "classical"]);
+        // sparse and classical lanes both stake.
+        assert_eq!(race.launched, vec!["sparse", "classical"]);
         assert!(
             race.launched.iter().any(|&r| r == race.winner),
             "winner {} must be a launched racer",
@@ -948,8 +915,8 @@ mod tests {
     #[test]
     fn forced_portfolio_races_even_pure_classical_instances() {
         // A byte budget that rejects every quantum rung normally means
-        // the sequential floor; an explicit opt-in still races the SQA
-        // and classical lanes against each other.
+        // the sequential floor; an explicit opt-in still races, with the
+        // classical lane as the only racer.
         let g = paper_fig1_graph();
         let ctx = RtContext::with_budget(Budget::unlimited().with_max_bytes(1024));
         let config = SolveConfig {
@@ -959,11 +926,8 @@ mod tests {
         let out = solve(&g, 2, &config, &ctx).unwrap();
         assert!(is_kplex(&g, out.best, 2));
         let race = out.race.expect("explicit opt-in must race");
-        assert_eq!(race.launched, vec!["sqa", "classical"]);
-        assert!(matches!(
-            out.backend,
-            SolveBackend::Sqa | SolveBackend::ClassicalExact
-        ));
+        assert_eq!(race.launched, vec!["classical"]);
+        assert_eq!(out.backend, SolveBackend::ClassicalExact);
     }
 
     #[test]
@@ -1012,16 +976,5 @@ mod tests {
         assert!(json.contains("\"degraded\""));
         assert!(json.contains("true"));
         assert!(json.contains("classical-exact"));
-    }
-
-    #[test]
-    fn head_bits_folds_the_low_bits_and_ignores_the_tail() {
-        assert_eq!(head_bits(&[]), 0);
-        assert_eq!(head_bits(&[true, false, true]), 0b101);
-        let mut long = vec![false; 200];
-        long[0] = true;
-        long[127] = true;
-        long[150] = true; // beyond u128: ignored
-        assert_eq!(head_bits(&long), 1 | (1u128 << 127));
     }
 }

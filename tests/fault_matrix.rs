@@ -9,10 +9,8 @@
 //! CI `faults` job does exactly that.
 #![cfg(feature = "failpoints")]
 
-use qmkp::annealer::{sqa_qubo, sqa_qubo_ctx, SqaConfig};
 use qmkp::core::{qmkp_ctx, quantum_count_ctx, QmkpCheckpoint, QmkpConfig, QmkpProbe};
 use qmkp::qsim::SparseState;
-use qmkp::qubo::QuboModel;
 use qmkp::rt::{failpoint, RtContext, RtError};
 use qmkp::solve::SolveConfig;
 use rand::rngs::StdRng;
@@ -20,16 +18,6 @@ use rand::SeedableRng;
 
 fn faulted(site: &str) -> RtError {
     RtError::Faulted { site: site.into() }
-}
-
-fn small_qubo() -> QuboModel {
-    let mut q = QuboModel::new(3);
-    q.add_linear(0, -2.0);
-    q.add_linear(1, -2.0);
-    q.add_linear(2, -1.0);
-    q.add_quadratic(0, 1, 1.0);
-    q.add_quadratic(1, 2, 3.0);
-    q
 }
 
 /// The gate-pipeline sites, armed one at a time under a full `qmkp`
@@ -97,31 +85,6 @@ fn counting_sites_fault_structurally() {
         assert_eq!(err, faulted(site), "site {site}");
     }
     failpoint::reset();
-}
-
-/// The annealer's sweep site: armed, it interrupts budgeted SQA with
-/// `Faulted`; cleared, the run completes with the plain sampler's answer.
-#[test]
-fn sqa_sweep_site_faults_structurally_and_completes_once_cleared() {
-    let _guard = failpoint::exclusive();
-    let q = small_qubo();
-    let sqa = SqaConfig {
-        shots: 3,
-        sweeps: 4,
-        trotter_slices: 4,
-        ..SqaConfig::default()
-    };
-    failpoint::arm("annealer.sqa.sweep", 3);
-    let err = sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited())
-        .expect_err("armed sweep site must interrupt SQA");
-    assert_eq!(err, faulted("annealer.sqa.sweep"));
-    assert_eq!(failpoint::hits("annealer.sqa.sweep"), Some(4));
-    failpoint::reset();
-    let out =
-        sqa_qubo_ctx(&q, &sqa, &RtContext::unlimited()).expect("fault cleared: SQA must complete");
-    let plain = sqa_qubo(&q, &sqa);
-    assert_eq!(out.best, plain.best);
-    assert_eq!(out.best_energy.to_bits(), plain.best_energy.to_bits());
 }
 
 /// With `QMKP_RT_CHECKPOINT_DIR` set, an interrupt also spills its
@@ -269,10 +232,31 @@ fn interrupt_inside_a_probe_resumes_from_the_iteration_boundary() {
     assert_eq!(resumed.total_iterations, straight.total_iterations);
 }
 
-/// Races run per site until the armed site is hit. Run alone, the
-/// sparse racer reached `qsim.run.op` in 47 and 54 of 60 forced races,
-/// so 50 races leave a miss negligible.
+/// Races run per site until the armed site is hit. Over 30 runs of the
+/// matrix below, every sparse site was hit in the first race and
+/// `classical.bnb.node` within four, so 50 races leave a miss
+/// negligible.
 const RACES_PER_SITE: usize = 50;
+
+/// GRASP restarts for the classical racer when a test needs the sparse
+/// racer to reach its sites. On fig-1, exact branch & bound answers in
+/// tens of microseconds, usually before the sparse racer has compiled
+/// its oracle and hit its first site; the win then cancels the sparse
+/// racer and the site is never consulted. Forcing GRASP (exact threshold
+/// 0) with this many restarts keeps the classical lane busy for longer,
+/// and GRASP polls the cancel token on every restart, so the lane still
+/// stops as soon as the sparse racer wins.
+const SLOW_CLASSICAL_GRASP_ITERATIONS: usize = 20_000;
+
+/// A forced race whose classical lane is the slow GRASP run above.
+fn race_with_slow_classical() -> SolveConfig {
+    SolveConfig {
+        portfolio: Some(true),
+        exact_threshold: Some(0),
+        grasp_iterations: Some(SLOW_CLASSICAL_GRASP_ITERATIONS),
+        ..SolveConfig::default()
+    }
+}
 
 /// Any single racer faulting must not cost the caller the answer: the
 /// race returns a verified winner from a surviving racer and accounts
@@ -281,18 +265,18 @@ const RACES_PER_SITE: usize = 50;
 fn single_racer_faults_still_yield_a_verified_winner() {
     let _guard = failpoint::exclusive();
     let g = qmkp::graph::gen::paper_fig1_graph();
-    let config = SolveConfig {
+    let forced = SolveConfig {
         portfolio: Some(true),
         ..SolveConfig::default()
     };
-    for (site, racer) in [
-        ("core.qmkp.probe", "sparse"),
-        ("core.grover.iterate", "sparse"),
-        ("qsim.run.op", "sparse"),
-        ("qsim.sparse.alloc", "sparse"),
-        ("annealer.sqa.sweep", "sqa"),
-        ("classical.grasp.iter", "classical"),
-        ("classical.bnb.node", "classical"),
+    let slow_classical = race_with_slow_classical();
+    for (site, racer, config) in [
+        ("core.qmkp.probe", "sparse", &slow_classical),
+        ("core.grover.iterate", "sparse", &slow_classical),
+        ("qsim.run.op", "sparse", &slow_classical),
+        ("qsim.sparse.alloc", "sparse", &slow_classical),
+        ("classical.grasp.iter", "classical", &forced),
+        ("classical.bnb.node", "classical", &forced),
     ] {
         // An `after = 0` arm faults the racer on its first site hit. A
         // racer cancelled by an earlier win may never reach its site (the
@@ -305,7 +289,7 @@ fn single_racer_faults_still_yield_a_verified_winner() {
             failpoint::arm(site, 0);
             let metrics = std::sync::Arc::new(qmkp::obs::Metrics::new());
             let guard = qmkp::obs::attach(metrics.clone());
-            let out = qmkp::solve(&g, 2, &config, &RtContext::unlimited())
+            let out = qmkp::solve(&g, 2, config, &RtContext::unlimited())
                 .expect("a surviving racer must still answer");
             drop(guard);
             assert!(qmkp::graph::is_kplex(&g, out.best, 2), "site {site}");
@@ -338,7 +322,6 @@ fn all_racers_failing_yields_an_aggregate_error() {
     let _guard = failpoint::exclusive();
     failpoint::reset();
     failpoint::arm("core.qmkp.probe", 0); // kills the sparse racer
-    failpoint::arm("annealer.sqa.sweep", 0); // kills the SQA racer
     failpoint::arm("classical.grasp.iter", 0); // kills the classical racer
     let g = qmkp::graph::gen::paper_fig1_graph();
     let config = SolveConfig {
@@ -350,10 +333,9 @@ fn all_racers_failing_yields_an_aggregate_error() {
     match err {
         RtError::AllRacersFailed { failures } => {
             let names: Vec<&str> = failures.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names, ["sparse", "sqa", "classical"]);
+            assert_eq!(names, ["sparse", "classical"]);
             let expected = [
                 ("sparse", "core.qmkp.probe"),
-                ("sqa", "annealer.sqa.sweep"),
                 ("classical", "classical.grasp.iter"),
             ];
             for ((name, e), (_, site)) in failures.iter().zip(expected) {
@@ -366,7 +348,7 @@ fn all_racers_failing_yields_an_aggregate_error() {
 }
 
 /// A panic injected through one racer's oracle provider is contained to
-/// that racer: the heuristic racers still answer and the casualty is a
+/// that racer: the classical racer still answers and the casualty is a
 /// structural fault, not a crashed process.
 #[test]
 fn provider_panic_is_contained_to_the_quantum_racer() {
@@ -386,16 +368,13 @@ fn provider_panic_is_contained_to_the_quantum_racer() {
     let _guard = failpoint::exclusive();
     failpoint::reset();
     let g = qmkp::graph::gen::paper_fig1_graph();
-    let config = SolveConfig {
-        portfolio: Some(true),
-        ..SolveConfig::default()
-    };
+    let config = race_with_slow_classical();
     let out = qmkp::solve_with(&g, 2, &config, &RtContext::unlimited(), &PanickingProvider)
-        .expect("the heuristic racers survive a panicking provider");
+        .expect("the classical racer survives a panicking provider");
     assert!(qmkp::graph::is_kplex(&g, out.best, 2));
     let race = out.race.expect("a forced portfolio must race");
     assert_ne!(race.winner, "sparse", "the panicking racer cannot win");
     // The panic fires on the sparse racer's first oracle compilation,
-    // long before any heuristic can win and cancel it.
+    // long before the slow classical lane can win and cancel it.
     assert!(race.faulted >= 1, "the panic must be accounted as a fault");
 }
