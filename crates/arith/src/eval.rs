@@ -45,7 +45,7 @@ mod tests {
         c.push_unchecked(Gate::mcx_pos([0, 1, 2], 3));
         for input in 0..16u128 {
             let out = classical_eval(&c, input);
-            let mut s = SparseState::from_basis(4, input);
+            let mut s = SparseState::from_basis(4, input).unwrap();
             s.run(&c).unwrap();
             assert!((s.probability(out) - 1.0).abs() < 1e-12);
         }

@@ -659,6 +659,27 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_iteration_admits_the_state_it_grew() {
+        // The 32-byte zero state fits a 1 KiB ceiling; the 128-entry
+        // state one iteration grows does not, and must say so.
+        let g = paper_fig1_graph();
+        let ctx = RtContext::with_budget(qmkp_rt::Budget::unlimited().with_max_bytes(1 << 10));
+        let mut driver =
+            GroverDriver::<Oracle, SparseState>::try_new_ctx(Oracle::new(&g, 2, 4), &ctx)
+                .expect("the zero state fits");
+        let err = driver
+            .iterate_ctx(&ctx)
+            .expect_err("the grown state does not");
+        assert!(
+            matches!(
+                err,
+                SimError::Interrupted(qmkp_rt::RtError::MemoryBudget { limit: 1024, .. })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn support_stays_bounded() {
         // The sparse state never exceeds 2^n (+ factor 2 for |O⟩ = |−⟩).
         let g = paper_fig1_graph();

@@ -1,15 +1,16 @@
 //! The compiled executor on the path gate-model solves run: one full
-//! Grover iteration on real qTKP oracles, which are wider than 64 qubits
-//! and so run every compiled op on u128 basis keys. The sparse backend
-//! executes it three ways — `iterate`, `iterate_ctx` under an unlimited
-//! context, and the same gates through the gate-at-a-time interpreter —
-//! and the vertex-register distributions must agree.
+//! Grover iteration on real qTKP oracles, 68 qubits and wider. The sparse
+//! backend executes it three ways — `iterate`, `iterate_ctx` under an
+//! unlimited context, and the same gates through the gate-at-a-time
+//! interpreter — and the vertex-register distributions must agree. A
+//! last test pins the exact bits of three iterations on both driver
+//! paths, which no tolerance-based check can see.
 
 use qmkp_core::{diffusion_circuit, solutions, GroverDriver, Oracle};
 use qmkp_graph::gen::{paper_fig1_graph, paper_gate_dataset};
 use qmkp_graph::Graph;
 use qmkp_qsim::{Circuit, Gate, QuantumState, SparseState};
-use qmkp_rt::RtContext;
+use qmkp_rt::{splitmix64, RtContext};
 
 fn one_iteration_three_ways(g: &Graph, k: usize, t: usize) {
     let oracle = Oracle::new(g, k, t);
@@ -70,4 +71,57 @@ fn fig1_oracle_iteration_matches_the_interpreter() {
 #[test]
 fn g7_8_probe_iteration_matches_the_interpreter() {
     one_iteration_three_ways(&paper_gate_dataset(7, 8), 2, 3);
+}
+
+/// Folds every vertex-set probability after each of three iterations
+/// into one u64: the set's bits and the exact f64 bits of its mass, run
+/// through a mixer that is stable across Rust releases (`DefaultHasher`
+/// is not).
+fn pinned_hash(oracle: &Oracle, budgeted: bool) -> u64 {
+    let mut driver = GroverDriver::new(oracle.clone());
+    let ctx = RtContext::unlimited();
+    let mut h = 0u64;
+    for _ in 0..3 {
+        if budgeted {
+            driver
+                .iterate_ctx(&ctx)
+                .expect("an unlimited context never interrupts");
+        } else {
+            driver.iterate();
+        }
+        for (set, p) in driver.vertex_distribution() {
+            for word in [set as u64, (set >> 64) as u64, p.to_bits()] {
+                h = splitmix64(h ^ word);
+            }
+        }
+    }
+    h
+}
+
+/// Pins the executor's output bit for bit: the checks above allow 1e-9,
+/// so a kernel change that moves amplitudes by an ulp would pass them
+/// unseen. A change that moves these constants changes behaviour;
+/// re-recording them would hide it.
+#[test]
+fn grover_iterations_are_pinned() {
+    let cases: [(&str, Graph, usize, usize, u64); 2] = [
+        ("fig-1", paper_fig1_graph(), 2, 4, 5632090774453103712),
+        (
+            "G_{7,8}",
+            paper_gate_dataset(7, 8),
+            2,
+            3,
+            11441642903133201388,
+        ),
+    ];
+    for (name, g, k, t, pinned) in cases {
+        let oracle = Oracle::new(&g, k, t);
+        for budgeted in [false, true] {
+            assert_eq!(
+                pinned_hash(&oracle, budgeted),
+                pinned,
+                "{name} (budgeted: {budgeted}): Grover output moved"
+            );
+        }
+    }
 }

@@ -24,15 +24,10 @@
 //!    on the *same* qubit fuse into one matrix product, so e.g. an `Ry`
 //!    sandwiched between Hadamards costs one state pass instead of three.
 //!
-//! Kernel steps are generic over the basis-key integer ([`BasisKey`]).
-//! Registers of 65-128 qubits run on `u128` keys, and that covers every
-//! qTKP oracle: the paper's fig-1 oracle is already 68 qubits wide, and
-//! every probe the benchmark runs is at least that wide. Circuits of
-//! width ≤ 64 — the dense backend's registers, quantum counting's phase
-//! register, and small test circuits — are additionally lowered to
-//! u64-specialised steps ([`MaskedFlip64`] / [`MaskedPhase64`], exposed
-//! via [`CompiledCircuit::narrow_ops`]) that the backends prefer, at half
-//! the register pressure of the `u128` steps.
+//! Kernel steps carry `u128` masks, one bit per qubit, so one set of ops
+//! runs every register up to 128 qubits: the qTKP oracles (the paper's
+//! fig-1 oracle is already 68 qubits wide), the dense backend's
+//! registers, and small test circuits alike.
 //!
 //! Compilation is fallible ([`CompileError`]): a circuit wider than the
 //! 128-bit basis encoding, or one whose gates reference out-of-range or
@@ -46,128 +41,11 @@
 use crate::circuit::{Circuit, Section};
 use crate::complex::Complex;
 use crate::gate::Gate;
-use std::borrow::Cow;
 use std::fmt;
 
 /// Widest register the compiler (and the sparse backend) can encode: one
 /// bit of a `u128` basis key per qubit.
 pub const MAX_COMPILE_WIDTH: usize = 128;
-
-/// Integer type carrying a basis state in the kernel hot loops.
-///
-/// Implemented for `u64` (registers of width ≤ 64: the dense backend,
-/// quantum counting, small test circuits) and `u128` (registers of
-/// 65-128 qubits, which includes every qTKP oracle). Backends and kernel
-/// steps are generic over this trait so both widths share one
-/// implementation.
-pub trait BasisKey:
-    Copy
-    + Ord
-    + Eq
-    + fmt::Debug
-    + Send
-    + Sync
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitXor<Output = Self>
-    + std::ops::Not<Output = Self>
-{
-    /// The all-zeros key.
-    const ZERO: Self;
-    /// Number of bits (the maximum register width this key supports).
-    const BITS: usize;
-    /// The key with only bit `q` set.
-    fn bit(q: usize) -> Self;
-    /// Truncating conversion from the canonical `u128` encoding.
-    fn from_u128(basis: u128) -> Self;
-    /// Widening conversion to the canonical `u128` encoding.
-    fn to_u128(self) -> u128;
-    /// All-ones when `hit`, all-zeros otherwise (branchless select mask).
-    fn splat(hit: bool) -> Self;
-    /// Splits into `(low 64 bits, remaining high bits)`. The sparse
-    /// backend runs ladder steps whose masks live entirely in the low
-    /// half on u64 arithmetic, even when the register is u128-keyed.
-    fn split_lo_hi(self) -> (u64, u64);
-    /// Inverse of [`BasisKey::split_lo_hi`].
-    fn from_lo_hi(lo: u64, hi: u64) -> Self;
-    /// `ops` with u64 masks: borrowed when `Self` is `u64`, truncated
-    /// copies otherwise. Lets a backend run ops of either width on its
-    /// own key width.
-    fn ops_as_u64(ops: &[Op<Self>]) -> Cow<'_, [Op<u64>]>;
-    /// `ops` with u128 masks: borrowed when `Self` is `u128`, widened
-    /// copies otherwise.
-    fn ops_as_u128(ops: &[Op<Self>]) -> Cow<'_, [Op<u128>]>;
-}
-
-impl BasisKey for u64 {
-    const ZERO: Self = 0;
-    const BITS: usize = 64;
-    #[inline]
-    fn bit(q: usize) -> Self {
-        1u64 << q
-    }
-    #[inline]
-    fn from_u128(basis: u128) -> Self {
-        basis as u64
-    }
-    #[inline]
-    fn to_u128(self) -> u128 {
-        self as u128
-    }
-    #[inline]
-    fn splat(hit: bool) -> Self {
-        (hit as u64).wrapping_neg()
-    }
-    #[inline]
-    fn split_lo_hi(self) -> (u64, u64) {
-        (self, 0)
-    }
-    #[inline]
-    fn from_lo_hi(lo: u64, _hi: u64) -> Self {
-        lo
-    }
-    fn ops_as_u64(ops: &[Op<u64>]) -> Cow<'_, [Op<u64>]> {
-        Cow::Borrowed(ops)
-    }
-    fn ops_as_u128(ops: &[Op<u64>]) -> Cow<'_, [Op<u128>]> {
-        Cow::Owned(ops.iter().map(Op::widen).collect())
-    }
-}
-
-impl BasisKey for u128 {
-    const ZERO: Self = 0;
-    const BITS: usize = 128;
-    #[inline]
-    fn bit(q: usize) -> Self {
-        1u128 << q
-    }
-    #[inline]
-    fn from_u128(basis: u128) -> Self {
-        basis
-    }
-    #[inline]
-    fn to_u128(self) -> u128 {
-        self
-    }
-    #[inline]
-    fn splat(hit: bool) -> Self {
-        (hit as u128).wrapping_neg()
-    }
-    #[inline]
-    fn split_lo_hi(self) -> (u64, u64) {
-        (self as u64, (self >> 64) as u64)
-    }
-    #[inline]
-    fn from_lo_hi(lo: u64, hi: u64) -> Self {
-        (lo as u128) | ((hi as u128) << 64)
-    }
-    fn ops_as_u64(ops: &[Op<u128>]) -> Cow<'_, [Op<u64>]> {
-        Cow::Owned(ops.iter().map(Op::narrow).collect())
-    }
-    fn ops_as_u128(ops: &[Op<u128>]) -> Cow<'_, [Op<u128>]> {
-        Cow::Borrowed(ops)
-    }
-}
 
 /// A conditional bit-flip: if `basis & care == want`, XOR `flip` into the
 /// basis state.
@@ -177,103 +55,50 @@ impl BasisKey for u128 {
 /// involution — the property the dense gather pass relies on to invert a
 /// fused permutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlipStep<K> {
+pub struct FlipStep {
     /// Bits that participate in the control test.
-    pub care: K,
+    pub care: u128,
     /// Required pattern on the `care` bits.
-    pub want: K,
+    pub want: u128,
     /// Bits flipped when the test passes (the MCX targets).
-    pub flip: K,
+    pub flip: u128,
 }
 
-/// The `u128` flip step (any register width up to 128).
-pub type MaskedFlip = FlipStep<u128>;
-/// The u64-specialised flip step (registers of width ≤ 64).
-pub type MaskedFlip64 = FlipStep<u64>;
+/// The flip step under the name the backends and tests use.
+pub type MaskedFlip = FlipStep;
 
-impl<K: BasisKey> FlipStep<K> {
+impl FlipStep {
     /// Applies the step to a basis state. Branchless: the control test on
     /// a superposed register passes for an unpredictable subset of basis
     /// states, so a data-dependent branch here mispredicts constantly in
     /// the dense gather's hot loop.
     #[inline]
-    pub fn apply(self, basis: K) -> K {
-        let hit = K::splat(basis & self.care == self.want);
+    pub fn apply(self, basis: u128) -> u128 {
+        let hit = ((basis & self.care == self.want) as u128).wrapping_neg();
         basis ^ (self.flip & hit)
-    }
-}
-
-impl FlipStep<u128> {
-    /// Truncates the masks to the u64 fast path (valid when every touched
-    /// qubit is below 64).
-    #[inline]
-    pub fn narrow(self) -> MaskedFlip64 {
-        FlipStep {
-            care: self.care as u64,
-            want: self.want as u64,
-            flip: self.flip as u64,
-        }
-    }
-}
-
-impl FlipStep<u64> {
-    /// Widens the masks back to the canonical `u128` encoding.
-    #[inline]
-    pub fn widen(self) -> MaskedFlip {
-        FlipStep {
-            care: self.care as u128,
-            want: self.want as u128,
-            flip: self.flip as u128,
-        }
     }
 }
 
 /// A conditional phase factor: if `basis & care == want`, multiply the
 /// amplitude by `phase`. Z / Phase / CPhase / MCZ all lower to this.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseStep<K> {
+pub struct PhaseStep {
     /// Bits that participate in the test.
-    pub care: K,
+    pub care: u128,
     /// Required pattern on the `care` bits.
-    pub want: K,
+    pub want: u128,
     /// The phase factor (`-1` for Z/MCZ, `e^{iθ}` for Phase/CPhase).
     pub phase: Complex,
 }
 
-/// The `u128` phase step (any register width up to 128).
-pub type MaskedPhase = PhaseStep<u128>;
-/// The u64-specialised phase step (registers of width ≤ 64).
-pub type MaskedPhase64 = PhaseStep<u64>;
+/// The phase step under the name the backends and tests use.
+pub type MaskedPhase = PhaseStep;
 
-impl<K: BasisKey> PhaseStep<K> {
+impl PhaseStep {
     /// Whether the phase applies to a basis state.
     #[inline]
-    pub fn applies_to(self, basis: K) -> bool {
+    pub fn applies_to(self, basis: u128) -> bool {
         basis & self.care == self.want
-    }
-}
-
-impl PhaseStep<u128> {
-    /// Truncates the masks to the u64 fast path.
-    #[inline]
-    pub fn narrow(self) -> MaskedPhase64 {
-        PhaseStep {
-            care: self.care as u64,
-            want: self.want as u64,
-            phase: self.phase,
-        }
-    }
-}
-
-impl PhaseStep<u64> {
-    /// Widens the masks back to the canonical `u128` encoding.
-    #[inline]
-    pub fn widen(self) -> MaskedPhase {
-        PhaseStep {
-            care: self.care as u128,
-            want: self.want as u128,
-            phase: self.phase,
-        }
     }
 }
 
@@ -334,25 +159,23 @@ impl SingleQubit {
     }
 }
 
-/// One fused kernel operation over basis keys of type `K`.
+/// One fused kernel operation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Op<K> {
+pub enum Op {
     /// A fused run of classical-reversible gates, applied as one pass.
     /// Steps are in gate order.
-    Permutation(Vec<FlipStep<K>>),
+    Permutation(Vec<FlipStep>),
     /// A fused run of diagonal gates, applied as one pass.
-    Diagonal(Vec<PhaseStep<K>>),
+    Diagonal(Vec<PhaseStep>),
     /// A single-qubit butterfly (H / Ry, possibly several fused into one
     /// 2×2 product).
     Single(SingleQubit),
 }
 
-/// The `u128` kernel op (any register width up to 128).
-pub type CompiledOp = Op<u128>;
-/// The u64-specialised kernel op (registers of width ≤ 64).
-pub type CompiledOp64 = Op<u64>;
+/// The kernel op under the name the backends and tests use.
+pub type CompiledOp = Op;
 
-impl<K> Op<K> {
+impl Op {
     /// Number of kernel steps in this op. At most the number of source
     /// gates folded into it — peephole cancellation (adjacent inverse
     /// flips, merged same-mask phases, fused 2×2 products) can shrink a
@@ -363,29 +186,6 @@ impl<K> Op<K> {
             Op::Permutation(steps) => steps.len(),
             Op::Diagonal(phases) => phases.len(),
             Op::Single(_) => 1,
-        }
-    }
-}
-
-impl Op<u128> {
-    /// Truncates every step to the u64 fast path (valid when the circuit
-    /// width is ≤ 64).
-    pub fn narrow(&self) -> CompiledOp64 {
-        match self {
-            Op::Permutation(steps) => Op::Permutation(steps.iter().map(|s| s.narrow()).collect()),
-            Op::Diagonal(phases) => Op::Diagonal(phases.iter().map(|p| p.narrow()).collect()),
-            Op::Single(k) => Op::Single(*k),
-        }
-    }
-}
-
-impl Op<u64> {
-    /// Widens every step back to the canonical `u128` encoding.
-    pub fn widen(&self) -> CompiledOp {
-        match self {
-            Op::Permutation(steps) => Op::Permutation(steps.iter().map(|s| s.widen()).collect()),
-            Op::Diagonal(phases) => Op::Diagonal(phases.iter().map(|p| p.widen()).collect()),
-            Op::Single(k) => Op::Single(*k),
         }
     }
 }
@@ -529,8 +329,6 @@ pub struct CompileStats {
     pub merged_phases: usize,
     /// Single-qubit gates folded into an existing 2×2 product.
     pub merged_singles: usize,
-    /// Whether u64-specialised kernels were emitted (width ≤ 64).
-    pub narrow: bool,
     /// Diagonal steps conjugated past a later flip by the scheduler's
     /// commute rewrite (counted once per diagonal per sunk flip).
     pub commuted_diagonals: usize,
@@ -546,9 +344,6 @@ pub struct CompileStats {
 pub struct CompiledCircuit {
     width: usize,
     ops: Vec<CompiledOp>,
-    /// The same ops with u64 masks, present when `width ≤ 64`. Backends
-    /// prefer these; qTKP oracles are wider and run the `u128` ops.
-    narrow_ops: Option<Vec<CompiledOp64>>,
     sections: Vec<Section>,
     source_gates: usize,
     stats: CompileStats,
@@ -572,8 +367,6 @@ impl CompiledCircuit {
         crate::validate::validate_circuit(circuit)?;
         let span = qmkp_obs::span("qsim.compile");
         let out = crate::dag::schedule_compile(circuit);
-        let narrow_ops = (circuit.width() <= u64::BITS as usize)
-            .then(|| out.ops.iter().map(Op::narrow).collect::<Vec<_>>());
         let stats = CompileStats {
             source_gates: circuit.len(),
             ops: out.ops.len(),
@@ -581,7 +374,6 @@ impl CompiledCircuit {
             cancelled_flips: out.cancelled_flips,
             merged_phases: out.merged_phases,
             merged_singles: out.merged_singles,
-            narrow: narrow_ops.is_some(),
             commuted_diagonals: out.commuted_diagonals,
             layers: out.schedule.layers.len(),
             longest_ladder: longest_ladder(&out.ops),
@@ -593,7 +385,6 @@ impl CompiledCircuit {
                 ("qsim.compile.cancelled", stats.cancelled_flips),
                 ("qsim.compile.merged", stats.merged_phases),
                 ("qsim.compile.merged_singles", stats.merged_singles),
-                ("qsim.compile.narrow", usize::from(stats.narrow)),
                 ("qsim.compile.commuted", stats.commuted_diagonals),
                 ("qsim.compile.layers", stats.layers),
             ] {
@@ -604,7 +395,6 @@ impl CompiledCircuit {
         Ok(CompiledCircuit {
             width: circuit.width(),
             ops: out.ops,
-            narrow_ops,
             sections: out.sections,
             source_gates: circuit.len(),
             stats,
@@ -624,17 +414,19 @@ impl CompiledCircuit {
         self.width
     }
 
-    /// The fused ops in order (`u128` masks, valid at any width).
+    /// The fused ops in order.
     #[inline]
     pub fn ops(&self) -> &[CompiledOp] {
         &self.ops
     }
 
-    /// The u64-specialised ops, present when the circuit width is ≤ 64.
-    /// Element `i` is [`CompiledCircuit::ops`]`[i]` with truncated masks.
+    /// Always `None`: every register runs the `u128` ops of
+    /// [`CompiledCircuit::ops`]. Kept only because the end-to-end
+    /// benchmark (`bench_e2e/src/gate.rs`) reads it, and that package
+    /// changes only together with the benchmark.
     #[inline]
-    pub fn narrow_ops(&self) -> Option<&[CompiledOp64]> {
-        self.narrow_ops.as_deref()
+    pub fn narrow_ops(&self) -> Option<&[CompiledOp]> {
+        None
     }
 
     /// Section tags translated to covering op-index ranges (ranges of
@@ -656,25 +448,21 @@ impl CompiledCircuit {
         self.stats
     }
 
-    /// Approximate resident heap footprint of the compiled artifact:
-    /// both kernel-op vectors (wide and, when present, u64-narrowed),
-    /// section tags, and the dispatch schedule. This is the byte figure
+    /// Approximate resident heap footprint of the compiled artifact: the
+    /// kernel ops, section tags, and the dispatch schedule. This is the byte figure
     /// a compiled-circuit cache charges against its ceiling — the same
     /// `memory_bytes` accounting idiom the backends expose for states.
     pub fn memory_bytes(&self) -> usize {
-        fn op_bytes<K>(op: &Op<K>) -> usize {
-            std::mem::size_of::<Op<K>>()
+        fn op_bytes(op: &Op) -> usize {
+            std::mem::size_of::<Op>()
                 + match op {
-                    Op::Permutation(steps) => steps.capacity() * std::mem::size_of::<FlipStep<K>>(),
-                    Op::Diagonal(phases) => phases.capacity() * std::mem::size_of::<PhaseStep<K>>(),
+                    Op::Permutation(steps) => steps.capacity() * std::mem::size_of::<FlipStep>(),
+                    Op::Diagonal(phases) => phases.capacity() * std::mem::size_of::<PhaseStep>(),
                     Op::Single(_) => 0,
                 }
         }
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.ops.iter().map(op_bytes).sum::<usize>();
-        if let Some(narrow) = &self.narrow_ops {
-            bytes += narrow.iter().map(op_bytes).sum::<usize>();
-        }
         bytes += self
             .sections
             .iter()
@@ -728,12 +516,6 @@ mod tests {
         }
         assert_eq!(f.apply(0b001), 0b101);
         assert_eq!(f.apply(0b011), 0b011);
-        // The narrowed step agrees with the wide one.
-        let f64 = f.narrow();
-        for b in 0..8u64 {
-            assert_eq!(f64.apply(b) as u128, f.apply(b as u128));
-        }
-        assert_eq!(f64.widen(), f);
     }
 
     #[test]
@@ -873,27 +655,6 @@ mod tests {
             assert!((a - b).norm() < 1e-12);
         }
         assert_eq!(cc.stats().merged_singles, 2);
-    }
-
-    #[test]
-    fn narrow_ops_emitted_for_small_widths_only() {
-        let mut c = Circuit::new(64);
-        c.push_unchecked(Gate::H(0));
-        c.push_unchecked(Gate::ccnot(0, 1, 63));
-        c.push_unchecked(Gate::Z(63));
-        let cc = compile(&c);
-        let narrow = cc.narrow_ops().expect("width 64 has a u64 fast path");
-        assert_eq!(narrow.len(), cc.len());
-        assert!(cc.stats().narrow);
-        for (n, w) in narrow.iter().zip(cc.ops()) {
-            assert_eq!(&n.widen(), w, "narrow ops are the wide ops truncated");
-        }
-
-        let mut wide = Circuit::new(65);
-        wide.push_unchecked(Gate::H(64));
-        let cc = compile(&wide);
-        assert!(cc.narrow_ops().is_none());
-        assert!(!cc.stats().narrow);
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! The emitted op stream is finally cut into *layers*: maximal runs of
 //! consecutive ops with pairwise-disjoint qubit support. All ops in a
 //! layer commute, so a backend may apply them in one pass over the
-//! amplitudes (`QuantumState::apply_layer`); the dense backend fuses the
-//! whole layer into one rayon-parallel gather.
+//! amplitudes (`QuantumState::apply_layer`); the dense backend runs the
+//! layer's single-qubit kernels as butterflies and fuses the rest of the
+//! layer into one rayon-parallel gather.
 
 use crate::circuit::{Circuit, Section};
 use crate::compile::{lower_gate, CompiledOp, FlipStep, Op, PhaseStep, SingleQubit};
@@ -59,11 +60,6 @@ use std::ops::Range;
 
 /// Section id of gates outside every section.
 pub const UNSECTIONED: usize = usize::MAX;
-
-/// Most single-qubit butterflies fused into one layer. Each single in a
-/// dense layer doubles the gather's accumulation fan-in, so this is kept
-/// small: 2 singles cost 4 fused multiply-adds per amplitude.
-pub const MAX_LAYER_SINGLES: usize = 2;
 
 /// The layer structure and per-op section attribution of a compiled
 /// circuit: what the executor walks, layer by layer.
@@ -91,7 +87,7 @@ impl Schedule {
 
 /// `F·D·F` as a single masked phase step, or `None` when the pair does
 /// not admit the rewrite (see the module docs for the rule).
-pub fn conjugate_phase(d: &PhaseStep<u128>, f: &FlipStep<u128>) -> Option<PhaseStep<u128>> {
+pub fn conjugate_phase(d: &PhaseStep, f: &FlipStep) -> Option<PhaseStep> {
     if f.flip & d.care == 0 {
         return Some(*d);
     }
@@ -140,8 +136,8 @@ struct Tagged<T> {
 struct Scheduler {
     emitted: Vec<CompiledOp>,
     attributions: Vec<Vec<(usize, usize)>>,
-    perm_run: Vec<Tagged<FlipStep<u128>>>,
-    diag_run: Vec<Tagged<PhaseStep<u128>>>,
+    perm_run: Vec<Tagged<FlipStep>>,
+    diag_run: Vec<Tagged<PhaseStep>>,
     /// Pending single-qubit kernels, pairwise on distinct qubits.
     singles: Vec<Tagged<SingleQubit>>,
     cancelled_flips: usize,
@@ -207,7 +203,7 @@ impl Scheduler {
         }
     }
 
-    fn push_flip(&mut self, f: FlipStep<u128>, section: usize) {
+    fn push_flip(&mut self, f: FlipStep, section: usize) {
         let support = f.care | f.flip;
         if self.singles_support() & support != 0 {
             // A pending butterfly touches the flip's support; program
@@ -218,7 +214,7 @@ impl Scheduler {
         }
         // Sink the whole pending diagonal run past `f`: conjugate every
         // step tentatively and commit only if all of them rewrite.
-        let conjugated: Option<Vec<Tagged<PhaseStep<u128>>>> = self
+        let conjugated: Option<Vec<Tagged<PhaseStep>>> = self
             .diag_run
             .iter()
             .map(|t| {
@@ -252,7 +248,7 @@ impl Scheduler {
         self.perm_run.push(Tagged { step: f, section });
     }
 
-    fn push_phase(&mut self, p: PhaseStep<u128>, section: usize) {
+    fn push_phase(&mut self, p: PhaseStep, section: usize) {
         if self.singles_support() & p.care != 0 {
             self.flush();
             self.diag_run.push(Tagged { step: p, section });
@@ -286,25 +282,19 @@ impl Scheduler {
 }
 
 /// Cuts the op stream into maximal consecutive antichains of
-/// support-disjoint ops, holding at most [`MAX_LAYER_SINGLES`]
-/// single-qubit kernels per layer.
+/// support-disjoint ops: a layer extends while supports stay disjoint.
 pub fn layerize(ops: &[CompiledOp]) -> Vec<Range<usize>> {
     let mut layers = Vec::new();
     let mut start = 0;
     let mut support = 0u128;
-    let mut singles = 0usize;
     for (i, op) in ops.iter().enumerate() {
         let s = op_support(op);
-        let is_single = matches!(op, Op::Single(_));
-        let fits = i == start || (support & s == 0 && (!is_single || singles < MAX_LAYER_SINGLES));
-        if !fits {
+        if i > start && support & s != 0 {
             layers.push(start..i);
             start = i;
             support = 0;
-            singles = 0;
         }
         support |= s;
-        singles += is_single as usize;
     }
     if start < ops.len() {
         layers.push(start..ops.len());
@@ -464,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn layering_groups_disjoint_ops_and_caps_singles() {
+    fn layering_groups_disjoint_ops_until_supports_overlap() {
         let flip = |q: usize| {
             Op::Permutation(vec![FlipStep {
                 care: 0,
@@ -476,7 +466,7 @@ mod tests {
         // X(0) X(1) share no support with each other; X(0) again overlaps.
         let ops = vec![flip(0), flip(1), flip(0), single(2), single(3), single(4)];
         let layers = layerize(&ops);
-        assert_eq!(layers, vec![0..2, 2..5, 5..6]);
+        assert_eq!(layers, vec![0..2, 2..6]);
         // Each layer's ops are pairwise disjoint.
         for l in &layers {
             let mut seen = 0u128;

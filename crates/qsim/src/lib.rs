@@ -6,7 +6,7 @@
 //! * [`state::DenseState`] — a full statevector (`2^q` amplitudes), usable
 //!   up to ~26 qubits; the ground truth for cross-checking.
 //! * [`state::SparseState`] — a sorted vector of the nonzero
-//!   `(basis, amplitude)` pairs (u64 keys for widths ≤ 64, u128 beyond).
+//!   `(basis, amplitude)` pairs, keyed by `u128` at every width.
 //!   The qTKP oracle is almost entirely classical-reversible
 //!   (X / CNOT / Toffoli / multi-controlled X), so a state that starts as a
 //!   superposition over the `n` vertex qubits never exceeds `2^n` nonzero
@@ -37,11 +37,11 @@ pub mod validate;
 pub use bits::BitVec;
 pub use circuit::{Circuit, GateStats, Section};
 pub use compile::{
-    BasisKey, CompileError, CompileStats, CompiledCircuit, CompiledOp, CompiledOp64, FlipStep,
-    MaskedFlip, MaskedFlip64, MaskedPhase, MaskedPhase64, PhaseStep, SingleQubit,
+    CompileError, CompileStats, CompiledCircuit, CompiledOp, FlipStep, MaskedFlip, MaskedPhase,
+    PhaseStep, SingleQubit,
 };
 pub use complex::Complex;
-pub use dag::{Schedule, MAX_LAYER_SINGLES, UNSECTIONED};
+pub use dag::{Schedule, UNSECTIONED};
 pub use decompose::{lower_to_toffoli, Lowered};
 pub use error::SimError;
 pub use gate::{Control, Gate};

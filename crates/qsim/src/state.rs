@@ -8,15 +8,15 @@
 //! fused layer kernel ([`QuantumState::apply_layer`]). The dense backend
 //! evaluates a layer's combined permutation and diagonal in one
 //! (rayon-parallel) gather pass; the sparse backend collapses
-//! permutation+diagonal runs into a single key-rewrite pass. The executor
-//! picks the key width once per circuit: u64-specialised ops for
-//! registers of width ≤ 64 (the dense backend, quantum counting's
-//! register, small test circuits), u128 ops for wider ones (every qTKP
-//! oracle). The gate-by-gate interpreter survives as
-//! [`QuantumState::run_interpreted`] (and [`QuantumState::apply`]) for
-//! cross-checking and for callers that apply individual gates.
+//! permutation+diagonal runs into a single key-rewrite pass. Both run
+//! every register on the compiler's `u128` ops. The gate-by-gate
+//! interpreter survives as [`QuantumState::run_interpreted`] (and
+//! [`QuantumState::apply`]) for cross-checking and for callers that apply
+//! individual gates: the dense one through hand-written per-gate kernels,
+//! the independent reference the compiled paths are checked against, and
+//! the sparse one through the compiler's own lowering.
 //!
-//! The sparse backend stores the state as a `Vec<(key, amplitude)>` sorted
+//! The sparse backend stores the state as a `Vec<(u128, amplitude)>` sorted
 //! by basis key (cf. the sorted-structure representation of sparse
 //! Feynman-path simulators): permutation and diagonal kernels are one
 //! in-place pass, and the `Single` butterfly is a linear two-way merge
@@ -24,7 +24,10 @@
 //! which the previous `HashMap` representation paid on every H/Ry gate.
 
 use crate::circuit::Circuit;
-use crate::compile::{BasisKey, CompiledCircuit, FlipStep, Op, PhaseStep, SingleQubit};
+use crate::compile::{
+    lower_gate, CompiledCircuit, CompiledOp, FlipStep, Op, PhaseStep, SingleQubit,
+    MAX_COMPILE_WIDTH,
+};
 use crate::complex::Complex;
 use crate::dag::Schedule;
 use crate::error::SimError;
@@ -104,9 +107,9 @@ impl LayerObserver for KernelMeter {
 /// context, each layer is one poll of the `qsim.run.op` failpoint and one
 /// charge of its op count against the op budget, so interruption lands
 /// between layers, never inside a pass, and budgets see every kernel op.
-fn run_layers<K: BasisKey, S: QuantumState + ?Sized, O: LayerObserver>(
+fn run_layers<S: QuantumState + ?Sized, O: LayerObserver>(
     state: &mut S,
-    ops: &[Op<K>],
+    ops: &[CompiledOp],
     schedule: &Schedule,
     ctx: Option<&RtContext>,
     observer: &mut O,
@@ -140,10 +143,8 @@ pub trait QuantumState {
     fn apply(&mut self, gate: &Gate);
 
     /// Applies one layer of support-disjoint compiled ops in a fused pass
-    /// (a single op is a layer too). Generic over the ops' key width: a
-    /// state keyed at the other width converts the ops first, though the
-    /// executor always hands a state ops of its own width.
-    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]);
+    /// (a single op is a layer too).
+    fn apply_layer(&mut self, ops: &[CompiledOp]);
 
     /// Heap footprint of the state representation in bytes (amplitude
     /// storage plus reusable scratch buffers). Exact for both backends:
@@ -211,10 +212,11 @@ pub trait QuantumState {
     /// Runs an already-compiled circuit under an execution-runtime
     /// context. Identical numerics to [`QuantumState::run_compiled`], but
     /// the state's footprint is admitted against the byte ceiling before
-    /// the first pass, and every layer is charged at its op count against
-    /// the op budget, polls cancellation, and consults the `qsim.run.op`
-    /// failpoint — interruption lands between layers, never inside a
-    /// pass, so the state stays structurally valid (though mid-circuit).
+    /// the first pass and again after the last, and every layer is
+    /// charged at its op count against the op budget, polls cancellation,
+    /// and consults the `qsim.run.op` failpoint — interruption lands
+    /// between layers, never inside a pass, so the state stays
+    /// structurally valid (though mid-circuit).
     ///
     /// # Errors
     /// As [`QuantumState::run_compiled`], plus [`SimError::Interrupted`]
@@ -234,17 +236,18 @@ pub trait QuantumState {
     }
 
     /// The compiled-circuit executor every runner goes through: checks
-    /// the width, picks the key width once (the u64 ops when the compiler
-    /// emitted them, else the u128 ops), and applies the schedule's
-    /// layers in order. A given `ctx` is polled and charged once per
-    /// layer, as [`QuantumState::run_compiled_ctx`] describes; `observer`
+    /// the width and applies the schedule's layers in order. A given
+    /// `ctx` is polled and charged once per layer, as
+    /// [`QuantumState::run_compiled_ctx`] describes, and admits the
+    /// state's footprint once the layers are done, so a state that grew
+    /// past the byte ceiling is reported rather than kept; `observer`
     /// sees every layer's op range and wall time.
     ///
     /// # Errors
     /// [`SimError::WidthMismatch`] if the compiled width differs from the
     /// state's, and [`SimError::Interrupted`] when the context's budget
-    /// is exhausted, cancellation is requested, or an injected fault
-    /// fires.
+    /// is exhausted (the byte ceiling included), cancellation is
+    /// requested, or an injected fault fires.
     fn run_observed<O: LayerObserver>(
         &mut self,
         compiled: &CompiledCircuit,
@@ -257,10 +260,11 @@ pub trait QuantumState {
                 actual: compiled.width(),
             });
         }
-        match compiled.narrow_ops() {
-            Some(ops) => run_layers(self, ops, compiled.schedule(), ctx, observer),
-            None => run_layers(self, compiled.ops(), compiled.schedule(), ctx, observer),
+        run_layers(self, compiled.ops(), compiled.schedule(), ctx, observer)?;
+        if let Some(ctx) = ctx {
+            ctx.admit_bytes(self.memory_bytes())?;
         }
+        Ok(())
     }
 
     /// Runs a circuit gate by gate, without compilation. Reference path
@@ -434,52 +438,13 @@ impl DenseState {
         &self.amps
     }
 
-    /// One gather pass applying a fused permutation: `out[i] = in[P⁻¹(i)]`.
-    /// Each [`FlipStep`] is an involution, so the inverse permutation is
-    /// the steps applied in reverse order. Generic over the key width so
-    /// the u64-specialised ops run without widening.
-    fn apply_permutation<K: BasisKey>(&mut self, steps: &[FlipStep<K>]) {
-        if steps.is_empty() {
-            // Peephole cancellation can empty a run; skip the copy pass.
-            return;
-        }
-        self.scratch.resize(self.amps.len(), Complex::ZERO);
-        let amps = &self.amps;
-        let scratch = &mut self.scratch[..];
-        let gather = |i: usize| {
-            let mut j = K::from_u128(i as u128);
-            for s in steps.iter().rev() {
-                j = s.apply(j);
-            }
-            amps[j.to_u128() as usize]
-        };
-        #[cfg(feature = "parallel")]
-        if amps.len() >= PAR_MIN_AMPS {
-            scratch
-                .par_chunks_mut(PAR_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * PAR_CHUNK;
-                    for (t, out) in chunk.iter_mut().enumerate() {
-                        *out = gather(base + t);
-                    }
-                });
-            std::mem::swap(&mut self.amps, &mut self.scratch);
-            return;
-        }
-        for (i, out) in scratch.iter_mut().enumerate() {
-            *out = gather(i);
-        }
-        std::mem::swap(&mut self.amps, &mut self.scratch);
-    }
-
     /// One in-place pass applying a fused run of diagonal gates.
-    fn apply_diagonal<K: BasisKey>(&mut self, phases: &[PhaseStep<K>]) {
+    fn apply_diagonal(&mut self, phases: &[PhaseStep]) {
         if phases.is_empty() {
             return;
         }
         let update = |i: usize, a: &mut Complex| {
-            let b = K::from_u128(i as u128);
+            let b = i as u128;
             for p in phases {
                 if p.applies_to(b) {
                     *a *= p.phase;
@@ -535,66 +500,29 @@ impl DenseState {
         butterfly(&mut self.amps);
     }
 
-    /// One gather pass applying a whole support-disjoint layer at once:
-    ///
-    /// ```text
-    /// out[i] = Σ_c (Π_j M_j[i_j][c_j]) · d(P⁻¹(i_c)) · in[P⁻¹(i_c)]
-    /// ```
-    ///
-    /// where `P` is the layer's combined permutation (ladders of disjoint
-    /// ops concatenated; the inverse is the steps reversed), `d` the
-    /// combined diagonal, and `c` ranges over the `2^m` input bit
-    /// combinations of the layer's `m` single-qubit kernels (`i_c` is `i`
-    /// with those bits replaced by `c`). The layerizer caps `m` at
-    /// [`crate::dag::MAX_LAYER_SINGLES`], so the sum stays short. Because
-    /// supports are disjoint, the diagonal's bits are untouched by `P` and
-    /// by the single substitutions, so `d` may be evaluated on the
-    /// gathered source key.
-    fn apply_layer_fused<K: BasisKey>(
-        &mut self,
-        perm: &[FlipStep<K>],
-        diag: &[PhaseStep<K>],
-        singles: &[SingleQubit],
-    ) {
-        if singles.is_empty() && perm.is_empty() {
-            // Pure diagonal layer: stays an in-place pass.
-            self.apply_diagonal(diag);
-            return;
-        }
+    /// One gather pass applying a layer's permutation and diagonal at
+    /// once: `out[i] = d(P⁻¹(i)) · in[P⁻¹(i)]`, where `P` is the layer's
+    /// ladders concatenated and `d` its combined diagonal (possibly
+    /// empty). Each [`FlipStep`] is an involution, so `P⁻¹` is the steps
+    /// in reverse order. Supports are disjoint, so `P` leaves the
+    /// diagonal's bits alone and `d` may be evaluated on the gathered
+    /// source key.
+    fn apply_gather(&mut self, perm: &[FlipStep], diag: &[PhaseStep]) {
         self.scratch.resize(self.amps.len(), Complex::ZERO);
         let amps = &self.amps;
         let scratch = &mut self.scratch[..];
-        let combos = 1usize << singles.len();
         let gather = |i: usize| {
-            let mut acc = Complex::ZERO;
-            for c in 0..combos {
-                let mut coeff = Complex::ONE;
-                let mut ic = i;
-                for (j, k) in singles.iter().enumerate() {
-                    let m = 1usize << k.qubit;
-                    let row = i & m != 0;
-                    let col = (c >> j) & 1 != 0;
-                    coeff *= match (row, col) {
-                        (false, false) => k.m00,
-                        (false, true) => k.m01,
-                        (true, false) => k.m10,
-                        (true, true) => k.m11,
-                    };
-                    ic = if col { ic | m } else { ic & !m };
-                }
-                let mut key = K::from_u128(ic as u128);
-                for s in perm.iter().rev() {
-                    key = s.apply(key);
-                }
-                let mut a = amps[key.to_u128() as usize];
-                for p in diag {
-                    if p.applies_to(key) {
-                        a *= p.phase;
-                    }
-                }
-                acc += coeff * a;
+            let mut key = i as u128;
+            for s in perm.iter().rev() {
+                key = s.apply(key);
             }
-            acc
+            let mut a = amps[key as usize];
+            for p in diag {
+                if p.applies_to(key) {
+                    a *= p.phase;
+                }
+            }
+            a
         };
         #[cfg(feature = "parallel")]
         if amps.len() >= PAR_MIN_AMPS {
@@ -616,22 +544,18 @@ impl DenseState {
         std::mem::swap(&mut self.amps, &mut self.scratch);
     }
 
-    /// Layer dispatch, generic over the key width. The ops in a layer
-    /// have pairwise-disjoint supports, so they commute and may run in
-    /// any grouping; the dispatch picks the cheapest:
+    /// Layer dispatch. The ops in a layer have pairwise-disjoint
+    /// supports, so they commute and may run in any grouping; the
+    /// dispatch picks the cheapest:
     ///
-    /// * singles always run their in-place butterfly — routing a 2×2
-    ///   kernel through the gather multiplies every output by `2^m`
-    ///   summands, while a butterfly is one linear pass;
-    /// * a layer holding both permutations and diagonals fuses them into
-    ///   one gather pass (`out[i] = d(P⁻¹(i)) · in[P⁻¹(i)]`), saving the
-    ///   separate diagonal sweep;
-    /// * disjoint permutations concatenate into a single ladder (one
-    ///   gather instead of one per op); diagonals likewise share one
-    ///   in-place sweep.
-    fn layer_ops<K: BasisKey>(&mut self, ops: &[Op<K>]) {
-        let mut perm: Vec<FlipStep<K>> = Vec::new();
-        let mut diag: Vec<PhaseStep<K>> = Vec::new();
+    /// * singles run their in-place butterfly, one linear pass each;
+    /// * a layer with a permutation runs one gather pass: disjoint
+    ///   ladders concatenate into one, and the layer's diagonal (if any)
+    ///   rides along, saving a separate sweep;
+    /// * a pure diagonal layer stays one in-place sweep.
+    fn layer_ops(&mut self, ops: &[CompiledOp]) {
+        let mut perm: Vec<FlipStep> = Vec::new();
+        let mut diag: Vec<PhaseStep> = Vec::new();
         for op in ops {
             match op {
                 Op::Permutation(steps) => perm.extend_from_slice(steps),
@@ -639,12 +563,10 @@ impl DenseState {
                 Op::Single(k) => self.apply_single(k),
             }
         }
-        if !perm.is_empty() && !diag.is_empty() {
-            self.apply_layer_fused(&perm, &diag, &[]);
-        } else if !perm.is_empty() {
-            self.apply_permutation(&perm);
-        } else if !diag.is_empty() {
+        if perm.is_empty() {
             self.apply_diagonal(&diag);
+        } else {
+            self.apply_gather(&perm, &diag);
         }
     }
 }
@@ -685,7 +607,7 @@ impl QuantumState for DenseState {
             .collect()
     }
 
-    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]) {
+    fn apply_layer(&mut self, ops: &[CompiledOp]) {
         self.layer_ops(ops);
     }
 
@@ -820,11 +742,25 @@ struct SplitStep {
     flip_hi: u64,
 }
 
+/// Splits a key into `(low 64 bits, high 64 bits)`. The sparse ladder
+/// runs steps whose masks live entirely in the low half on u64
+/// arithmetic.
+#[inline]
+fn split_lo_hi(key: u128) -> (u64, u64) {
+    (key as u64, (key >> 64) as u64)
+}
+
+/// Inverse of [`split_lo_hi`].
+#[inline]
+fn from_lo_hi(lo: u64, hi: u64) -> u128 {
+    (lo as u128) | ((hi as u128) << 64)
+}
+
 impl SplitStep {
-    fn from_step<K: BasisKey>(s: FlipStep<K>) -> Self {
-        let (care_lo, care_hi) = s.care.split_lo_hi();
-        let (want_lo, want_hi) = s.want.split_lo_hi();
-        let (flip_lo, flip_hi) = s.flip.split_lo_hi();
+    fn from_step(s: FlipStep) -> Self {
+        let (care_lo, care_hi) = split_lo_hi(s.care);
+        let (want_lo, want_hi) = split_lo_hi(s.want);
+        let (flip_lo, flip_hi) = split_lo_hi(s.flip);
         SplitStep {
             care_lo,
             want_lo,
@@ -842,29 +778,29 @@ impl SplitStep {
     }
 }
 
-/// The sorted-vec amplitude store, generic over the basis-key width.
+/// The sorted-vec amplitude store.
 ///
 /// Invariant: `amps` is sorted by key with all keys distinct. The scratch
 /// buffers hold no live data between ops — only their capacity is reused,
 /// so a `Single` pass allocates nothing once the buffers have grown to the
 /// working support size.
 #[derive(Debug, Clone)]
-struct SparseCore<K> {
-    amps: Vec<(K, Complex)>,
+struct SparseCore {
+    amps: Vec<(u128, Complex)>,
     /// Pass-1 buffer: entries with the target bit clear, key unchanged.
-    split_lo: Vec<(K, Complex)>,
+    split_lo: Vec<(u128, Complex)>,
     /// Pass-1 buffer: entries with the target bit set, key normalized
     /// (bit cleared) — still sorted, since clearing the same bit from
     /// keys that all have it set preserves order.
-    split_hi: Vec<(K, Complex)>,
+    split_hi: Vec<(u128, Complex)>,
     /// Pass-2 output: bit-clear halves of the butterflies.
-    out_lo: Vec<(K, Complex)>,
+    out_lo: Vec<(u128, Complex)>,
     /// Pass-2 output: bit-set halves (key has the bit re-set).
-    out_hi: Vec<(K, Complex)>,
+    out_hi: Vec<(u128, Complex)>,
 }
 
-impl<K: BasisKey> SparseCore<K> {
-    fn from_basis(basis: K) -> Self {
+impl SparseCore {
+    fn from_basis(basis: u128) -> Self {
         SparseCore {
             amps: vec![(basis, Complex::ONE)],
             split_lo: Vec::new(),
@@ -874,7 +810,7 @@ impl<K: BasisKey> SparseCore<K> {
         }
     }
 
-    fn amplitude(&self, basis: K) -> Complex {
+    fn amplitude(&self, basis: u128) -> Complex {
         match self.amps.binary_search_by_key(&basis, |&(b, _)| b) {
             Ok(i) => self.amps[i].1,
             Err(_) => Complex::ZERO,
@@ -887,7 +823,7 @@ impl<K: BasisKey> SparseCore<K> {
 
     /// Exact heap footprint: capacity of every buffer times entry size.
     fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(K, Complex)>();
+        let entry = std::mem::size_of::<(u128, Complex)>();
         (self.amps.capacity()
             + self.split_lo.capacity()
             + self.split_hi.capacity()
@@ -901,7 +837,7 @@ impl<K: BasisKey> SparseCore<K> {
     /// keys are still ascending and sorts only when they are not (flip
     /// steps that touch only high ancilla bits of clustered supports often
     /// preserve order).
-    fn apply_permutation(&mut self, steps: &[FlipStep<K>]) {
+    fn apply_permutation(&mut self, steps: &[FlipStep]) {
         if steps.is_empty() {
             // Peephole cancellation can empty a run.
             return;
@@ -944,14 +880,14 @@ impl<K: BasisKey> SparseCore<K> {
 
     /// Long-ladder permutation pass with the steps pre-split into 64-bit
     /// halves. Oracle circuits put the high-traffic registers (vertices,
-    /// edge ancillas, degree counters) in the low qubits, so on a wide
-    /// (u128-keyed) register most steps never touch the top half — runs
+    /// edge ancillas, degree counters) in the low qubits, so most steps
+    /// never touch the top half of a key — runs
     /// of such steps execute on pure u64 arithmetic, roughly halving the
     /// ALU work of the hot ladder. Keys ride through the ladder four at a
     /// time: each step's output feeds the next step's control test, so a
     /// single key is a serial dependency chain and the interleaving is
     /// what lets the CPU overlap the latency-bound mask arithmetic.
-    fn apply_permutation_split(&mut self, steps: &[FlipStep<K>]) {
+    fn apply_permutation_split(&mut self, steps: &[FlipStep]) {
         // Dead-step elimination: track which bits *may* be 1 and which
         // *may* be 0 anywhere in the support. A step whose control test
         // needs a bit state that no key can have never fires, so it is
@@ -962,7 +898,7 @@ impl<K: BasisKey> SparseCore<K> {
         let (mut may1_lo, mut may1_hi) = (0u64, 0u64);
         let (mut all1_lo, mut all1_hi) = (!0u64, !0u64);
         for &(b, _) in &self.amps {
-            let (l, h) = b.split_lo_hi();
+            let (l, h) = split_lo_hi(b);
             may1_lo |= l;
             may1_hi |= h;
             all1_lo &= l;
@@ -999,7 +935,7 @@ impl<K: BasisKey> SparseCore<K> {
             let mut lo = [0u64; 8];
             let mut hi = [0u64; 8];
             for (i, &(b, _)) in chunk.iter().enumerate() {
-                (lo[i], hi[i]) = b.split_lo_hi();
+                (lo[i], hi[i]) = split_lo_hi(b);
             }
             for &(narrow, start, end) in &runs {
                 if narrow {
@@ -1022,23 +958,23 @@ impl<K: BasisKey> SparseCore<K> {
                 }
             }
             for (i, (b, _)) in chunk.iter_mut().enumerate() {
-                *b = K::from_lo_hi(lo[i], hi[i]);
+                *b = from_lo_hi(lo[i], hi[i]);
             }
         }
         for (b, _) in chunks.into_remainder() {
-            let (mut lo, mut hi) = b.split_lo_hi();
+            let (mut lo, mut hi) = split_lo_hi(*b);
             for s in &split {
                 let hit = ((lo & s.care_lo == s.want_lo && hi & s.care_hi == s.want_hi) as u64)
                     .wrapping_neg();
                 lo ^= s.flip_lo & hit;
                 hi ^= s.flip_hi & hit;
             }
-            *b = K::from_lo_hi(lo, hi);
+            *b = from_lo_hi(lo, hi);
         }
     }
 
     /// One in-place pass applying a fused run of diagonal gates.
-    fn apply_diagonal(&mut self, phases: &[PhaseStep<K>]) {
+    fn apply_diagonal(&mut self, phases: &[PhaseStep]) {
         for (b, a) in self.amps.iter_mut() {
             for p in phases {
                 if p.applies_to(*b) {
@@ -1060,11 +996,11 @@ impl<K: BasisKey> SparseCore<K> {
     ///    (keys from the two sides are never equal — they differ in the
     ///    target bit).
     fn apply_single(&mut self, k: &SingleQubit) {
-        let m = K::bit(k.qubit);
+        let m = 1u128 << k.qubit;
         self.split_lo.clear();
         self.split_hi.clear();
         for &(b, a) in &self.amps {
-            if b & m == K::ZERO {
+            if b & m == 0 {
                 self.split_lo.push((b, a));
             } else {
                 self.split_hi.push((b & !m, a));
@@ -1127,7 +1063,7 @@ impl<K: BasisKey> SparseCore<K> {
         self.amps.extend_from_slice(&self.out_hi[j..]);
     }
 
-    fn apply_op(&mut self, op: &Op<K>) {
+    fn apply_op(&mut self, op: &CompiledOp) {
         match op {
             Op::Permutation(steps) => self.apply_permutation(steps),
             Op::Diagonal(phases) => self.apply_diagonal(phases),
@@ -1143,13 +1079,13 @@ impl<K: BasisKey> SparseCore<K> {
     /// back to the two specialised passes. `Single` kernels run their
     /// merge passes afterwards — their qubits are untouched by the rest
     /// of the layer.
-    fn apply_layer_ops(&mut self, ops: &[Op<K>]) {
+    fn apply_layer_ops(&mut self, ops: &[CompiledOp]) {
         if let [op] = ops {
             self.apply_op(op);
             return;
         }
-        let mut perm: Vec<FlipStep<K>> = Vec::new();
-        let mut diag: Vec<PhaseStep<K>> = Vec::new();
+        let mut perm: Vec<FlipStep> = Vec::new();
+        let mut diag: Vec<PhaseStep> = Vec::new();
         for op in ops {
             match op {
                 Op::Permutation(steps) => perm.extend_from_slice(steps),
@@ -1185,118 +1121,67 @@ impl<K: BasisKey> SparseCore<K> {
             }
         }
     }
-
-    /// Interpreted single-gate application: each gate is lowered to a
-    /// stack-local kernel step and applied through the same passes as the
-    /// compiled path — no allocation, no hashing.
-    fn apply_gate(&mut self, gate: &Gate) {
-        match gate {
-            Gate::X(q) => self.apply_permutation(&[FlipStep {
-                care: K::ZERO,
-                want: K::ZERO,
-                flip: K::bit(*q),
-            }]),
-            Gate::Mcx { controls, target } => {
-                let mut care = K::ZERO;
-                let mut want = K::ZERO;
-                for c in controls {
-                    care = care | K::bit(c.qubit);
-                    if c.positive {
-                        want = want | K::bit(c.qubit);
-                    }
-                }
-                self.apply_permutation(&[FlipStep {
-                    care,
-                    want,
-                    flip: K::bit(*target),
-                }]);
-            }
-            Gate::Z(q) => self.apply_diagonal(&[PhaseStep {
-                care: K::bit(*q),
-                want: K::bit(*q),
-                phase: Complex::real(-1.0),
-            }]),
-            Gate::Phase(q, theta) => self.apply_diagonal(&[PhaseStep {
-                care: K::bit(*q),
-                want: K::bit(*q),
-                phase: Complex::from_phase(*theta),
-            }]),
-            Gate::CPhase(p, q, theta) => {
-                let m = K::bit(*p) | K::bit(*q);
-                self.apply_diagonal(&[PhaseStep {
-                    care: m,
-                    want: m,
-                    phase: Complex::from_phase(*theta),
-                }]);
-            }
-            Gate::Mcz { controls, target } => {
-                let mut care = K::bit(*target);
-                let mut want = K::bit(*target);
-                for c in controls {
-                    care = care | K::bit(c.qubit);
-                    if c.positive {
-                        want = want | K::bit(c.qubit);
-                    }
-                }
-                self.apply_diagonal(&[PhaseStep {
-                    care,
-                    want,
-                    phase: Complex::real(-1.0),
-                }]);
-            }
-            Gate::H(q) => self.apply_single(&SingleQubit::hadamard(*q)),
-            Gate::Ry(q, theta) => self.apply_single(&SingleQubit::ry(*q, *theta)),
-        }
-    }
-}
-
-/// The sorted key representation at the state's width: u64 keys for
-/// registers of width ≤ 64 (small circuits), u128 keys for wider ones —
-/// every qTKP oracle, the paper's 68-qubit fig-1 oracle included.
-#[derive(Debug, Clone)]
-enum Repr {
-    Narrow(SparseCore<u64>),
-    Wide(SparseCore<u128>),
 }
 
 /// Sparse sorted-vec backend: only nonzero basis states are stored, as a
-/// `Vec<(key, amplitude)>` sorted by basis key.
+/// `Vec<(u128, amplitude)>` sorted by basis key.
 ///
 /// Suited to circuits that are mostly basis-state permutations (X / MCX):
 /// the qTKP oracle over 50-200 qubits keeps at most `2^n` nonzero
 /// amplitudes, where `n` is the number of vertex qubits ever touched by a
-/// Hadamard. Such oracles are wider than 64 qubits and store `u128`
-/// keys; states of width ≤ 64 store `u64` keys (24-byte entries instead
-/// of 32) and run the compiler's u64-specialised kernels.
+/// Hadamard. Every register, however narrow, stores 32-byte
+/// `(u128, Complex)` entries.
 #[derive(Debug, Clone)]
 pub struct SparseState {
     width: usize,
-    repr: Repr,
+    core: SparseCore,
 }
 
 impl SparseState {
     /// `|basis⟩` over `width` qubits (any width up to 128).
-    pub fn from_basis(width: usize, basis: u128) -> Self {
-        assert!(width <= 128, "at most 128 qubits are supported");
-        let repr = if width <= u64::BITS as usize {
-            Repr::Narrow(SparseCore::from_basis(basis as u64))
-        } else {
-            Repr::Wide(SparseCore::from_basis(basis))
-        };
-        SparseState { width, repr }
+    ///
+    /// # Errors
+    /// [`SimError::QubitOutOfRange`] naming the highest set bit of a
+    /// `basis` outside the register, or, for a register wider than 128
+    /// qubits, naming its top qubit against the 128-qubit encoding.
+    pub fn from_basis(width: usize, basis: u128) -> Result<Self, SimError> {
+        if width > MAX_COMPILE_WIDTH {
+            return Err(SimError::QubitOutOfRange {
+                qubit: width - 1,
+                width: MAX_COMPILE_WIDTH,
+            });
+        }
+        if basis.checked_shr(width as u32).unwrap_or(0) != 0 {
+            return Err(SimError::QubitOutOfRange {
+                qubit: 127 - basis.leading_zeros() as usize,
+                width,
+            });
+        }
+        Ok(SparseState {
+            width,
+            core: SparseCore::from_basis(basis),
+        })
     }
 
     /// `|0…0⟩` over `width` qubits.
+    ///
+    /// # Panics
+    /// Panics if `width > 128`; [`BackendState::try_zero`] reports that
+    /// as an error instead.
     pub fn zero(width: usize) -> Self {
-        Self::from_basis(width, 0)
+        assert!(
+            width <= MAX_COMPILE_WIDTH,
+            "at most 128 qubits are supported"
+        );
+        SparseState {
+            width,
+            core: SparseCore::from_basis(0),
+        }
     }
 
     /// Number of nonzero amplitudes currently stored.
     pub fn support_size(&self) -> usize {
-        match &self.repr {
-            Repr::Narrow(c) => c.amps.len(),
-            Repr::Wide(c) => c.amps.len(),
-        }
+        self.core.amps.len()
     }
 }
 
@@ -1304,13 +1189,7 @@ impl BackendState for SparseState {
     const ALLOC_SITE: &'static str = "qsim.sparse.alloc";
 
     fn try_zero(width: usize) -> Result<Self, SimError> {
-        if width > 128 {
-            return Err(SimError::QubitOutOfRange {
-                qubit: width - 1,
-                width: 128,
-            });
-        }
-        Ok(SparseState::zero(width))
+        SparseState::from_basis(width, 0)
     }
 
     fn projected_bytes(_width: usize) -> usize {
@@ -1326,47 +1205,25 @@ impl QuantumState for SparseState {
     }
 
     fn amplitude(&self, basis: u128) -> Complex {
-        match &self.repr {
-            Repr::Narrow(c) => {
-                if basis >> 64 != 0 {
-                    return Complex::ZERO;
-                }
-                c.amplitude(basis as u64)
-            }
-            Repr::Wide(c) => c.amplitude(basis),
-        }
+        self.core.amplitude(basis)
     }
 
     fn nonzero(&self) -> Vec<(u128, Complex)> {
         // `amps` is already sorted by key.
-        match &self.repr {
-            Repr::Narrow(c) => c
-                .amps
-                .iter()
-                .filter(|(_, a)| !a.is_negligible(PRUNE_EPS))
-                .map(|&(b, a)| (b as u128, a))
-                .collect(),
-            Repr::Wide(c) => c
-                .amps
-                .iter()
-                .filter(|(_, a)| !a.is_negligible(PRUNE_EPS))
-                .copied()
-                .collect(),
-        }
+        self.core
+            .amps
+            .iter()
+            .filter(|(_, a)| !a.is_negligible(PRUNE_EPS))
+            .copied()
+            .collect()
     }
 
-    fn apply_layer<K: BasisKey>(&mut self, ops: &[Op<K>]) {
-        match &mut self.repr {
-            Repr::Narrow(c) => c.apply_layer_ops(&K::ops_as_u64(ops)),
-            Repr::Wide(c) => c.apply_layer_ops(&K::ops_as_u128(ops)),
-        }
+    fn apply_layer(&mut self, ops: &[CompiledOp]) {
+        self.core.apply_layer_ops(ops);
     }
 
     fn memory_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Narrow(c) => c.memory_bytes(),
-            Repr::Wide(c) => c.memory_bytes(),
-        }
+        self.core.memory_bytes()
     }
 
     fn support_hint(&self) -> Option<usize> {
@@ -1383,24 +1240,19 @@ impl QuantumState for SparseState {
     }
 
     fn norm_sqr(&self) -> f64 {
-        match &self.repr {
-            Repr::Narrow(c) => c.norm_sqr(),
-            Repr::Wide(c) => c.norm_sqr(),
-        }
+        self.core.norm_sqr()
     }
 
+    /// Lowers the gate as the compiler does and applies the op through
+    /// the same passes as a compiled run.
     fn apply(&mut self, gate: &Gate) {
-        match &mut self.repr {
-            Repr::Narrow(c) => c.apply_gate(gate),
-            Repr::Wide(c) => c.apply_gate(gate),
-        }
+        self.core.apply_op(&lower_gate(gate));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{CompiledOp, CompiledOp64};
     use crate::gate::Control;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1416,7 +1268,7 @@ mod tests {
         let d = DenseState::from_basis(3, 0b101).unwrap();
         assert_close(d.probability(0b101), 1.0);
         assert_close(d.probability(0b100), 0.0);
-        let s = SparseState::from_basis(100, 1u128 << 99);
+        let s = SparseState::from_basis(100, 1u128 << 99).unwrap();
         assert_close(s.probability(1u128 << 99), 1.0);
         assert_eq!(s.support_size(), 1);
     }
@@ -1475,7 +1327,7 @@ mod tests {
     fn toffoli_truth_table() {
         for b in 0..8u128 {
             let mut d = DenseState::from_basis(3, b).unwrap();
-            let mut s = SparseState::from_basis(3, b);
+            let mut s = SparseState::from_basis(3, b).unwrap();
             let g = Gate::ccnot(0, 1, 2);
             d.apply(&g);
             s.apply(&g);
@@ -1541,10 +1393,10 @@ mod tests {
         });
     }
 
-    /// Runs a closure against both backends initialized to |0…0⟩ — and the
-    /// sparse backend on both key widths, by embedding the same circuit in
-    /// a 100-qubit register (gates only touch the low qubits, so the
-    /// amplitudes must agree with the narrow run).
+    /// Runs a closure against both backends initialized to |0…0⟩, and
+    /// against the sparse backend with the same gates embedded in a
+    /// 100-qubit register (gates only touch the low qubits, so the
+    /// amplitudes must agree with the narrow register's).
     fn for_both_backends(width: usize, f: impl Fn(&mut dyn DynState)) {
         let mut d = DenseState::zero(width).unwrap();
         f(&mut d);
@@ -1676,64 +1528,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn narrow_and_wide_sparse_reprs_agree() {
-        // The same gates run on a 6-qubit register (u64 keys) and embedded
-        // in a 70-qubit register (u128 keys) must produce identical
-        // amplitudes on the low qubits.
-        let mut rng = StdRng::seed_from_u64(4242);
-        for _ in 0..10 {
-            let narrow_circ = random_circuit(&mut rng, 6, 40);
-            let wide_circ = embed(&narrow_circ, 70);
-            let mut narrow = SparseState::zero(6);
-            let mut wide = SparseState::zero(70);
-            narrow.run(&narrow_circ).unwrap();
-            wide.run(&wide_circ).unwrap();
-            assert!(matches!(narrow.repr, Repr::Narrow(_)));
-            assert!(matches!(wide.repr, Repr::Wide(_)));
-            for b in 0..(1u128 << 6) {
-                assert!(
-                    (narrow.amplitude(b) - wide.amplitude(b)).norm() < 1e-9,
-                    "narrow vs wide at {b:b}"
-                );
-            }
-        }
-    }
-
     /// Applies ops one at a time, each as its own layer.
-    fn apply_each<S: QuantumState, K: BasisKey>(s: &mut S, ops: &[Op<K>]) {
+    fn apply_each<S: QuantumState>(s: &mut S, ops: &[CompiledOp]) {
         for op in ops {
             s.apply_layer(std::slice::from_ref(op));
-        }
-    }
-
-    #[test]
-    fn wide_ops_on_narrow_state_and_vice_versa() {
-        // The width conversions in the sparse `apply_layer` must agree
-        // with the matched-width paths.
-        let mut rng = StdRng::seed_from_u64(9);
-        let circ = random_circuit(&mut rng, 5, 30);
-        let compiled = CompiledCircuit::compile(&circ).unwrap();
-        let narrow_ops = compiled.narrow_ops().unwrap();
-
-        // Wide ops on a narrow state.
-        let mut via_wide = SparseState::zero(5);
-        apply_each(&mut via_wide, compiled.ops());
-        let mut via_narrow = SparseState::zero(5);
-        apply_each(&mut via_narrow, narrow_ops);
-        for b in 0..(1u128 << 5) {
-            assert!((via_wide.amplitude(b) - via_narrow.amplitude(b)).norm() < 1e-12);
-        }
-
-        // Narrow ops on a wide state.
-        let wide_circ = embed(&circ, 70);
-        let wide_compiled = CompiledCircuit::compile(&wide_circ).unwrap();
-        let mut wide_direct = SparseState::zero(70);
-        wide_direct.run_compiled(&wide_compiled).unwrap();
-        let mut wide_via_narrow = SparseState::zero(70);
-        apply_each(&mut wide_via_narrow, narrow_ops);
-        for b in 0..(1u128 << 5) {
-            assert!((wide_direct.amplitude(b) - wide_via_narrow.amplitude(b)).norm() < 1e-9);
         }
     }
 
@@ -1875,21 +1673,38 @@ mod tests {
     }
 
     #[test]
+    fn sparse_from_basis_rejects_a_basis_outside_the_register() {
+        assert_eq!(
+            SparseState::from_basis(3, 0b1000).unwrap_err(),
+            SimError::QubitOutOfRange { qubit: 3, width: 3 }
+        );
+        assert_eq!(
+            SparseState::from_basis(129, 0).unwrap_err(),
+            SimError::QubitOutOfRange {
+                qubit: 128,
+                width: 128
+            }
+        );
+        // The top qubit of a full-width register is inside it.
+        let s = SparseState::from_basis(128, 1 << 127).unwrap();
+        assert_close(s.probability(1 << 127), 1.0);
+    }
+
+    #[test]
     fn sparse_memory_bytes_is_exact_for_vec_entries() {
         let mut s = SparseState::zero(6);
         for q in 0..6 {
             s.apply(&Gate::H(q));
         }
         assert_eq!(s.support_size(), 64);
-        // Narrow entries are (u64, Complex) = 24 bytes; capacity ≥ support.
-        let entry = std::mem::size_of::<(u64, Complex)>();
-        assert_eq!(entry, 24);
+        // Entries are (u128, Complex) = 32 bytes at every width;
+        // capacity ≥ support.
+        let entry = std::mem::size_of::<(u128, Complex)>();
+        assert_eq!(entry, 32);
         assert!(s.memory_bytes() >= 64 * entry);
         assert_eq!(s.memory_bytes() % entry, 0, "exact multiple of entry size");
 
         let wide = SparseState::zero(80);
-        let entry = std::mem::size_of::<(u128, Complex)>();
-        assert_eq!(entry, 32);
         assert_eq!(wide.memory_bytes() % entry, 0);
     }
 
@@ -2002,35 +1817,27 @@ mod tests {
     #[test]
     fn fused_layer_kernel_matches_sequential_ops() {
         let ops = mixed_layer();
-        let ops64: Vec<CompiledOp64> = ops.iter().map(|op| op.narrow()).collect();
         let prep = generic_prep();
 
-        // Dense, wide and narrow op widths.
         let mut base = DenseState::zero(5).unwrap();
         base.run_interpreted(&prep).unwrap();
         let mut seq = base.clone();
         apply_each(&mut seq, &ops);
         let mut fused = base.clone();
         fused.apply_layer(&ops);
-        let mut fused64 = base.clone();
-        fused64.apply_layer(&ops64);
         for b in 0..(1u128 << 5) {
             assert!(
                 (fused.amplitude(b) - seq.amplitude(b)).norm() < 1e-12,
-                "dense wide {b:b}"
-            );
-            assert!(
-                (fused64.amplitude(b) - seq.amplitude(b)).norm() < 1e-12,
-                "dense u64 {b:b}"
+                "dense {b:b}"
             );
         }
 
-        // Sparse: narrow keys take the fused path with u64 ops, wide keys
-        // (same circuit embedded at width 70) with u128 ops.
+        // Sparse, at width 5 and with the same circuit embedded at
+        // width 70.
         let mut sbase = SparseState::zero(5);
         sbase.run_interpreted(&prep).unwrap();
         let mut sfused = sbase.clone();
-        sfused.apply_layer(&ops64);
+        sfused.apply_layer(&ops);
         let mut wbase = SparseState::zero(70);
         wbase.run_interpreted(&embed(&prep, 70)).unwrap();
         let mut wfused = wbase.clone();
@@ -2038,11 +1845,11 @@ mod tests {
         for b in 0..(1u128 << 5) {
             assert!(
                 (sfused.amplitude(b) - seq.amplitude(b)).norm() < 1e-12,
-                "sparse narrow {b:b}"
+                "sparse width 5 {b:b}"
             );
             assert!(
                 (wfused.amplitude(b) - seq.amplitude(b)).norm() < 1e-12,
-                "sparse wide {b:b}"
+                "sparse width 70 {b:b}"
             );
         }
     }
@@ -2081,8 +1888,8 @@ mod tests {
 
     #[test]
     fn run_compiled_ctx_charges_layers_at_op_weight() {
-        // 5 disjoint H gates layerize into ⌈5/MAX_LAYER_SINGLES⌉ layers,
-        // but the op budget must still see all 5 kernel ops.
+        // 5 disjoint H gates layerize into one layer, but the op budget
+        // must still see all 5 kernel ops.
         let circuit = h_layer(5);
         let compiled = CompiledCircuit::compile(&circuit).unwrap();
         assert!(compiled.schedule().layers.len() < 5, "singles share layers");

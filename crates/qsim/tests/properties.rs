@@ -139,7 +139,7 @@ proptest! {
         for g in gates {
             c.push(g).unwrap();
         }
-        let mut s = SparseState::from_basis(6, basis);
+        let mut s = SparseState::from_basis(6, basis).unwrap();
         s.run(&c).unwrap();
         prop_assert_eq!(s.support_size(), 1, "permutation circuits map basis to basis");
         prop_assert!((s.norm_sqr() - 1.0).abs() < 1e-12);

@@ -100,11 +100,13 @@ impl RtContext {
         self.check_deadline()
     }
 
-    /// Charges `n` kernel ops and polls every limit; the deadline read is
-    /// amortized over `DEADLINE_CHECK_MASK + 1` charges. Called at
-    /// kernel-chunk granularity by the simulator passes.
+    /// Charges `n` kernel ops and polls every limit; the deadline is read
+    /// whenever the running count crosses a multiple of
+    /// `DEADLINE_CHECK_MASK + 1`, however many ops one charge carries.
+    /// Called at layer granularity by the simulator's executor.
     pub fn charge_ops(&self, n: u64) -> Result<(), RtError> {
-        let used = self.ops.fetch_add(n, Ordering::Relaxed) + n;
+        let before = self.ops.fetch_add(n, Ordering::Relaxed);
+        let used = before + n;
         if let Some(limit) = self.budget.max_ops {
             if used > limit {
                 return Err(RtError::OpBudget { used, limit });
@@ -113,7 +115,7 @@ impl RtContext {
         if self.token.is_cancelled() {
             return Err(self.cancelled());
         }
-        if used & DEADLINE_CHECK_MASK == 0 {
+        if before & !DEADLINE_CHECK_MASK != used & !DEADLINE_CHECK_MASK {
             self.maybe_sample_headroom();
             self.check_deadline()?;
         }
@@ -254,6 +256,24 @@ mod tests {
         assert!(
             tripped,
             "deadline must surface within one amortization window"
+        );
+    }
+
+    #[test]
+    fn multi_op_charges_read_the_deadline_when_they_cross_the_cadence() {
+        // After one unit charge the running count is odd, so charges of
+        // two step over every multiple of 64 without landing on one.
+        let ctx = RtContext::with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(2));
+        let mut result = ctx.charge_ops(1);
+        let mut charged = 1;
+        while result.is_ok() && charged < 1 + 64 {
+            result = ctx.charge_ops(2);
+            charged += 2;
+        }
+        assert!(
+            matches!(result, Err(RtError::DeadlineExceeded { .. })),
+            "deadline unread after {charged} ops: {result:?}"
         );
     }
 
