@@ -11,7 +11,7 @@
 //!   below `MIN_SPARSE_SCHEDULED_SPEEDUP` (the speedup the compiler
 //!   reached before it gained the DAG scheduler), or
 //! * attaching a [`qmkp_obs::Metrics`] sink (which switches recording
-//!   on, so every kernel layer becomes one labelled observation folded
+//!   on, so every kernel op becomes one labelled observation folded
 //!   into a histogram) costs more than `MAX_METRICS_OVERHEAD`× the
 //!   unrecorded dense scheduled run (per-kernel histograms must stay out
 //!   of the hot path's way).
@@ -221,7 +221,6 @@ fn main() {
          \"circuit\": \"layered_circuit(width={dw}, sup=6)\",\n    \
          \"gates\": {dg},\n    \
          \"scheduled_ops\": {dsops},\n    \
-         \"layers\": {dlay},\n    \
          \"commuted_diagonals\": {dcom},\n    \
          \"interpreted_s\": {di:.6},\n    \
          \"scheduled_s\": {dsc:.6},\n    \
@@ -235,7 +234,6 @@ fn main() {
          \"circuit\": \"H^n + qTKP U_check (paper_fig1_graph, k=2, t=4, width={sw})\",\n    \
          \"gates\": {sg},\n    \
          \"scheduled_ops\": {ssops},\n    \
-         \"layers\": {slay},\n    \
          \"commuted_diagonals\": {scom},\n    \
          \"interpreted_s\": {si:.6},\n    \
          \"scheduled_s\": {ssc:.6},\n    \
@@ -251,7 +249,6 @@ fn main() {
         dw = dense_width,
         dg = dense_circ.len(),
         dsops = dense_sched_circ.len(),
-        dlay = dense_sched_stats.layers,
         dcom = dense_sched_stats.commuted_diagonals,
         di = dense_interpreted,
         dsc = dense_scheduled,
@@ -264,7 +261,6 @@ fn main() {
         sw = sparse_circ.width(),
         sg = sparse_circ.len(),
         ssops = sparse_sched_circ.len(),
-        slay = sparse_sched_stats.layers,
         scom = sparse_sched_stats.commuted_diagonals,
         si = sparse_interpreted,
         ssc = sparse_scheduled,

@@ -10,8 +10,8 @@
 //! cursor, which only advances when work completes. Nested spans keep
 //! their nesting — a span's slice starts where the cursor stood at its
 //! `span_start`, and children pack left-to-right inside it. The
-//! `qsim.kernel.layer` observations emitted by the DAG-scheduled runner
-//! therefore render as back-to-back kernel slices, one per layer.
+//! `qsim.kernel.op` observations emitted by the compiled-circuit executor
+//! therefore render as back-to-back kernel slices, one per op.
 //!
 //! Counters and gauges become `"C"` counter tracks (counters cumulative,
 //! gauges last-value); messages become `"i"` instants.
@@ -39,10 +39,10 @@ struct ExportStats {
     /// Spans opened but never closed (truncated trace); rendered as
     /// best-effort slices covering the work completed inside them.
     unclosed: usize,
-    /// Total nanoseconds attributed to `qsim.kernel.layer` slices.
-    kernel_layer_ns: u128,
-    /// Number of `qsim.kernel.layer` slices (scheduled kernel layers).
-    kernel_layers: usize,
+    /// Total nanoseconds attributed to `qsim.kernel.op` slices.
+    kernel_op_ns: u128,
+    /// Number of `qsim.kernel.op` slices (compiled kernel ops).
+    kernel_ops: usize,
 }
 
 /// Microseconds (Chrome's unit) from nanoseconds, keeping sub-µs detail.
@@ -133,9 +133,9 @@ fn export(input: &str) -> (String, ExportStats) {
             us(ns),
         ));
         stats.slices += 1;
-        if name == "qsim.kernel.layer" {
-            stats.kernel_layers += 1;
-            stats.kernel_layer_ns += ns;
+        if name == "qsim.kernel.op" {
+            stats.kernel_ops += 1;
+            stats.kernel_op_ns += ns;
         }
         cursor.insert(thread, now.max(start.saturating_add(ns)));
     }
@@ -199,12 +199,12 @@ fn main() -> ExitCode {
         "{out_path}: {} slice(s) ({} unclosed), {} counter sample(s), {} instant(s), {} skipped",
         stats.slices, stats.unclosed, stats.samples, stats.instants, stats.skipped
     );
-    if stats.kernel_layers > 0 {
+    if stats.kernel_ops > 0 {
         println!(
-            "kernel layers: {} slice(s), {:.3} ms total, {:.1} µs/layer mean",
-            stats.kernel_layers,
-            stats.kernel_layer_ns as f64 / 1e6,
-            stats.kernel_layer_ns as f64 / 1e3 / stats.kernel_layers as f64,
+            "kernel ops: {} slice(s), {:.3} ms total, {:.1} µs/op mean",
+            stats.kernel_ops,
+            stats.kernel_op_ns as f64 / 1e6,
+            stats.kernel_op_ns as f64 / 1e3 / stats.kernel_ops as f64,
         );
     }
     ExitCode::SUCCESS
@@ -245,14 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_layer_observes_pack_back_to_back() {
+    fn kernel_op_observes_pack_back_to_back() {
         let input = lines(&[
-            r#"{"type":"duration","thread":1,"name":"qsim.kernel.layer","ns":2000}"#,
-            r#"{"type":"duration","thread":1,"name":"qsim.kernel.layer","ns":3000}"#,
+            r#"{"type":"duration","thread":1,"name":"qsim.kernel.op","ns":2000}"#,
+            r#"{"type":"duration","thread":1,"name":"qsim.kernel.op","ns":3000}"#,
         ]);
         let (out, stats) = export(&input);
-        assert_eq!(stats.kernel_layers, 2);
-        assert_eq!(stats.kernel_layer_ns, 5000);
+        assert_eq!(stats.kernel_ops, 2);
+        assert_eq!(stats.kernel_op_ns, 5000);
         let parsed = json::parse(&out).unwrap();
         let arr = parsed.as_array().unwrap();
         let first = &arr[1];
@@ -306,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn real_scheduled_run_round_trips_with_layer_slices() {
+    fn real_scheduled_run_round_trips_with_op_slices() {
         use qmkp_obs::Sink;
         use qmkp_qsim::{Circuit, CompiledCircuit, DenseState, Gate, QuantumState};
         let mut c = Circuit::new(6);
@@ -330,12 +330,12 @@ mod tests {
         let input = fs::read_to_string(&path).unwrap();
         let _ = fs::remove_file(&path);
         let (out, stats) = export(&input);
-        let layers = compiled.stats().layers;
-        assert!(layers >= 1);
+        let ops = compiled.len();
+        assert!(ops >= 1);
         assert!(
-            stats.kernel_layers >= layers,
-            "expected at least {layers} layer slice(s), saw {}",
-            stats.kernel_layers
+            stats.kernel_ops >= ops,
+            "expected at least {ops} op slice(s), saw {}",
+            stats.kernel_ops
         );
         assert!(json::parse(&out).is_ok());
     }

@@ -4,7 +4,7 @@
 //! `speedscope` all consume:
 //!
 //! ```text
-//! thread-1;solve.run;core.qmkp;qsim.kernel.layer 1234
+//! thread-1;solve.run;core.qmkp;qsim.kernel.op 1234
 //! ```
 //!
 //! One line per distinct stack, frames root-first separated by `;`, the
@@ -16,7 +16,7 @@
 //! the rendered graph.
 //!
 //! Spans nest via the wire `parent` ids; bare `duration` observations
-//! (e.g. `qsim.kernel.layer` from the DAG-scheduled runner) become leaf
+//! (e.g. `qsim.kernel.op` from the compiled-circuit executor) become leaf
 //! frames under the innermost span open on their thread. Spans never
 //! closed in the trace (a crashed or truncated run) carry no duration
 //! and are counted, not folded.
@@ -275,18 +275,18 @@ mod tests {
     fn observations_become_leaf_frames_under_the_open_span() {
         let input = lines(&[
             r#"{"type":"span_start","id":1,"parent":0,"thread":1,"name":"run"}"#,
-            r#"{"type":"duration","thread":1,"name":"qsim.kernel.layer","ns":2000}"#,
-            r#"{"type":"duration","thread":1,"name":"qsim.kernel.layer","ns":3000}"#,
+            r#"{"type":"duration","thread":1,"name":"qsim.kernel.op","ns":2000}"#,
+            r#"{"type":"duration","thread":1,"name":"qsim.kernel.op","ns":3000}"#,
             r#"{"type":"span_end","id":1,"thread":1,"name":"run","ns":9000}"#,
         ]);
         let (out, stats) = fold(&input);
         assert_eq!(stats.observations, 2);
         let rows = parse_collapsed(&out);
-        let layer = rows
+        let kernel = rows
             .iter()
-            .find(|(f, _)| f == &["thread-1", "run", "qsim.kernel.layer"])
+            .find(|(f, _)| f == &["thread-1", "run", "qsim.kernel.op"])
             .expect("leaf frame");
-        assert_eq!(layer.1, 5, "both observations merge into one stack");
+        assert_eq!(kernel.1, 5, "both observations merge into one stack");
         let run = rows
             .iter()
             .find(|(f, _)| f == &["thread-1", "run"])

@@ -5,13 +5,12 @@ use crate::compiled::GroverCircuits;
 use crate::oracle::Oracle;
 use qmkp_graph::VertexSet;
 use qmkp_qsim::{
-    BackendState, Circuit, CompiledCircuit, Gate, LayerObserver, QuantumState, Register, SimError,
+    BackendState, Circuit, CompiledCircuit, Gate, OpObserver, QuantumState, Register, SimError,
     SparseState,
 };
 use qmkp_rt::RtContext;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,40 +153,26 @@ impl SectionTimes {
     }
 }
 
-/// The Grover driver's executor observer: splits each layer's measured
-/// time across the sections its ops absorbed, in proportion to the
-/// schedule's per-op attribution weights (surviving kernel steps per
-/// section). Shares are floor-divided nanoseconds with the remainder on
-/// the last bucket, so the bucket sum equals the measured layer time
+/// The Grover driver's executor observer: splits each op's measured
+/// time across the sections it absorbed, in proportion to the op's
+/// attribution weights (surviving kernel steps per section, each section
+/// listed once). Shares are floor-divided nanoseconds with the remainder
+/// on the last section, so the bucket sum equals the measured op time
 /// *exactly* — the obs drift property (span sum ==
 /// `SectionTimes::total()`) stays an equality.
 struct SectionAttribution<'a> {
     compiled: &'a CompiledCircuit,
     times: &'a mut SectionTimes,
-    /// Section → weight of the current layer, in first-seen order so the
-    /// remainder lands deterministically.
-    weights: Vec<(usize, usize)>,
 }
 
-impl LayerObserver for SectionAttribution<'_> {
-    fn layer(&mut self, ops: Range<usize>, elapsed: Duration) {
-        self.weights.clear();
-        for attr in &self.compiled.schedule().attributions[ops] {
-            for &(sec, w) in attr {
-                match self.weights.iter_mut().find(|(s, _)| *s == sec) {
-                    Some((_, total)) => *total += w,
-                    None => self.weights.push((sec, w)),
-                }
-            }
-        }
-        let total: u128 = self.weights.iter().map(|&(_, w)| w as u128).sum();
-        if total == 0 {
-            return;
-        }
+impl OpObserver for SectionAttribution<'_> {
+    fn op(&mut self, index: usize, elapsed: Duration) {
+        let weights = self.compiled.attribution(index);
+        let total: u128 = weights.iter().map(|&(_, w)| w as u128).sum();
         let nanos = elapsed.as_nanos();
         let mut used: u128 = 0;
-        for (i, &(sec, w)) in self.weights.iter().enumerate() {
-            let share = if i + 1 == self.weights.len() {
+        for (i, &(sec, w)) in weights.iter().enumerate() {
+            let share = if i + 1 == weights.len() {
                 nanos - used
             } else {
                 nanos * w as u128 / total
@@ -198,9 +183,8 @@ impl LayerObserver for SectionAttribution<'_> {
             // `†`-stripping.
             let name = self
                 .compiled
-                .sections()
-                .get(sec)
-                .map_or("other", |s| s.name.trim_end_matches('†'));
+                .section_name(sec)
+                .map_or("other", |name| name.trim_end_matches('†'));
             self.times.record(name, Duration::from_nanos(share as u64));
         }
     }
@@ -269,9 +253,9 @@ pub fn diffusion_circuit(width: usize, vertices: &Register) -> Circuit {
 /// are compiled once at construction — mask-precomputed and fused into
 /// kernel ops — and the compiled forms are reused every iteration. Wall
 /// time is still attributed per oracle section: fused ops span section
-/// boundaries, so each layer's measured time is split across the
-/// sections it absorbed in proportion to their surviving kernel steps
-/// (the schedule's per-op attribution weights).
+/// boundaries, so each op's measured time is split across the sections
+/// it absorbed in proportion to their surviving kernel steps (the op's
+/// attribution weights).
 pub struct GroverDriver<O: PhaseOracle = Oracle, S: QuantumState = SparseState> {
     oracle: O,
     state: S,
@@ -407,9 +391,9 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     }
 
     /// Budget-aware Grover iteration: polls the context at iteration
-    /// granularity, and every compiled layer consults the `qsim.run.op`
-    /// failpoint and charges its ops against the op budget, so
-    /// cancellation and deadlines surface between kernel passes. Consults
+    /// granularity, and every compiled op consults the `qsim.run.op`
+    /// failpoint and is charged against the op budget, so cancellation
+    /// and deadlines surface between kernel passes. Consults
     /// the `core.grover.iterate` failpoint on entry.
     ///
     /// On interruption the driver's state is mid-iteration and
@@ -446,18 +430,14 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     }
 
     /// Runs one compiled circuit through the executor, attributing each
-    /// layer's time to the oracle sections it absorbed.
+    /// op's time to the oracle sections it absorbed.
     fn run_attributed(
         state: &mut S,
         compiled: &CompiledCircuit,
         times: &mut SectionTimes,
         ctx: Option<&RtContext>,
     ) -> Result<(), SimError> {
-        let mut attribution = SectionAttribution {
-            compiled,
-            times,
-            weights: Vec::new(),
-        };
+        let mut attribution = SectionAttribution { compiled, times };
         state.run_observed(compiled, ctx, &mut attribution)
     }
 

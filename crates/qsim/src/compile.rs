@@ -1,5 +1,4 @@
-//! Circuit compilation: lowering a [`Circuit`] to fused, layered kernel
-//! ops.
+//! Circuit compilation: lowering a [`Circuit`] to fused kernel ops.
 //!
 //! Interpreting a circuit gate-by-gate makes one full pass over the state
 //! per gate and re-examines each gate's control list (a heap-allocated
@@ -16,9 +15,8 @@
 //!    into one [`Op::Diagonal`] pass. Diagonals commute past ladders by
 //!    mask conjugation, so compute/uncompute mirrors cancel even across
 //!    intervening phases and section boundaries; per-section cost
-//!    attribution (the paper's Table IV) survives as per-op weights in
-//!    the [`crate::dag::Schedule`], which also cuts the ops into
-//!    support-disjoint layers the backends dispatch one pass each.
+//!    attribution (the paper's Table IV) survives as per-op weights
+//!    ([`CompiledCircuit::attribution`]).
 //! 3. The remaining gates (H / Ry) lower to a general real-free 2×2 kernel
 //!    ([`SingleQubit`]) applied as a butterfly pass. Single-qubit kernels
 //!    on the *same* qubit fuse into one matrix product, so e.g. an `Ry`
@@ -35,10 +33,11 @@
 //! aborting the process — malformed inputs must never panic a long-lived
 //! server embedding the simulator.
 //!
-//! Execution lives with the backends (`QuantumState::run_compiled`); this
-//! module is purely the IR and the lowering.
+//! Execution lives with the backends (`QuantumState::run_compiled`),
+//! which apply the ops one pass each, in order; this module is purely the
+//! IR and the lowering.
 
-use crate::circuit::{Circuit, Section};
+use crate::circuit::Circuit;
 use crate::complex::Complex;
 use crate::gate::Gate;
 use std::fmt;
@@ -332,32 +331,27 @@ pub struct CompileStats {
     /// Diagonal steps conjugated past a later flip by the scheduler's
     /// commute rewrite (counted once per diagonal per sunk flip).
     pub commuted_diagonals: usize,
-    /// Dispatch layers in the schedule.
-    pub layers: usize,
     /// Kernel steps in the longest fused permutation ladder.
     pub longest_ladder: usize,
 }
 
-/// A circuit lowered to fused kernel ops, with its dispatch schedule and
-/// section tags carried over as covering op-index ranges.
+/// A circuit lowered to fused kernel ops, with each op's section
+/// attribution and the source circuit's section names.
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     width: usize,
     ops: Vec<CompiledOp>,
-    sections: Vec<Section>,
-    source_gates: usize,
+    /// Per op, `(section id, surviving kernel steps)` pairs.
+    attributions: Vec<Vec<(usize, usize)>>,
+    section_names: Vec<String>,
     stats: CompileStats,
-    /// The layer structure and per-op section attribution.
-    schedule: crate::dag::Schedule,
 }
 
 impl CompiledCircuit {
-    /// Compiles a circuit: validates it, runs the DAG scheduler
-    /// ([`crate::dag`]) over the lowered gates, and layers the result.
-    /// Diagonals sink past permutations, ladders fuse and cancel across
-    /// section boundaries, and the result carries a
-    /// [`crate::dag::Schedule`] of support-disjoint dispatch layers with
-    /// per-op section weights.
+    /// Compiles a circuit: validates it and runs the DAG scheduler
+    /// ([`crate::dag`]) over the lowered gates. Diagonals sink past
+    /// permutations, ladders fuse and cancel across section boundaries,
+    /// and every op carries the section weights of the steps it absorbed.
     ///
     /// # Errors
     /// Fails with a [`CompileError`] if the circuit is wider than 128
@@ -375,7 +369,6 @@ impl CompiledCircuit {
             merged_phases: out.merged_phases,
             merged_singles: out.merged_singles,
             commuted_diagonals: out.commuted_diagonals,
-            layers: out.schedule.layers.len(),
             longest_ladder: longest_ladder(&out.ops),
         };
         if qmkp_obs::enabled_for("qsim.compile") {
@@ -386,7 +379,6 @@ impl CompiledCircuit {
                 ("qsim.compile.merged", stats.merged_phases),
                 ("qsim.compile.merged_singles", stats.merged_singles),
                 ("qsim.compile.commuted", stats.commuted_diagonals),
-                ("qsim.compile.layers", stats.layers),
             ] {
                 qmkp_obs::counter(name, &[], value as u64);
             }
@@ -395,17 +387,24 @@ impl CompiledCircuit {
         Ok(CompiledCircuit {
             width: circuit.width(),
             ops: out.ops,
-            sections: out.sections,
-            source_gates: circuit.len(),
+            attributions: out.attributions,
+            section_names: out.section_names,
             stats,
-            schedule: out.schedule,
         })
     }
 
-    /// The dispatch schedule: layers plus per-op section weights.
+    /// The `(section id, surviving kernel steps)` pairs of op `op`, each
+    /// section listed once: the weights a runner uses to split the op's
+    /// measured cost across the source sections it absorbed. Section ids
+    /// index the source circuit's section list
+    /// ([`CompiledCircuit::section_name`]); [`crate::dag::UNSECTIONED`]
+    /// marks untagged gates.
+    ///
+    /// # Panics
+    /// Panics if `op` is not an index into [`CompiledCircuit::ops`].
     #[inline]
-    pub fn schedule(&self) -> &crate::dag::Schedule {
-        &self.schedule
+    pub fn attribution(&self, op: usize) -> &[(usize, usize)] {
+        &self.attributions[op]
     }
 
     /// Circuit width (number of qubits).
@@ -429,17 +428,11 @@ impl CompiledCircuit {
         None
     }
 
-    /// Section tags translated to covering op-index ranges (ranges of
-    /// sections whose steps fused into one op overlap).
+    /// The name of the source circuit's section `id`, or `None` for an id
+    /// outside its section list ([`crate::dag::UNSECTIONED`] included).
     #[inline]
-    pub fn sections(&self) -> &[Section] {
-        &self.sections
-    }
-
-    /// Number of gates in the source circuit.
-    #[inline]
-    pub fn source_gates(&self) -> usize {
-        self.source_gates
+    pub fn section_name(&self, id: usize) -> Option<&str> {
+        self.section_names.get(id).map(String::as_str)
     }
 
     /// What the compile pass did (fusion and peephole accounting).
@@ -449,9 +442,10 @@ impl CompiledCircuit {
     }
 
     /// Approximate resident heap footprint of the compiled artifact: the
-    /// kernel ops, section tags, and the dispatch schedule. This is the byte figure
-    /// a compiled-circuit cache charges against its ceiling — the same
-    /// `memory_bytes` accounting idiom the backends expose for states.
+    /// kernel ops, section names, and per-op section weights. This is the
+    /// byte figure a compiled-circuit cache charges against its ceiling —
+    /// the same `memory_bytes` accounting idiom the backends expose for
+    /// states.
     pub fn memory_bytes(&self) -> usize {
         fn op_bytes(op: &Op) -> usize {
             std::mem::size_of::<Op>()
@@ -464,13 +458,11 @@ impl CompiledCircuit {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.ops.iter().map(op_bytes).sum::<usize>();
         bytes += self
-            .sections
+            .section_names
             .iter()
-            .map(|s| std::mem::size_of::<Section>() + s.name.capacity())
+            .map(|name| std::mem::size_of::<String>() + name.capacity())
             .sum::<usize>();
-        bytes += self.schedule.layers.capacity() * std::mem::size_of::<std::ops::Range<usize>>();
         bytes += self
-            .schedule
             .attributions
             .iter()
             .map(|a| {
@@ -568,7 +560,7 @@ mod tests {
         assert!(matches!(&cc.ops()[1], CompiledOp::Diagonal(p) if p.len() == 2));
         assert!(matches!(&cc.ops()[2], CompiledOp::Single(k) if k.qubit == 2));
         assert_eq!(cc.stats().commuted_diagonals, 2);
-        assert_eq!(cc.source_gates(), 7);
+        assert_eq!(cc.stats().source_gates, 7);
     }
 
     #[test]
@@ -589,12 +581,14 @@ mod tests {
             loaded.memory_bytes() > empty.memory_bytes(),
             "ops, sections, and steps must be charged"
         );
-        // Schedule metadata is charged too.
-        let schedule = loaded.schedule();
-        let schedule_bytes = schedule.layers.capacity()
-            * std::mem::size_of::<std::ops::Range<usize>>()
-            + schedule.attributions.len() * std::mem::size_of::<Vec<(usize, usize)>>();
-        assert!(loaded.memory_bytes() > std::mem::size_of::<CompiledCircuit>() + schedule_bytes);
+        // The per-op section weights are charged too.
+        let weight_bytes: usize = (0..loaded.len())
+            .map(|op| {
+                std::mem::size_of::<Vec<(usize, usize)>>()
+                    + std::mem::size_of_val(loaded.attribution(op))
+            })
+            .sum();
+        assert!(loaded.memory_bytes() > std::mem::size_of::<CompiledCircuit>() + weight_bytes);
     }
 
     #[test]
@@ -612,7 +606,7 @@ mod tests {
         let cc = compile(&c);
         assert!(cc.is_empty());
         assert_eq!(cc.stats().cancelled_flips, 6);
-        assert_eq!(cc.source_gates(), 6);
+        assert_eq!(cc.stats().source_gates, 6);
     }
 
     #[test]
@@ -748,7 +742,6 @@ mod tests {
         let s = cc.stats();
         assert_eq!(s.cancelled_flips, 6, "three X pairs cancelled");
         assert_eq!(s.commuted_diagonals, 3, "one diagonal sunk past each X");
-        assert_eq!(s.layers, 1);
     }
 
     #[test]
@@ -764,12 +757,8 @@ mod tests {
         let cc = compile(&c);
         assert_eq!(cc.len(), 1);
         assert_eq!(cc.stats().longest_ladder, 2);
-        let schedule = cc.schedule();
-        assert_eq!(schedule.layers, vec![0..1]);
-        assert_eq!(schedule.attributions[0], vec![(0, 1), (1, 1)]);
-        // Covering section ranges overlap on the fused op.
-        assert_eq!(cc.sections()[0].range, 0..1);
-        assert_eq!(cc.sections()[1].range, 0..1);
+        assert_eq!(cc.attribution(0), [(0, 1), (1, 1)]);
+        assert_eq!(cc.section_name(1), Some("b"));
     }
 
     #[test]
@@ -813,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_layers_partition_the_ops_disjointly() {
+    fn attribution_weights_total_the_kernel_steps() {
         let mut c = Circuit::new(6);
         for q in 0..6 {
             c.push_unchecked(Gate::H(q));
@@ -822,21 +811,8 @@ mod tests {
         c.push_unchecked(Gate::ccnot(3, 4, 5));
         c.push_unchecked(Gate::Z(0));
         let cc = compile(&c);
-        let schedule = cc.schedule();
-        // Layers tile 0..ops.len() in order.
-        let mut next = 0;
-        for l in &schedule.layers {
-            assert_eq!(l.start, next);
-            assert!(l.end > l.start);
-            next = l.end;
-        }
-        assert_eq!(next, cc.len());
-        assert_eq!(cc.stats().layers, schedule.layers.len());
-        // Attribution weights total the surviving kernel steps.
-        let attributed: usize = schedule
-            .attributions
-            .iter()
-            .flatten()
+        let attributed: usize = (0..cc.len())
+            .flat_map(|op| cc.attribution(op))
             .map(|&(_, w)| w)
             .sum();
         assert_eq!(attributed, cc.stats().kernel_steps);

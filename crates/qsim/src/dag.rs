@@ -1,4 +1,4 @@
-//! Gate-DAG scheduling: dependency-aware reordering and layering.
+//! Gate-DAG scheduling: dependency-aware reordering and fusion.
 //!
 //! Fusing gates in program order would close a fused run at every
 //! section boundary and whenever the gate class changes, so a diagonal
@@ -44,46 +44,12 @@
 //! one of the commutations above. Section tags travel with the surviving
 //! kernel steps, so per-section attribution (the paper's Table IV) stays
 //! exact as a per-op weight vector instead of disjoint op ranges.
-//!
-//! ## Layering
-//!
-//! The emitted op stream is finally cut into *layers*: maximal runs of
-//! consecutive ops with pairwise-disjoint qubit support. All ops in a
-//! layer commute, so a backend may apply them in one pass over the
-//! amplitudes (`QuantumState::apply_layer`); the dense backend runs the
-//! layer's single-qubit kernels as butterflies and fuses the rest of the
-//! layer into one rayon-parallel gather.
 
-use crate::circuit::{Circuit, Section};
+use crate::circuit::Circuit;
 use crate::compile::{lower_gate, CompiledOp, FlipStep, Op, PhaseStep, SingleQubit};
-use std::ops::Range;
 
 /// Section id of gates outside every section.
 pub const UNSECTIONED: usize = usize::MAX;
-
-/// The layer structure and per-op section attribution of a compiled
-/// circuit: what the executor walks, layer by layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    /// Consecutive op-index ranges; each range is an antichain of
-    /// support-disjoint ops. The ranges partition `0..ops.len()`.
-    pub layers: Vec<Range<usize>>,
-    /// For each op, `(section id, surviving kernel steps)` pairs — the
-    /// weights a runner uses to split the op's measured cost across the
-    /// source sections it absorbed. Section ids index the source
-    /// circuit's section list; [`UNSECTIONED`] marks untagged gates.
-    pub attributions: Vec<Vec<(usize, usize)>>,
-}
-
-impl Schedule {
-    /// Total attributed kernel steps of the ops in `range`.
-    pub fn weight_of(&self, range: &Range<usize>) -> usize {
-        self.attributions[range.clone()]
-            .iter()
-            .map(|a| a.iter().map(|&(_, w)| w).sum::<usize>())
-            .sum()
-    }
-}
 
 /// `F·D·F` as a single masked phase step, or `None` when the pair does
 /// not admit the rewrite (see the module docs for the rule).
@@ -104,21 +70,15 @@ pub fn conjugate_phase(d: &PhaseStep, f: &FlipStep) -> Option<PhaseStep> {
     None
 }
 
-/// Qubit-support mask of a fused op (bits the op reads or writes).
-pub fn op_support(op: &CompiledOp) -> u128 {
-    match op {
-        Op::Permutation(steps) => steps.iter().fold(0, |m, s| m | s.care | s.flip),
-        Op::Diagonal(phases) => phases.iter().fold(0, |m, p| m | p.care),
-        Op::Single(k) => 1u128 << k.qubit,
-    }
-}
-
 /// Everything the scheduled compile produces; folded into
 /// [`crate::compile::CompiledCircuit`] by `CompiledCircuit::compile`.
 pub(crate) struct ScheduledCompile {
     pub ops: Vec<CompiledOp>,
-    pub sections: Vec<Section>,
-    pub schedule: Schedule,
+    /// For each op, `(section id, surviving kernel steps)` pairs, each
+    /// section listed once.
+    pub attributions: Vec<Vec<(usize, usize)>>,
+    /// The source circuit's section names, indexed by section id.
+    pub section_names: Vec<String>,
     pub cancelled_flips: usize,
     pub merged_phases: usize,
     pub merged_singles: usize,
@@ -281,30 +241,9 @@ impl Scheduler {
     }
 }
 
-/// Cuts the op stream into maximal consecutive antichains of
-/// support-disjoint ops: a layer extends while supports stay disjoint.
-pub fn layerize(ops: &[CompiledOp]) -> Vec<Range<usize>> {
-    let mut layers = Vec::new();
-    let mut start = 0;
-    let mut support = 0u128;
-    for (i, op) in ops.iter().enumerate() {
-        let s = op_support(op);
-        if i > start && support & s != 0 {
-            layers.push(start..i);
-            start = i;
-            support = 0;
-        }
-        support |= s;
-    }
-    if start < ops.len() {
-        layers.push(start..ops.len());
-    }
-    layers
-}
-
 /// Runs the DAG scheduler over a validated circuit: lowers every gate,
 /// sinks diagonals, fuses and cancels permutation ladders across section
-/// boundaries, fuses single-qubit kernels, and layers the result.
+/// boundaries, and fuses single-qubit kernels.
 pub(crate) fn schedule_compile(circuit: &Circuit) -> ScheduledCompile {
     // Per-gate section tag (sections are disjoint gate ranges).
     let mut gate_section = vec![UNSECTIONED; circuit.len()];
@@ -343,43 +282,10 @@ pub(crate) fn schedule_compile(circuit: &Circuit) -> ScheduledCompile {
         ..
     } = sched;
 
-    // Sections become *covering* op ranges: the op span that holds any
-    // surviving step of the section. Spans of different sections may
-    // overlap (that is the point of cross-boundary fusion); runners that
-    // need exact attribution use the per-op weights instead.
-    let sections = circuit
-        .sections()
-        .iter()
-        .enumerate()
-        .map(|(id, s)| {
-            let mut lo = usize::MAX;
-            let mut hi = 0usize;
-            for (op, attr) in attributions.iter().enumerate() {
-                if attr.iter().any(|&(sec, _)| sec == id) {
-                    lo = lo.min(op);
-                    hi = hi.max(op + 1);
-                }
-            }
-            let range = if lo == usize::MAX {
-                ops.len()..ops.len()
-            } else {
-                lo..hi
-            };
-            Section {
-                name: s.name.clone(),
-                range,
-            }
-        })
-        .collect();
-
-    let layers = layerize(&ops);
     ScheduledCompile {
         ops,
-        sections,
-        schedule: Schedule {
-            layers,
-            attributions,
-        },
+        attributions,
+        section_names: circuit.sections().iter().map(|s| s.name.clone()).collect(),
         cancelled_flips,
         merged_phases,
         merged_singles,
@@ -451,29 +357,5 @@ mod tests {
             flip: 0b10,
         };
         assert_eq!(conjugate_phase(&d, &f), None);
-    }
-
-    #[test]
-    fn layering_groups_disjoint_ops_until_supports_overlap() {
-        let flip = |q: usize| {
-            Op::Permutation(vec![FlipStep {
-                care: 0,
-                want: 0,
-                flip: 1u128 << q,
-            }])
-        };
-        let single = |q: usize| Op::Single(SingleQubit::hadamard(q));
-        // X(0) X(1) share no support with each other; X(0) again overlaps.
-        let ops = vec![flip(0), flip(1), flip(0), single(2), single(3), single(4)];
-        let layers = layerize(&ops);
-        assert_eq!(layers, vec![0..2, 2..6]);
-        // Each layer's ops are pairwise disjoint.
-        for l in &layers {
-            let mut seen = 0u128;
-            for op in &ops[l.clone()] {
-                assert_eq!(seen & op_support(op), 0);
-                seen |= op_support(op);
-            }
-        }
     }
 }

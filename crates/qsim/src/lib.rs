@@ -41,13 +41,13 @@ pub use compile::{
     PhaseStep, SingleQubit,
 };
 pub use complex::Complex;
-pub use dag::{Schedule, UNSECTIONED};
+pub use dag::UNSECTIONED;
 pub use decompose::{lower_to_toffoli, Lowered};
 pub use error::SimError;
 pub use gate::{Control, Gate};
 pub use register::{QubitAllocator, Register};
 pub use state::{
-    BackendState, DenseState, LayerObserver, QuantumState, SparseState, MAX_DENSE_QUBITS,
+    BackendState, DenseState, OpObserver, QuantumState, SparseState, MAX_DENSE_QUBITS,
 };
 pub use validate::{validate_circuit, validate_gate};
 

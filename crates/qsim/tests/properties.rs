@@ -149,7 +149,7 @@ proptest! {
     fn compiled_execution_matches_interpreted(circ in arb_sectioned_circuit()) {
         let compiled = CompiledCircuit::compile(&circ).expect("generated circuits compile");
         prop_assert!(compiled.len() <= circ.len(), "fusion never adds ops");
-        prop_assert_eq!(compiled.source_gates(), circ.len());
+        prop_assert_eq!(compiled.stats().source_gates, circ.len());
         let mut dense_compiled = DenseState::zero(circ.width()).unwrap();
         let mut dense_interpreted = DenseState::zero(circ.width()).unwrap();
         dense_compiled.run_compiled(&compiled).unwrap();

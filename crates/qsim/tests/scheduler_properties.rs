@@ -1,5 +1,5 @@
 //! Property-based tests of the gate-DAG scheduler, the compiler's only
-//! mode: compiled execution through the layer executor must be
+//! mode: compiled execution through the op executor must be
 //! observationally identical to the gate-at-a-time interpreter, on both
 //! backends, for arbitrary sectioned circuits. Parallel dispatch is a
 //! compile-time feature (`parallel`), so CI runs this suite with the
@@ -122,20 +122,6 @@ proptest! {
                 "sparse scheduled diverges from interpreter at basis {b:b}"
             );
         }
-    }
-
-    #[test]
-    fn scheduled_layers_partition_the_ops(circ in arb_sectioned_circuit()) {
-        let compiled = compile(&circ);
-        let schedule = compiled.schedule();
-        let mut covered = 0usize;
-        for layer in &schedule.layers {
-            prop_assert_eq!(layer.start, covered, "layers are consecutive");
-            prop_assert!(layer.end > layer.start, "layers are non-empty");
-            covered = layer.end;
-        }
-        prop_assert_eq!(covered, compiled.len(), "layers cover every fused op");
-        prop_assert_eq!(schedule.layers.len(), compiled.stats().layers);
     }
 }
 

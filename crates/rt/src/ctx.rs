@@ -103,7 +103,7 @@ impl RtContext {
     /// Charges `n` kernel ops and polls every limit; the deadline is read
     /// whenever the running count crosses a multiple of
     /// `DEADLINE_CHECK_MASK + 1`, however many ops one charge carries.
-    /// Called at layer granularity by the simulator's executor.
+    /// Called once per op by the simulator's executor.
     pub fn charge_ops(&self, n: u64) -> Result<(), RtError> {
         let before = self.ops.fetch_add(n, Ordering::Relaxed);
         let used = before + n;
@@ -188,7 +188,7 @@ impl RtContext {
     }
 
     /// Builds the `Cancelled` error, reporting the `rt.cancellations`
-    /// counter exactly once per context however many layers observe it.
+    /// counter exactly once per context however many polls observe it.
     fn cancelled(&self) -> RtError {
         if !self.cancel_reported.swap(true, Ordering::Relaxed) {
             qmkp_obs::counter("rt.cancellations", &[], 1);

@@ -280,7 +280,7 @@ fn single_racer_faults_still_yield_a_verified_winner() {
     ] {
         // An `after = 0` arm faults the racer on its first site hit. A
         // racer cancelled by an earlier win may never reach its site (the
-        // sparse racer polls the token before its first kernel layer
+        // sparse racer polls the token before its first kernel op
         // consults `qsim.run.op`), so race until the site is hit; every
         // race that hit it must count the racer as faulted.
         let mut fault_observed = false;
