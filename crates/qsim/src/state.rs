@@ -14,12 +14,14 @@
 //! the independent reference the compiled paths are checked against, and
 //! the sparse one through the compiler's own lowering.
 //!
-//! The sparse backend stores the state as a `Vec<(u128, amplitude)>` sorted
-//! by basis key (cf. the sorted-structure representation of sparse
+//! The sparse backend stores the state as a `Vec<(u128, amplitude)>` of
+//! distinct basis keys (cf. the sorted-structure representation of sparse
 //! Feynman-path simulators): permutation and diagonal kernels are one
-//! in-place pass, and the `Single` butterfly is a linear two-way merge
-//! with in-place epsilon pruning — no per-gate allocation or rehashing,
-//! which the previous `HashMap` representation paid on every H/Ry gate.
+//! in-place pass, long permutation ladders running bit-sliced over 64 keys
+//! at a time, and the `Single` butterfly is a linear two-way merge with
+//! in-place epsilon pruning — no per-gate allocation or rehashing. A
+//! permutation may leave the keys out of order; the next butterfly sorts
+//! them, so a Grover iteration sorts once.
 
 use crate::circuit::Circuit;
 use crate::compile::{
@@ -675,68 +677,61 @@ impl QuantumState for DenseState {
 // Sparse backend
 // ---------------------------------------------------------------------------
 
-/// Ladders at least this long take the half-split permutation pass (the
-/// per-call split allocation amortizes); shorter ones — in particular the
-/// interpreted path's single-step calls — stay allocation-free.
-const SPLIT_LADDER_MIN: usize = 8;
+/// Ladders at least this long run bit-sliced
+/// ([`SparseCore::apply_sliced`]). The transposes cost more than a short
+/// ladder saves, so shorter ones (the flip, the interpreter's single-gate
+/// calls) map each key through the steps directly.
+const SLICED_LADDER_MIN: usize = 8;
 
-/// A [`FlipStep`] pre-split into 64-bit halves for the sparse
-/// permutation ladder (see `apply_permutation_split`).
-#[derive(Clone, Copy)]
-struct SplitStep {
-    care_lo: u64,
-    want_lo: u64,
-    flip_lo: u64,
-    care_hi: u64,
-    want_hi: u64,
-    flip_hi: u64,
-}
+/// Marks a negative control in a decoded sliced step; the low seven bits
+/// are the plane (qubit) index.
+const NEG_CONTROL: u8 = 0x80;
 
-/// Splits a key into `(low 64 bits, high 64 bits)`. The sparse ladder
-/// runs steps whose masks live entirely in the low half on u64
-/// arithmetic.
-#[inline]
-fn split_lo_hi(key: u128) -> (u64, u64) {
-    (key as u64, (key >> 64) as u64)
-}
-
-/// Inverse of [`split_lo_hi`].
-#[inline]
-fn from_lo_hi(lo: u64, hi: u64) -> u128 {
-    (lo as u128) | ((hi as u128) << 64)
-}
-
-impl SplitStep {
-    fn from_step(s: FlipStep) -> Self {
-        let (care_lo, care_hi) = split_lo_hi(s.care);
-        let (want_lo, want_hi) = split_lo_hi(s.want);
-        let (flip_lo, flip_hi) = split_lo_hi(s.flip);
-        SplitStep {
-            care_lo,
-            want_lo,
-            flip_lo,
-            care_hi,
-            want_hi,
-            flip_hi,
+/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to
+/// bit `i` of word `j`. Each round swaps the off-diagonal blocks of every
+/// `2r × 2r` tile, halving `r` from 32 to 1.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut r = 32;
+    let mut mask = 0x0000_0000_ffff_ffff_u64;
+    while r != 0 {
+        for tile in m.chunks_exact_mut(2 * r) {
+            let (top, bottom) = tile.split_at_mut(r);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> r) ^ *b) & mask;
+                *a ^= t << r;
+                *b ^= t;
+            }
         }
+        r /= 2;
+        mask ^= mask << r;
     }
+}
 
-    /// Whether the step's masks live entirely in the low 64 bits (`want ⊆
-    /// care`, so `care_hi == 0` implies `want_hi == 0`).
-    fn is_narrow(&self) -> bool {
-        self.care_hi == 0 && self.flip_hi == 0
-    }
+/// Indices of the set bits of `mask`, ascending.
+fn bit_indices(mut mask: u128) -> impl Iterator<Item = u8> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as u8;
+            mask &= mask - 1;
+            q
+        })
+    })
 }
 
 /// The sorted-vec amplitude store.
 ///
-/// Invariant: `amps` is sorted by key with all keys distinct. The scratch
-/// buffers hold no live data between ops — only their capacity is reused,
-/// so a `Single` pass allocates nothing once the buffers have grown to the
-/// working support size.
+/// Invariant: the keys in `amps` are distinct, and ascending whenever
+/// `sorted` is set. A permutation moves no amplitude, so its pass leaves
+/// the mapped keys where they are and records whether they are still in
+/// order; the butterfly, whose merge needs order, sorts first. The
+/// scratch buffers hold no live data between ops — only their capacity is
+/// reused, so a `Single` pass allocates nothing once the buffers have
+/// grown to the working support size.
 #[derive(Debug, Clone)]
 struct SparseCore {
     amps: Vec<(u128, Complex)>,
+    /// Whether `amps` is in ascending key order.
+    sorted: bool,
     /// Pass-1 buffer: entries with the target bit clear, key unchanged.
     split_lo: Vec<(u128, Complex)>,
     /// Pass-1 buffer: entries with the target bit set, key normalized
@@ -753,6 +748,7 @@ impl SparseCore {
     fn from_basis(basis: u128) -> Self {
         SparseCore {
             amps: vec![(basis, Complex::ONE)],
+            sorted: true,
             split_lo: Vec::new(),
             split_hi: Vec::new(),
             out_lo: Vec::new(),
@@ -761,10 +757,12 @@ impl SparseCore {
     }
 
     fn amplitude(&self, basis: u128) -> Complex {
-        match self.amps.binary_search_by_key(&basis, |&(b, _)| b) {
-            Ok(i) => self.amps[i].1,
-            Err(_) => Complex::ZERO,
-        }
+        let index = if self.sorted {
+            self.amps.binary_search_by_key(&basis, |&(b, _)| b).ok()
+        } else {
+            self.amps.iter().position(|&(b, _)| b == basis)
+        };
+        index.map_or(Complex::ZERO, |i| self.amps[i].1)
     }
 
     fn norm_sqr(&self) -> f64 {
@@ -783,19 +781,19 @@ impl SparseCore {
     }
 
     /// One in-place pass applying a fused permutation. A permutation maps
-    /// distinct keys to distinct keys; the pass tracks whether the mapped
-    /// keys are still ascending and sorts only when they are not (flip
-    /// steps that touch only high ancilla bits of clustered supports often
-    /// preserve order).
+    /// distinct keys to distinct keys; the pass rewrites them where they
+    /// stand and records whether they are still ascending.
     fn apply_permutation(&mut self, steps: &[FlipStep]) {
         if steps.is_empty() {
             // Peephole cancellation can empty a run.
             return;
         }
-        if steps.len() < SPLIT_LADDER_MIN {
-            // Short ladders (in particular the interpreted path's
-            // single-step calls) skip the split machinery and its
-            // allocations.
+        if steps.len() >= SLICED_LADDER_MIN {
+            self.apply_sliced(steps);
+        } else {
+            // Four keys ride the ladder together: each step's output
+            // feeds the next step's control test, so one key alone is a
+            // serial dependency chain.
             let mut chunks = self.amps.chunks_exact_mut(4);
             for chunk in &mut chunks {
                 let (mut k0, mut k1, mut k2, mut k3) =
@@ -818,108 +816,96 @@ impl SparseCore {
                 }
                 *b = key;
             }
-        } else {
-            self.apply_permutation_split(steps);
         }
-        // Flip steps that touch only high ancilla bits of clustered
-        // supports often preserve order, so check before sorting.
-        if self.amps.windows(2).any(|w| w[1].0 <= w[0].0) {
-            self.amps.sort_unstable_by_key(|&(b, _)| b);
-        }
+        self.sorted = self.amps.windows(2).all(|w| w[0].0 < w[1].0);
     }
 
-    /// Long-ladder permutation pass with the steps pre-split into 64-bit
-    /// halves. Oracle circuits put the high-traffic registers (vertices,
-    /// edge ancillas, degree counters) in the low qubits, so most steps
-    /// never touch the top half of a key — runs
-    /// of such steps execute on pure u64 arithmetic, roughly halving the
-    /// ALU work of the hot ladder. Keys ride through the ladder four at a
-    /// time: each step's output feeds the next step's control test, so a
-    /// single key is a serial dependency chain and the interleaving is
-    /// what lets the CPU overlap the latency-bound mask arithmetic.
-    fn apply_permutation_split(&mut self, steps: &[FlipStep]) {
+    /// The bit-sliced ladder (Biham, FSE 1997). Each block of 64 keys is
+    /// transposed into 128 plane words, word `q` holding qubit `q` of all
+    /// 64 keys, so a step costs one AND per control and one XOR per target
+    /// for the whole block. Only the key halves some step writes are
+    /// transposed back.
+    fn apply_sliced(&mut self, steps: &[FlipStep]) {
         // Dead-step elimination: track which bits *may* be 1 and which
         // *may* be 0 anywhere in the support. A step whose control test
         // needs a bit state that no key can have never fires, so it is
         // dropped for the whole pass. Oracle ladders are full of these:
-        // ancilla counters start at zero, so the high-order carry steps
-        // of the early increments are provably dead. Firing a surviving
-        // step makes its flipped bits unknown in both directions.
-        let (mut may1_lo, mut may1_hi) = (0u64, 0u64);
-        let (mut all1_lo, mut all1_hi) = (!0u64, !0u64);
+        // ancilla counters start at zero, so the high-order carry steps of
+        // the early increments are provably dead. Firing a surviving step
+        // makes its flipped bits unknown in both directions.
+        let (mut may1, mut all1) = (0u128, !0u128);
         for &(b, _) in &self.amps {
-            let (l, h) = split_lo_hi(b);
-            may1_lo |= l;
-            may1_hi |= h;
-            all1_lo &= l;
-            all1_hi &= h;
+            may1 |= b;
+            all1 &= b;
         }
-        let (mut may0_lo, mut may0_hi) = (!all1_lo, !all1_hi);
-        let mut split: Vec<SplitStep> = Vec::with_capacity(steps.len());
+        let mut may0 = !all1;
+        // Each live step decodes to its control count, its target count,
+        // its control planes (`NEG_CONTROL` marking the negative ones) and
+        // its target planes.
+        let mut program: Vec<u8> = Vec::with_capacity(4 * steps.len());
+        let mut written = 0u128;
         for s in steps {
-            let st = SplitStep::from_step(*s);
-            let dead = st.want_lo & !may1_lo != 0
-                || st.want_hi & !may1_hi != 0
-                || (st.care_lo & !st.want_lo) & !may0_lo != 0
-                || (st.care_hi & !st.want_hi) & !may0_hi != 0;
-            if dead {
+            if s.want & !may1 != 0 || (s.care & !s.want) & !may0 != 0 {
                 continue;
             }
-            may1_lo |= st.flip_lo;
-            may1_hi |= st.flip_hi;
-            may0_lo |= st.flip_lo;
-            may0_hi |= st.flip_hi;
-            split.push(st);
-        }
-        // Maximal runs of steps sharing narrowness, as (narrow, start, end).
-        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
-        for (i, st) in split.iter().enumerate() {
-            let narrow = st.is_narrow();
-            match runs.last_mut() {
-                Some((n, _, end)) if *n == narrow => *end = i + 1,
-                _ => runs.push((narrow, i, i + 1)),
-            }
-        }
-        let mut chunks = self.amps.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            let mut lo = [0u64; 8];
-            let mut hi = [0u64; 8];
-            for (i, &(b, _)) in chunk.iter().enumerate() {
-                (lo[i], hi[i]) = split_lo_hi(b);
-            }
-            for &(narrow, start, end) in &runs {
-                if narrow {
-                    for s in &split[start..end] {
-                        for l in &mut lo {
-                            let hit = ((*l & s.care_lo == s.want_lo) as u64).wrapping_neg();
-                            *l ^= s.flip_lo & hit;
-                        }
-                    }
+            may1 |= s.flip;
+            may0 |= s.flip;
+            written |= s.flip;
+            program.push(s.care.count_ones() as u8);
+            program.push(s.flip.count_ones() as u8);
+            program.extend(bit_indices(s.care).map(|q| {
+                if s.want >> q & 1 == 0 {
+                    q | NEG_CONTROL
                 } else {
-                    for s in &split[start..end] {
-                        for (l, h) in lo.iter_mut().zip(&mut hi) {
-                            let hit = ((*l & s.care_lo == s.want_lo && *h & s.care_hi == s.want_hi)
-                                as u64)
-                                .wrapping_neg();
-                            *l ^= s.flip_lo & hit;
-                            *h ^= s.flip_hi & hit;
-                        }
-                    }
+                    q
+                }
+            }));
+            program.extend(bit_indices(s.flip));
+        }
+        let (write_lo, write_hi) = (written as u64 != 0, (written >> 64) as u64 != 0);
+        if !(write_lo || write_hi) {
+            return;
+        }
+        for block in self.amps.chunks_mut(64) {
+            let mut planes = [[0u64; 64]; 2];
+            let [lo, hi] = &mut planes;
+            for ((l, h), &(key, _)) in lo.iter_mut().zip(hi.iter_mut()).zip(block.iter()) {
+                *l = key as u64;
+                *h = (key >> 64) as u64;
+            }
+            transpose64(lo);
+            transpose64(hi);
+            let mut rest = program.as_slice();
+            while let [controls, targets, tail @ ..] = rest {
+                let (controls, tail) = tail.split_at(usize::from(*controls));
+                let (targets, tail) = tail.split_at(usize::from(*targets));
+                let mut hit = !0u64;
+                for &c in controls {
+                    let q = usize::from(c & !NEG_CONTROL);
+                    let negate = if c & NEG_CONTROL == 0 { 0 } else { !0 };
+                    hit &= planes[q >> 6][q & 63] ^ negate;
+                }
+                for &t in targets {
+                    let q = usize::from(t);
+                    planes[q >> 6][q & 63] ^= hit;
+                }
+                rest = tail;
+            }
+            let [lo, hi] = &mut planes;
+            if write_lo {
+                transpose64(lo);
+            }
+            if write_hi {
+                transpose64(hi);
+            }
+            for ((key, _), (&l, &h)) in block.iter_mut().zip(lo.iter().zip(hi.iter())) {
+                if write_lo {
+                    *key = *key >> 64 << 64 | u128::from(l);
+                }
+                if write_hi {
+                    *key = u128::from(*key as u64) | u128::from(h) << 64;
                 }
             }
-            for (i, (b, _)) in chunk.iter_mut().enumerate() {
-                *b = from_lo_hi(lo[i], hi[i]);
-            }
-        }
-        for (b, _) in chunks.into_remainder() {
-            let (mut lo, mut hi) = split_lo_hi(*b);
-            for s in &split {
-                let hit = ((lo & s.care_lo == s.want_lo && hi & s.care_hi == s.want_hi) as u64)
-                    .wrapping_neg();
-                lo ^= s.flip_lo & hit;
-                hi ^= s.flip_hi & hit;
-            }
-            *b = from_lo_hi(lo, hi);
         }
     }
 
@@ -945,7 +931,14 @@ impl SparseCore {
     /// 3. two-pointer merge of `out_lo` / `out_hi` back into `amps`
     ///    (keys from the two sides are never equal — they differ in the
     ///    target bit).
+    ///
+    /// Keys a permutation left out of order are sorted first, so a Grover
+    /// iteration sorts once, at the diffusion's first Hadamard.
     fn apply_single(&mut self, k: &SingleQubit) {
+        if !self.sorted {
+            self.amps.sort_unstable_by_key(|&(b, _)| b);
+            self.sorted = true;
+        }
         let m = 1u128 << k.qubit;
         self.split_lo.clear();
         self.split_hi.clear();
@@ -1023,7 +1016,9 @@ impl SparseCore {
 }
 
 /// Sparse sorted-vec backend: only nonzero basis states are stored, as a
-/// `Vec<(u128, amplitude)>` sorted by basis key.
+/// `Vec<(u128, amplitude)>` sorted by basis key (a permutation may leave
+/// the keys out of order until the next butterfly; every read answers as
+/// if they were sorted).
 ///
 /// Suited to circuits that are mostly basis-state permutations (X / MCX):
 /// the qTKP oracle over 50-200 qubits keeps at most `2^n` nonzero
@@ -1108,13 +1103,17 @@ impl QuantumState for SparseState {
     }
 
     fn nonzero(&self) -> Vec<(u128, Complex)> {
-        // `amps` is already sorted by key.
-        self.core
+        let mut out: Vec<(u128, Complex)> = self
+            .core
             .amps
             .iter()
             .filter(|(_, a)| !a.is_negligible(PRUNE_EPS))
             .copied()
-            .collect()
+            .collect();
+        if !self.core.sorted {
+            out.sort_unstable_by_key(|&(b, _)| b);
+        }
+        out
     }
 
     fn apply_op(&mut self, op: &CompiledOp) {
@@ -1727,6 +1726,154 @@ mod tests {
         let mut s = SparseState::zero(5);
         s.run_compiled_ctx(&compiled, &ctx).unwrap();
         assert_eq!(ctx.ops_used(), 5, "every op is charged");
+    }
+
+    /// A random ladder over all 128 bits. Keys vary only on `free`, so a
+    /// step that wants a `fixed` bit opposite to `base` can never fire and
+    /// is dropped by the dead-step filter; one that wants it equal always
+    /// fires. No step flips a fixed bit, so those verdicts hold all pass.
+    fn random_ladder(rng: &mut StdRng, len: usize, free: u128, base: u128) -> Vec<FlipStep> {
+        let bit = |rng: &mut StdRng, pool: u128| {
+            let bits: Vec<u32> = (0..128).filter(|&q| pool >> q & 1 == 1).collect();
+            1u128 << bits[rng.gen_range(0..bits.len())]
+        };
+        (0..len)
+            .map(|_| {
+                // Some steps live entirely in the high half.
+                let pool = if rng.gen_bool(0.25) {
+                    free >> 64 << 64
+                } else {
+                    free
+                };
+                let mut flip = 0;
+                for _ in 0..rng.gen_range(1..=3) {
+                    flip |= bit(rng, pool);
+                }
+                let mut care = 0;
+                for _ in 0..rng.gen_range(0..=3) {
+                    care |= bit(rng, pool & !flip);
+                }
+                let mut want = care & rng.gen::<u128>();
+                if rng.gen_bool(0.2) {
+                    let q = bit(rng, !free);
+                    care |= q;
+                    want |= q & if rng.gen_bool(0.5) { base } else { !base };
+                }
+                FlipStep { care, want, flip }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_ladder_matches_the_per_key_steps() {
+        let mut rng = StdRng::seed_from_u64(2125);
+        for support in [1usize, 63, 64, 65, 1000] {
+            for _ in 0..8 {
+                // Twelve free bits in each key half.
+                let mut free = 0u128;
+                for half in [0..64, 64..128] {
+                    while ((free >> half.start) as u64).count_ones() < 12 {
+                        free |= 1u128 << rng.gen_range(half.clone());
+                    }
+                }
+                let base = rng.gen::<u128>();
+                let mut keys = std::collections::BTreeSet::new();
+                while keys.len() < support {
+                    keys.insert(base ^ (rng.gen::<u128>() & free));
+                }
+                let amps: Vec<(u128, Complex)> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, key)| (key, Complex::new(i as f64, -(i as f64))))
+                    .collect();
+                let len = rng.gen_range(SLICED_LADDER_MIN..SLICED_LADDER_MIN + 200);
+                let steps = random_ladder(&mut rng, len, free, base);
+                let mut core = SparseCore::from_basis(0);
+                core.amps = amps.clone();
+                core.apply_permutation(&steps);
+                let expected: Vec<(u128, Complex)> = amps
+                    .iter()
+                    .map(|&(key, a)| (steps.iter().fold(key, |k, s| s.apply(k)), a))
+                    .collect();
+                assert_eq!(core.amps, expected, "support {support}, {len} steps");
+                let ascending = expected.windows(2).all(|w| w[0].0 < w[1].0);
+                assert_eq!(core.sorted, ascending, "support {support}: order flag");
+            }
+        }
+    }
+
+    #[test]
+    fn reads_of_an_out_of_order_state_match_the_sorted_state() {
+        // Qubits 0..4 and 70 start superposed; the ladder writes qubits 70
+        // and up as functions of 0..4, so entries with qubit 0 set move
+        // far past their neighbours, and the Hadamard on 70 afterwards
+        // must pair keys that the ladder reordered. The dense reference runs the
+        // same circuit with qubit 70 + j at 4 + j.
+        let wide = |q: usize| if q < 4 { q } else { 66 + q };
+        let gates = |at: &dyn Fn(usize) -> usize| -> Vec<Gate> {
+            let mut g: Vec<Gate> = (0..4).map(|q| Gate::cnot(at(q), at(4 + q))).collect();
+            g.push(Gate::ccnot(at(0), at(1), at(8)));
+            g.push(Gate::Mcx {
+                controls: vec![Control::neg(at(2)), Control::pos(at(3))],
+                target: at(9),
+            });
+            g.push(Gate::X(at(8)));
+            g.push(Gate::cnot(at(8), at(9)));
+            g
+        };
+        let mut s = SparseState::zero(100);
+        for q in 0..5 {
+            s.apply(&Gate::H(wide(q)));
+        }
+        let steps: Vec<FlipStep> = gates(&wide)
+            .iter()
+            .flat_map(|g| match lower_gate(g) {
+                Op::Permutation(steps) => steps,
+                _ => Vec::new(),
+            })
+            .collect();
+        assert!(steps.len() >= SLICED_LADDER_MIN);
+        s.apply_op(&Op::Permutation(steps));
+        assert!(
+            !s.core.sorted,
+            "the ladder must leave the keys out of order"
+        );
+
+        let mut sorted = s.clone();
+        sorted.core.amps.sort_unstable_by_key(|&(b, _)| b);
+        sorted.core.sorted = true;
+        assert_eq!(s.support_size(), sorted.support_size());
+        assert_eq!(s.nonzero(), sorted.nonzero());
+        assert!(s.nonzero().windows(2).all(|w| w[0].0 < w[1].0));
+        for qubits in [vec![0, 1, 2, 3], vec![0, 70, 75], vec![74, 75]] {
+            assert_eq!(s.marginal(&qubits), sorted.marginal(&qubits));
+        }
+        for &(key, _) in &sorted.core.amps {
+            for probe in [key, key ^ 1 << 80] {
+                assert_eq!(s.amplitude(probe), sorted.amplitude(probe));
+            }
+        }
+
+        s.apply(&Gate::H(70));
+        assert!(s.core.sorted, "the butterfly leaves the keys in order");
+        let mut dense = DenseState::zero(10).unwrap();
+        let mut circuit = Circuit::new(10);
+        for q in 0..5 {
+            circuit.push(Gate::H(q)).unwrap();
+        }
+        for g in gates(&|q| q) {
+            circuit.push(g).unwrap();
+        }
+        circuit.push(Gate::H(4)).unwrap();
+        dense.run_interpreted(&circuit).unwrap();
+        for b in 0..1u128 << 10 {
+            let key = (b & 0b1111) | (b >> 4) << 70;
+            assert!(
+                (s.amplitude(key) - dense.amplitude(b)).norm() < 1e-9,
+                "basis {b:010b}"
+            );
+        }
+        assert_eq!(s.support_size(), dense.nonzero().len());
     }
 
     #[test]

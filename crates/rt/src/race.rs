@@ -97,7 +97,9 @@ pub struct RacerReport {
     pub name: String,
     /// How it ended.
     pub outcome: RacerOutcome,
-    /// Wall-clock time from the racer's thread start to its return.
+    /// Wall-clock time from the race's start (one instant, taken before
+    /// any racer is spawned) to the racer's return, so every report reads
+    /// the same clock and a late thread start is not hidden.
     pub elapsed: Duration,
 }
 
@@ -109,8 +111,8 @@ pub struct RaceWin<T> {
     /// Name of the racer that produced it.
     pub winner: String,
     /// How much longer the slowest losing racer kept running past the
-    /// winner's finish (the concurrent work the cancel cut short). `None`
-    /// for a single-racer field.
+    /// winner's finish: its [`RacerReport::elapsed`] minus the winner's,
+    /// both from the race's start. `None` for a single-racer field.
     pub win_margin: Option<Duration>,
     /// One report per racer, in staking order.
     pub reports: Vec<RacerReport>,
@@ -144,12 +146,12 @@ pub fn race<'f, T: Send>(
     slots.resize_with(total, || None);
     let mut winner: Option<usize> = None;
 
+    let race_start = Instant::now();
     std::thread::scope(|scope| {
         for (idx, racer) in racers.into_iter().enumerate() {
             let tx = tx.clone();
             let token = shared.clone();
             scope.spawn(move || {
-                let racer_start = Instant::now();
                 let Racer { name, budget, run } = racer;
                 let ctx = RtContext::new(budget, token);
                 let result = match catch_unwind(AssertUnwindSafe(|| run(&ctx))) {
@@ -160,7 +162,7 @@ pub fn race<'f, T: Send>(
                 };
                 // A send can only fail if the supervisor already gave up
                 // (disconnected receiver); the racer's work is moot then.
-                let _ = tx.send((idx, result, racer_start.elapsed()));
+                let _ = tx.send((idx, result, race_start.elapsed()));
             });
         }
         drop(tx);
@@ -284,6 +286,29 @@ mod tests {
         assert_eq!(win.reports[1].outcome, RacerOutcome::Won);
         assert!(win.win_margin.is_some());
         assert!(!caller.peek(), "race must not cancel the caller's token");
+    }
+
+    #[test]
+    fn racers_are_timed_from_one_race_start() {
+        // The loser returns only after the cancel, which the supervisor
+        // sends once the winner's result has arrived: on one clock its
+        // elapsed time cannot be the smaller.
+        let caller = CancelToken::new();
+        let racers = vec![
+            Racer::new("winner", Budget::unlimited(), |_ctx: &RtContext| Ok(1usize)),
+            Racer::new("loser", Budget::unlimited(), spin_until_cancelled),
+        ];
+        let win = race(racers, &caller).expect("the winner wins");
+        let (winner, loser) = (&win.reports[0], &win.reports[1]);
+        assert_eq!(winner.outcome, RacerOutcome::Won);
+        assert_eq!(loser.outcome, RacerOutcome::Cancelled);
+        assert!(
+            loser.elapsed >= winner.elapsed,
+            "loser {:?} < winner {:?}",
+            loser.elapsed,
+            winner.elapsed
+        );
+        assert_eq!(win.win_margin, Some(loser.elapsed - winner.elapsed));
     }
 
     #[test]

@@ -160,8 +160,9 @@ pub struct RaceSummary {
     /// Losers that failed (budget slice, fault, contained panic) before
     /// the win.
     pub faulted: usize,
-    /// Wall-clock gap between the winner and the next racer to finish,
-    /// when a runner-up finished at all.
+    /// How much longer the slowest losing racer ran past the winner's
+    /// finish, every racer timed from the race's start
+    /// ([`qmkp_rt::RaceWin::win_margin`]); `None` for a single racer.
     pub win_margin: Option<Duration>,
 }
 
