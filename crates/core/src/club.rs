@@ -160,8 +160,8 @@ impl PhaseOracle for TwoClubOracle {
     fn u_check_inv(&self) -> &Circuit {
         &self.u_check_inv
     }
-    fn flip_gate(&self) -> Gate {
-        Gate::ccnot(self.club, self.size_ge_t, self.oracle)
+    fn flip_controls(&self) -> [usize; 2] {
+        [self.club, self.size_ge_t]
     }
     fn predicate(&self, s: VertexSet) -> bool {
         s.len() >= self.t && Self::is_two_club(&self.graph, s)
@@ -191,8 +191,9 @@ pub fn max_two_club(g: &Graph, seed: u64) -> VertexSet {
         if m > 0 {
             let mut driver = GroverDriver::new(oracle);
             driver.iterate_n(optimal_iterations(n, m));
+            let readout = driver.readout();
             for _ in 0..3 {
-                let s = driver.measure(&mut rng);
+                let s = readout.measure(&mut rng);
                 if driver.oracle().predicate(s) {
                     found = Some(s);
                     break;

@@ -5,8 +5,8 @@ use crate::compiled::GroverCircuits;
 use crate::oracle::Oracle;
 use qmkp_graph::VertexSet;
 use qmkp_qsim::{
-    BackendState, Circuit, CompiledCircuit, Gate, OpObserver, QuantumState, Register, SimError,
-    SparseState,
+    BackendState, Circuit, CompiledCircuit, CompiledOp, Complex, Gate, OpObserver, PhaseStep,
+    QuantumState, Register, Sampler, SimError, SingleQubit, SparseState,
 };
 use qmkp_rt::RtContext;
 use rand::Rng;
@@ -30,8 +30,16 @@ pub trait PhaseOracle {
     fn u_check(&self) -> &Circuit;
     /// The uncompute circuit.
     fn u_check_inv(&self) -> &Circuit;
-    /// The oracle-qubit flip gate.
-    fn flip_gate(&self) -> Gate;
+    /// The two result qubits `U_check` computes, whose conjunction marks
+    /// a state (`cplex` and `size ≥ T` for the MKP oracle): the controls
+    /// of the flip.
+    fn flip_controls(&self) -> [usize; 2];
+    /// The oracle-qubit flip gate: a Toffoli from the flip's controls
+    /// onto the oracle qubit (Figure 11, box C).
+    fn flip_gate(&self) -> Gate {
+        let [a, b] = self.flip_controls();
+        Gate::ccnot(a, b, self.oracle_qubit())
+    }
     /// The classical predicate the oracle decides (used for verification
     /// and the solution census).
     fn predicate(&self, s: VertexSet) -> bool;
@@ -53,8 +61,8 @@ impl PhaseOracle for Oracle {
     fn u_check_inv(&self) -> &Circuit {
         Oracle::u_check_inv(self)
     }
-    fn flip_gate(&self) -> Gate {
-        Oracle::flip_gate(self)
+    fn flip_controls(&self) -> [usize; 2] {
+        [self.layout.cplex, self.layout.size_ge_t]
     }
     fn predicate(&self, s: VertexSet) -> bool {
         Oracle::predicate(self, s)
@@ -80,8 +88,8 @@ impl<O: PhaseOracle> PhaseOracle for Arc<O> {
     fn u_check_inv(&self) -> &Circuit {
         (**self).u_check_inv()
     }
-    fn flip_gate(&self) -> Gate {
-        (**self).flip_gate()
+    fn flip_controls(&self) -> [usize; 2] {
+        (**self).flip_controls()
     }
     fn predicate(&self, s: VertexSet) -> bool {
         (**self).predicate(s)
@@ -256,17 +264,28 @@ pub fn diffusion_circuit(width: usize, vertices: &Register) -> Circuit {
 /// boundaries, so each op's measured time is split across the sections
 /// it absorbed in proportion to their surviving kernel steps (the op's
 /// attribution weights).
+///
+/// The driver simulates only the `|O⟩ = 0` half of Figure 12's state
+/// (DESIGN §7). With `|O⟩ = |−⟩` the `|O⟩ = 1` half is, after every op,
+/// the exact IEEE negation of it, so the flip is applied as the phase it
+/// kicks back and the readout doubles the half's vertex marginal: every
+/// distribution and draw has the literal circuit's bits, over half the
+/// support.
 pub struct GroverDriver<O: PhaseOracle = Oracle, S: QuantumState = SparseState> {
     oracle: O,
     state: S,
     circuits: GroverCircuits,
+    /// The flip on the `|O⟩ = 0` half: phase −1 where both flip controls
+    /// are set, a CZ on them.
+    kickback: CompiledOp,
     iterations_done: usize,
     times: SectionTimes,
 }
 
 impl<O: PhaseOracle> GroverDriver<O, SparseState> {
-    /// Prepares the initial state: `|O⟩ → |−⟩` (X then H, per Figure 12's
-    /// `|O⟩ = |1⟩` input plus Hadamard) and the vertex register in uniform
+    /// Prepares the initial state: the `|O⟩ = 0` half of `|O⟩ = |−⟩`
+    /// (Figure 12's `|O⟩ = |1⟩` input plus Hadamard, whose `|O⟩ = 0`
+    /// amplitude is `1/√2`) with the vertex register in uniform
     /// superposition; compiles the iteration circuits.
     ///
     /// # Panics
@@ -339,16 +358,33 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     /// Prepares the initial state on an already-compiled iteration; the
     /// only infallible-by-construction constructor (nothing allocates,
     /// nothing compiles).
+    ///
+    /// The oracle qubit gets the `|O⟩ = 0` row of `H·X`, the amplitude
+    /// `1/√2` that X then H put there; the butterfly prunes the zero
+    /// `|O⟩ = 1` output.
     fn finish_precompiled(oracle: O, circuits: GroverCircuits, mut state: S) -> Self {
-        state.apply(&Gate::X(oracle.oracle_qubit()));
-        state.apply(&Gate::H(oracle.oracle_qubit()));
+        state.apply_op(&CompiledOp::Single(SingleQubit {
+            qubit: oracle.oracle_qubit(),
+            m00: Complex::real(std::f64::consts::FRAC_1_SQRT_2),
+            m01: Complex::ZERO,
+            m10: Complex::ZERO,
+            m11: Complex::ZERO,
+        }));
         for q in oracle.vertex_register().iter() {
             state.apply(&Gate::H(q));
         }
+        let [a, b] = oracle.flip_controls();
+        let controls = 1u128 << a | 1u128 << b;
+        let kickback = CompiledOp::Diagonal(vec![PhaseStep {
+            care: controls,
+            want: controls,
+            phase: Complex::real(-1.0),
+        }]);
         GroverDriver {
             oracle,
             state,
             circuits,
+            kickback,
             iterations_done: 0,
             times: SectionTimes::default(),
         }
@@ -369,8 +405,9 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
         &self.times
     }
 
-    /// Runs one Grover iteration: `U_check` → flip → `U_check†` →
-    /// diffusion, attributing wall time to oracle sections.
+    /// Runs one Grover iteration: `U_check` → flip (as its phase
+    /// kickback) → `U_check†` → diffusion, attributing wall time to
+    /// oracle sections.
     ///
     /// When tracing is on, the iteration is a `core.grover.iteration` span
     /// with one `core.grover.section.*` child per section, carrying the
@@ -413,14 +450,13 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     /// The body both [`GroverDriver::iterate`] and
     /// [`GroverDriver::iterate_ctx`] run: the three compiled circuits go
     /// through the simulator's executor under [`SectionAttribution`], the
-    /// flip gate is timed on its own.
+    /// flip's kickback is timed on its own.
     fn iteration(&mut self, ctx: Option<&RtContext>) -> Result<(), SimError> {
         let _span = qmkp_obs::span("core.grover.iteration");
         let (state, times, circuits) = (&mut self.state, &mut self.times, &self.circuits);
         Self::run_attributed(state, &circuits.u_check, times, ctx)?;
-        let flip = self.oracle.flip_gate();
         let start = Instant::now();
-        state.apply(&flip);
+        state.apply_op(&self.kickback);
         times.record("flip", start.elapsed());
         Self::run_attributed(state, &circuits.u_check_inv, times, ctx)?;
         Self::run_attributed(state, &circuits.diffusion, times, ctx)?;
@@ -488,35 +524,73 @@ impl<O: PhaseOracle, S: QuantumState> GroverDriver<O, S> {
     }
 
     /// The probability distribution over vertex-register basis states
-    /// (the bar charts of the paper's Figure 8).
+    /// (the bar charts of the paper's Figure 8): the half state's
+    /// marginal doubled, which is exactly the literal state's `p + p`.
     pub fn vertex_distribution(&self) -> BTreeMap<u128, f64> {
-        self.state.marginal(&self.oracle.vertex_register().qubits())
+        let mut dist = self.state.marginal(&self.oracle.vertex_register().qubits());
+        for p in dist.values_mut() {
+            *p *= 2.0;
+        }
+        dist
+    }
+
+    /// The vertex distribution and a sampler over it, built once for any
+    /// number of mass queries and draws.
+    pub fn readout(&self) -> Readout {
+        let distribution = self.vertex_distribution();
+        let sampler = Sampler::new(&distribution);
+        Readout {
+            distribution,
+            sampler,
+        }
     }
 
     /// Total probability mass on the given vertex sets.
     pub fn probability_of_sets(&self, sets: &[VertexSet]) -> f64 {
-        let dist = self.vertex_distribution();
-        sets.iter()
-            .map(|s| dist.get(&s.bits()).copied().unwrap_or(0.0))
-            .sum()
+        mass(&self.vertex_distribution(), sets)
     }
 
     /// Samples one measurement of the vertex register.
     pub fn measure<R: Rng>(&self, rng: &mut R) -> VertexSet {
-        let counts = self
-            .state
-            .sample(rng, 1, &self.oracle.vertex_register().qubits());
-        // One shot always yields one outcome; the fallback is unreachable.
-        let bits = counts.into_iter().next().map(|(b, _)| b).unwrap_or(0);
-        VertexSet::from_bits(bits)
+        self.readout().measure(rng)
     }
 
     /// Samples `shots` measurements of the vertex register, returning
     /// set → count (the paper's 20K-shot histograms).
     pub fn sample_counts<R: Rng>(&self, rng: &mut R, shots: usize) -> BTreeMap<u128, usize> {
-        self.state
-            .sample(rng, shots, &self.oracle.vertex_register().qubits())
+        self.readout().sampler.counts(rng, shots)
     }
+}
+
+/// A driver's vertex distribution with its sampler
+/// ([`GroverDriver::readout`]): a probe reads its success mass and every
+/// measurement from one build, with the bits the driver's own
+/// [`GroverDriver::probability_of_sets`] and [`GroverDriver::measure`]
+/// give.
+#[derive(Debug, Clone)]
+pub struct Readout {
+    distribution: BTreeMap<u128, f64>,
+    sampler: Sampler,
+}
+
+impl Readout {
+    /// Total probability mass on the given vertex sets.
+    pub fn probability_of_sets(&self, sets: &[VertexSet]) -> f64 {
+        mass(&self.distribution, sets)
+    }
+
+    /// Samples one measurement of the vertex register (one
+    /// `rng.gen::<f64>()`).
+    pub fn measure<R: Rng>(&self, rng: &mut R) -> VertexSet {
+        VertexSet::from_bits(self.sampler.draw(rng))
+    }
+}
+
+/// The mass a vertex distribution puts on the given sets.
+fn mass(distribution: &BTreeMap<u128, f64>, sets: &[VertexSet]) -> f64 {
+    sets.iter()
+        .map(|s| distribution.get(&s.bits()).copied().unwrap_or(0.0))
+        .sum()
 }
 
 #[cfg(test)]
@@ -640,8 +714,8 @@ mod tests {
 
     #[test]
     fn budgeted_iteration_admits_the_state_it_grew() {
-        // The 32-byte zero state fits a 1 KiB ceiling; the 128-entry
-        // state one iteration grows does not, and must say so.
+        // The 32-byte zero state fits a 1 KiB ceiling; the 64-entry half
+        // state an iteration runs on does not, and must say so.
         let g = paper_fig1_graph();
         let ctx = RtContext::with_budget(qmkp_rt::Budget::unlimited().with_max_bytes(1 << 10));
         let mut driver =
@@ -661,12 +735,13 @@ mod tests {
 
     #[test]
     fn support_stays_bounded() {
-        // The sparse state never exceeds 2^n (+ factor 2 for |O⟩ = |−⟩).
+        // The driver holds only the |O⟩ = 0 half of the |−⟩ oracle
+        // qubit, so the sparse state never exceeds 2^n entries.
         let g = paper_fig1_graph();
         let mut driver = GroverDriver::new(Oracle::new(&g, 2, 4));
         driver.iterate_n(2);
         assert!(
-            driver.support_size() <= 2 * 64,
+            driver.support_size() <= 64,
             "support {}",
             driver.support_size()
         );

@@ -38,7 +38,7 @@ pub use compiled::{CompileFresh, CompiledOracle, GroverCircuits, OracleProvider}
 pub use counting::{
     exact_solution_count, inverse_qft, qft, quantum_count, quantum_count_ctx, solutions,
 };
-pub use grover::{diffusion_circuit, optimal_iterations, GroverDriver, PhaseOracle};
+pub use grover::{diffusion_circuit, optimal_iterations, GroverDriver, PhaseOracle, Readout};
 pub use layout::OracleLayout;
 pub use oracle::{Oracle, OracleSectionCost};
 pub use qmkp::{

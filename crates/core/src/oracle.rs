@@ -17,9 +17,11 @@
 //!    with `|T⟩` into `|size ≥ T⟩` (Figure 11, boxes A-B).
 //!
 //! The final flip (Figure 11, box C) — a Toffoli from `|cplex⟩` and
-//! `|size ≥ T⟩` onto `|O⟩` — is kept *outside* `U_check` so the Grover
-//! driver can run `U_check`, flip, `U_check†` exactly as in Figure 12.
+//! `|size ≥ T⟩` onto `|O⟩` — is kept *outside* `U_check`, so the Grover
+//! driver can run `U_check`, flip, `U_check†` as in Figure 12 (it applies
+//! the flip as the phase it kicks back, DESIGN §7).
 
+use crate::grover::PhaseOracle;
 use crate::layout::OracleLayout;
 use qmkp_arith::{compare_le_clean, controlled_increment, load_const, popcount_into};
 use qmkp_graph::{Graph, VertexSet};
@@ -200,7 +202,7 @@ impl Oracle {
     /// The oracle-qubit flip (Figure 11, box C): Toffoli from `|cplex⟩`
     /// and `|size ≥ T⟩` onto `|O⟩`.
     pub fn flip_gate(&self) -> Gate {
-        Gate::ccnot(self.layout.cplex, self.layout.size_ge_t, self.layout.oracle)
+        PhaseOracle::flip_gate(self)
     }
 
     /// The graph the oracle was built for.

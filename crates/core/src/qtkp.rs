@@ -283,16 +283,17 @@ fn qtkp_known_m_ctx<S: BackendState>(
     }
 
     let sols = solutions(driver.oracle());
+    let readout = driver.readout();
     let success_probability = if sols.is_empty() {
         0.0
     } else {
-        driver.probability_of_sets(&sols)
+        readout.probability_of_sets(&sols)
     };
 
     let mut measured = Vec::new();
     let mut result = None;
     for _ in 0..config.max_attempts {
-        let s = driver.measure(&mut rng);
+        let s = readout.measure(&mut rng);
         measured.push(s);
         qmkp_obs::counter("core.qtkp.attempts", &[], 1);
         if driver.oracle().predicate(s) {

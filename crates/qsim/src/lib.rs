@@ -47,7 +47,7 @@ pub use error::SimError;
 pub use gate::{Control, Gate};
 pub use register::{QubitAllocator, Register};
 pub use state::{
-    BackendState, DenseState, OpObserver, QuantumState, SparseState, MAX_DENSE_QUBITS,
+    BackendState, DenseState, OpObserver, QuantumState, Sampler, SparseState, MAX_DENSE_QUBITS,
 };
 pub use validate::{validate_circuit, validate_gate};
 

@@ -20,8 +20,10 @@
 //! in-place pass, long permutation ladders running bit-sliced over 64 keys
 //! at a time, and the `Single` butterfly is a linear two-way merge with
 //! in-place epsilon pruning — no per-gate allocation or rehashing. A
-//! permutation may leave the keys out of order; the next butterfly sorts
-//! them, so a Grover iteration sorts once.
+//! permutation that leaves the keys out of order defers the sort to the
+//! next butterfly; one that puts every key back (an uncompute after its
+//! compute) leaves nothing to sort, so a Grover driver iteration does not
+//! sort.
 
 use crate::circuit::Circuit;
 use crate::compile::{
@@ -295,34 +297,63 @@ pub trait QuantumState {
 
     /// Samples `shots` measurement outcomes of the given qubits, returning
     /// outcome → count. Outcome keys are encoded as in
-    /// [`QuantumState::marginal`].
-    ///
-    /// Each shot is a binary search over the cumulative distribution, so
-    /// sampling costs `O(support + shots·log support)` rather than the
-    /// `O(shots·support)` of a per-shot linear scan.
+    /// [`QuantumState::marginal`]; the draws are a [`Sampler`]'s over
+    /// that marginal.
     fn sample<R: Rng>(&self, rng: &mut R, shots: usize, qubits: &[usize]) -> BTreeMap<u128, usize>
     where
         Self: Sized,
     {
-        let marg: Vec<(u128, f64)> = self.marginal(qubits).into_iter().collect();
-        let mut cumulative = Vec::with_capacity(marg.len());
+        Sampler::new(&self.marginal(qubits)).counts(rng, shots)
+    }
+}
+
+/// Draws outcomes of a fixed distribution: the cumulative sums are built
+/// once, in key order, and any number of draws read them. Each draw is
+/// one `rng.gen::<f64>()` scaled by the total mass and a binary search,
+/// so `shots` draws cost `O(support + shots·log support)` rather than the
+/// `O(shots·support)` of a per-draw linear scan.
+#[derive(Debug, Clone)]
+pub struct Sampler {
+    outcomes: Vec<u128>,
+    cumulative: Vec<f64>,
+}
+
+impl Sampler {
+    /// The sampler of an outcome → probability map (a
+    /// [`QuantumState::marginal`]); the masses need not sum to one.
+    pub fn new(distribution: &BTreeMap<u128, f64>) -> Self {
         let mut acc = 0.0;
-        for &(_, p) in &marg {
-            acc += p;
-            cumulative.push(acc);
+        let (outcomes, cumulative) = distribution
+            .iter()
+            .map(|(&outcome, &p)| {
+                acc += p;
+                (outcome, acc)
+            })
+            .unzip();
+        Sampler {
+            outcomes,
+            cumulative,
         }
-        let total = acc;
+    }
+
+    /// One outcome (`0` for an empty distribution).
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> u128 {
+        let total = self.cumulative.last().copied().unwrap_or(0.0);
+        let x: f64 = rng.gen::<f64>() * total;
+        // First outcome whose cumulative mass exceeds x; the min guards
+        // against x == total after floating-point rounding.
+        let idx = self.cumulative.partition_point(|&c| c <= x);
+        self.outcomes
+            .get(idx.min(self.outcomes.len().saturating_sub(1)))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// `shots` draws, as outcome → count.
+    pub fn counts<R: Rng>(&self, rng: &mut R, shots: usize) -> BTreeMap<u128, usize> {
         let mut counts = BTreeMap::new();
         for _ in 0..shots {
-            let x: f64 = rng.gen::<f64>() * total;
-            // First outcome whose cumulative mass exceeds x; the min guards
-            // against x == total after floating-point rounding.
-            let idx = cumulative.partition_point(|&c| c <= x);
-            let chosen = marg
-                .get(idx.min(marg.len().saturating_sub(1)))
-                .map(|&(k, _)| k)
-                .unwrap_or(0);
-            *counts.entry(chosen).or_insert(0) += 1;
+            *counts.entry(self.draw(rng)).or_insert(0) += 1;
         }
         counts
     }
@@ -932,8 +963,10 @@ impl SparseCore {
     ///    (keys from the two sides are never equal — they differ in the
     ///    target bit).
     ///
-    /// Keys a permutation left out of order are sorted first, so a Grover
-    /// iteration sorts once, at the diffusion's first Hadamard.
+    /// Keys a permutation left out of order are sorted first. A Grover
+    /// driver iteration does not sort: `U_check†` puts back every key
+    /// `U_check` moved, so the diffusion's first Hadamard finds them in
+    /// order.
     fn apply_single(&mut self, k: &SingleQubit) {
         if !self.sorted {
             self.amps.sort_unstable_by_key(|&(b, _)| b);
@@ -1764,30 +1797,40 @@ mod tests {
             .collect()
     }
 
+    /// A sorted support of `support` distinct keys and a random sliced
+    /// ladder over it (at least [`SLICED_LADDER_MIN`] steps). Keys share
+    /// `base` outside twelve free bits in each key half.
+    fn random_support_and_ladder(
+        rng: &mut StdRng,
+        support: usize,
+    ) -> (Vec<(u128, Complex)>, Vec<FlipStep>) {
+        let mut free = 0u128;
+        for half in [0..64, 64..128] {
+            while ((free >> half.start) as u64).count_ones() < 12 {
+                free |= 1u128 << rng.gen_range(half.clone());
+            }
+        }
+        let base = rng.gen::<u128>();
+        let mut keys = std::collections::BTreeSet::new();
+        while keys.len() < support {
+            keys.insert(base ^ (rng.gen::<u128>() & free));
+        }
+        let amps = keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| (key, Complex::new(i as f64, -(i as f64))))
+            .collect();
+        let len = rng.gen_range(SLICED_LADDER_MIN..SLICED_LADDER_MIN + 200);
+        (amps, random_ladder(rng, len, free, base))
+    }
+
     #[test]
     fn sliced_ladder_matches_the_per_key_steps() {
         let mut rng = StdRng::seed_from_u64(2125);
         for support in [1usize, 63, 64, 65, 1000] {
             for _ in 0..8 {
-                // Twelve free bits in each key half.
-                let mut free = 0u128;
-                for half in [0..64, 64..128] {
-                    while ((free >> half.start) as u64).count_ones() < 12 {
-                        free |= 1u128 << rng.gen_range(half.clone());
-                    }
-                }
-                let base = rng.gen::<u128>();
-                let mut keys = std::collections::BTreeSet::new();
-                while keys.len() < support {
-                    keys.insert(base ^ (rng.gen::<u128>() & free));
-                }
-                let amps: Vec<(u128, Complex)> = keys
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, key)| (key, Complex::new(i as f64, -(i as f64))))
-                    .collect();
-                let len = rng.gen_range(SLICED_LADDER_MIN..SLICED_LADDER_MIN + 200);
-                let steps = random_ladder(&mut rng, len, free, base);
+                let (amps, steps) = random_support_and_ladder(&mut rng, support);
+                let len = steps.len();
                 let mut core = SparseCore::from_basis(0);
                 core.amps = amps.clone();
                 core.apply_permutation(&steps);
@@ -1800,6 +1843,32 @@ mod tests {
                 assert_eq!(core.sorted, ascending, "support {support}: order flag");
             }
         }
+    }
+
+    #[test]
+    fn a_ladder_then_its_reverse_leaves_the_keys_sorted() {
+        // `U_check` then `U_check†` in miniature: the reversed steps put
+        // every key back, and the order flag must say so, or the next
+        // butterfly sorts a support that is already in order.
+        let mut rng = StdRng::seed_from_u64(2126);
+        let mut scrambled = 0;
+        for support in [1usize, 63, 64, 65, 1000] {
+            for _ in 0..8 {
+                let (amps, steps) = random_support_and_ladder(&mut rng, support);
+                let mut core = SparseCore::from_basis(0);
+                core.amps = amps.clone();
+                core.apply_permutation(&steps);
+                scrambled += usize::from(!core.sorted);
+                let reversed: Vec<FlipStep> = steps.iter().rev().copied().collect();
+                core.apply_permutation(&reversed);
+                assert_eq!(core.amps, amps, "support {support}: keys put back");
+                assert!(core.sorted, "support {support}: flag left unsorted");
+            }
+        }
+        assert!(
+            scrambled > 0,
+            "no forward ladder left the keys out of order"
+        );
     }
 
     #[test]

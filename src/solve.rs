@@ -181,17 +181,17 @@ pub fn dense_cost(width: usize) -> usize {
 }
 
 /// Estimated peak bytes for a sparse simulation of a graph with `n`
-/// vertices: the support holds `2^(n+1)` basis states (the uniform vertex
-/// register times the `|−⟩` oracle qubit), and a single-qubit gate's
-/// scratch vecs hold twice that — `3·2^(n+1)·32` for 32-byte
-/// `(basis, amplitude)` entries. Saturates to [`usize::MAX`] like
-/// [`dense_cost`].
+/// vertices: the support holds `2^n` basis states (the uniform vertex
+/// register; the Grover driver keeps only the `|O⟩ = 0` half of the `|−⟩`
+/// oracle qubit), and a single-qubit gate's scratch vecs hold twice that
+/// — `3·2^n·32` for 32-byte `(basis, amplitude)` entries. Saturates to
+/// [`usize::MAX`] like [`dense_cost`].
 pub fn sparse_cost(n: usize) -> usize {
     let entry = std::mem::size_of::<(u128, [f64; 2])>();
-    if n as u32 >= usize::BITS - 1 {
+    if n as u32 >= usize::BITS {
         return usize::MAX;
     }
-    (1usize << (n + 1)).saturating_mul(3 * entry)
+    (1usize << n).saturating_mul(3 * entry)
 }
 
 fn fits(budget: &Budget, bytes: usize) -> bool {
@@ -749,7 +749,7 @@ mod tests {
         // Small widths keep the exact documented formulas.
         assert_eq!(dense_cost(10), 32 << 10);
         assert_eq!(dense_cost(0), 32);
-        assert_eq!(sparse_cost(6), 3 * (32 << 7));
+        assert_eq!(sparse_cost(6), 3 * (32 << 6));
         // Monotone up to the saturation point.
         for w in 0..usize::BITS as usize {
             assert!(dense_cost(w) <= dense_cost(w + 1));
