@@ -154,6 +154,25 @@ fn compile_stats_agree_with_analyzer_estimate() {
     assert!(drift.is_empty(), "analyzer/compiler drift: {drift:?}");
 }
 
+#[test]
+fn compile_of_the_fig1_check_pass_is_pinned() {
+    // `H^n` then `U_check` on fig-1 (k = 2, t = 4): six butterflies and
+    // one ladder, which keeps 285 of `U_check`'s 315 gates after 30
+    // cancel in inverse pairs.
+    let oracle = Oracle::new(&paper_fig1_graph(), 2, 4);
+    let mut circuit = Circuit::new(oracle.layout.width);
+    for q in oracle.layout.vertices.iter() {
+        circuit.push_unchecked(Gate::H(q));
+    }
+    circuit.extend(oracle.u_check()).unwrap();
+    let stats = CompiledCircuit::compile(&circuit).unwrap().stats();
+    assert_eq!(stats.source_gates, 321, "source gates");
+    assert_eq!(stats.ops, 7, "compiled ops");
+    assert_eq!(stats.kernel_steps, 291, "kernel steps");
+    assert_eq!(stats.cancelled_flips, 30, "cancelled flips");
+    assert_eq!(stats.longest_ladder, 285, "longest ladder");
+}
+
 /// Drops gate `i` from a circuit, preserving section tags.
 fn drop_gate(c: &Circuit, drop: usize) -> Circuit {
     let mut out = Circuit::new(c.width());

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 /// as JSON numbers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
-    /// What ran, e.g. `"qmkp"` or `"bench_qsim"`.
+    /// What ran, e.g. `"qmkp"` or `"table2_qmkp_vs_bs"`.
     pub name: String,
     /// Input parameters, in insertion order.
     pub config: Vec<(String, String)>,

@@ -51,8 +51,8 @@ pub use state::{
 };
 pub use validate::{validate_circuit, validate_gate};
 
-/// Whether this build of the simulator was compiled with the `parallel`
-/// feature (rayon-backed dense kernels). Useful for benchmark provenance.
+/// Whether the simulator's kernels run multi-threaded: always `false`,
+/// every pass is serial. Kept for provenance lines that print it.
 pub fn parallel_enabled() -> bool {
-    cfg!(feature = "parallel")
+    false
 }

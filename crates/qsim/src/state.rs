@@ -5,8 +5,8 @@
 //! the circuit once and hands it to the executor
 //! ([`QuantumState::run_observed`]), which applies the compiled ops in
 //! order, one pass each ([`QuantumState::apply_op`]). The dense backend
-//! runs a permutation as one (rayon-parallel) gather pass and a diagonal
-//! as one in-place sweep; the sparse backend rewrites keys in place. Both
+//! runs a permutation as one gather pass and a diagonal as one in-place
+//! sweep; the sparse backend rewrites keys in place. Both
 //! run every register on the compiler's `u128` ops. The gate-by-gate
 //! interpreter survives as [`QuantumState::run_interpreted`] (and
 //! [`QuantumState::apply`]) for cross-checking and for callers that apply
@@ -17,8 +17,8 @@
 //! The sparse backend stores the state as a `Vec<(u128, amplitude)>` of
 //! distinct basis keys (cf. the sorted-structure representation of sparse
 //! Feynman-path simulators): permutation and diagonal kernels are one
-//! in-place pass, long permutation ladders running bit-sliced over 64 keys
-//! at a time, and the `Single` butterfly is a linear two-way merge with
+//! in-place pass, permutation ladders running bit-sliced over 64 keys at
+//! a time, and the `Single` butterfly is a linear two-way merge with
 //! in-place epsilon pruning — no per-gate allocation or rehashing. A
 //! permutation that leaves the keys out of order defers the sort to the
 //! next butterfly; one that puts every key back (an uncompute after its
@@ -38,25 +38,12 @@ use rand::Rng;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
 /// Amplitudes below this magnitude are dropped by the sparse backend after
 /// non-permutation gates, keeping the representation tight without
 /// affecting measurement statistics.
 pub const PRUNE_EPS: f64 = 1e-14;
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
-
-/// Dense kernels run serially below this amplitude count; above it, passes
-/// are split across threads. Covers the thread-spawn overhead of the
-/// scoped-thread pool with room to spare.
-#[cfg(feature = "parallel")]
-const PAR_MIN_AMPS: usize = 1 << 16;
-
-/// Work granule (in amplitudes) for index-parallel dense passes.
-#[cfg(feature = "parallel")]
-const PAR_CHUNK: usize = 1 << 13;
 
 /// Per-op hook of the compiled-circuit executor
 /// ([`QuantumState::run_observed`]): told the index and wall time of
@@ -455,29 +442,13 @@ impl DenseState {
         if phases.is_empty() {
             return;
         }
-        let update = |i: usize, a: &mut Complex| {
+        for (i, a) in self.amps.iter_mut().enumerate() {
             let b = i as u128;
             for p in phases {
                 if p.applies_to(b) {
                     *a *= p.phase;
                 }
             }
-        };
-        #[cfg(feature = "parallel")]
-        if self.amps.len() >= PAR_MIN_AMPS {
-            self.amps
-                .par_chunks_mut(PAR_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * PAR_CHUNK;
-                    for (t, a) in chunk.iter_mut().enumerate() {
-                        update(base + t, a);
-                    }
-                });
-            return;
-        }
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            update(i, a);
         }
     }
 
@@ -485,31 +456,18 @@ impl DenseState {
     fn apply_single(&mut self, k: &SingleQubit) {
         let m = 1usize << k.qubit;
         let (m00, m01, m10, m11) = (k.m00, k.m01, k.m10, k.m11);
-        // Processes a block whose length is a multiple of 2m, pairing
-        // offsets (t, t+m) within each 2m-sized run.
-        let butterfly = |block: &mut [Complex]| {
-            let mut base = 0;
-            while base < block.len() {
-                for t in base..base + m {
-                    let a = block[t];
-                    let b = block[t + m];
-                    block[t] = m00 * a + m01 * b;
-                    block[t + m] = m10 * a + m11 * b;
-                }
-                base += 2 * m;
+        // Pairs offsets (t, t+m) within each 2m-sized run.
+        let amps = &mut self.amps;
+        let mut base = 0;
+        while base < amps.len() {
+            for t in base..base + m {
+                let a = amps[t];
+                let b = amps[t + m];
+                amps[t] = m00 * a + m01 * b;
+                amps[t + m] = m10 * a + m11 * b;
             }
-        };
-        #[cfg(feature = "parallel")]
-        {
-            // Chunks stay multiples of 2m (both powers of two), so no
-            // amplitude pair straddles a chunk boundary.
-            let chunk = (2 * m).max(PAR_CHUNK);
-            if self.amps.len() >= PAR_MIN_AMPS && self.amps.len() > chunk {
-                self.amps.par_chunks_mut(chunk).for_each(butterfly);
-                return;
-            }
+            base += 2 * m;
         }
-        butterfly(&mut self.amps);
     }
 
     /// One gather pass applying a fused permutation `P`:
@@ -520,31 +478,12 @@ impl DenseState {
             return;
         }
         self.scratch.resize(self.amps.len(), Complex::ZERO);
-        let amps = &self.amps;
-        let scratch = &mut self.scratch[..];
-        let gather = |i: usize| {
+        for (i, out) in self.scratch.iter_mut().enumerate() {
             let mut key = i as u128;
             for s in perm.iter().rev() {
                 key = s.apply(key);
             }
-            amps[key as usize]
-        };
-        #[cfg(feature = "parallel")]
-        if amps.len() >= PAR_MIN_AMPS {
-            scratch
-                .par_chunks_mut(PAR_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * PAR_CHUNK;
-                    for (t, out) in chunk.iter_mut().enumerate() {
-                        *out = gather(base + t);
-                    }
-                });
-            std::mem::swap(&mut self.amps, &mut self.scratch);
-            return;
-        }
-        for (i, out) in scratch.iter_mut().enumerate() {
-            *out = gather(i);
+            *out = self.amps[key as usize];
         }
         std::mem::swap(&mut self.amps, &mut self.scratch);
     }
@@ -708,12 +647,6 @@ impl QuantumState for DenseState {
 // Sparse backend
 // ---------------------------------------------------------------------------
 
-/// Ladders at least this long run bit-sliced
-/// ([`SparseCore::apply_sliced`]). The transposes cost more than a short
-/// ladder saves, so shorter ones (the flip, the interpreter's single-gate
-/// calls) map each key through the steps directly.
-const SLICED_LADDER_MIN: usize = 8;
-
 /// Marks a negative control in a decoded sliced step; the low seven bits
 /// are the plane (qubit) index.
 const NEG_CONTROL: u8 = 0x80;
@@ -819,35 +752,7 @@ impl SparseCore {
             // Peephole cancellation can empty a run.
             return;
         }
-        if steps.len() >= SLICED_LADDER_MIN {
-            self.apply_sliced(steps);
-        } else {
-            // Four keys ride the ladder together: each step's output
-            // feeds the next step's control test, so one key alone is a
-            // serial dependency chain.
-            let mut chunks = self.amps.chunks_exact_mut(4);
-            for chunk in &mut chunks {
-                let (mut k0, mut k1, mut k2, mut k3) =
-                    (chunk[0].0, chunk[1].0, chunk[2].0, chunk[3].0);
-                for s in steps {
-                    k0 = s.apply(k0);
-                    k1 = s.apply(k1);
-                    k2 = s.apply(k2);
-                    k3 = s.apply(k3);
-                }
-                chunk[0].0 = k0;
-                chunk[1].0 = k1;
-                chunk[2].0 = k2;
-                chunk[3].0 = k3;
-            }
-            for (b, _) in chunks.into_remainder() {
-                let mut key = *b;
-                for s in steps {
-                    key = s.apply(key);
-                }
-                *b = key;
-            }
-        }
+        self.apply_sliced(steps);
         self.sorted = self.amps.windows(2).all(|w| w[0].0 < w[1].0);
     }
 
@@ -1761,6 +1666,69 @@ mod tests {
         assert_eq!(ctx.ops_used(), 5, "every op is charged");
     }
 
+    #[test]
+    fn every_op_is_observed_once_per_run() {
+        // With recording on, the executor's meter records exactly one
+        // `qsim.kernel.op` observation per op, labelled with the backend,
+        // on every kind of pass.
+        let mut circuit = Circuit::new(6);
+        for q in 0..3 {
+            circuit.push(Gate::H(q)).unwrap();
+        }
+        for q in 3..6 {
+            circuit.push(Gate::ccnot(q % 3, (q + 1) % 3, q)).unwrap();
+        }
+        circuit.push(Gate::Z(5)).unwrap();
+        circuit.push(Gate::H(0)).unwrap();
+        let compiled = CompiledCircuit::compile(&circuit).unwrap();
+        let ops = compiled.ops();
+        assert!(ops.iter().any(|op| matches!(op, Op::Permutation(_))));
+        assert!(ops.iter().any(|op| matches!(op, Op::Diagonal(_))));
+        assert!(ops.iter().any(|op| matches!(op, Op::Single(_))));
+
+        let collector = std::sync::Arc::new(qmkp_obs::Collector::for_current_thread());
+        let guard = qmkp_obs::attach(collector.clone());
+        let observed = |backend: &str, run: &dyn Fn()| {
+            collector.clear();
+            run();
+            let label = [("backend".to_string(), backend.to_string())];
+            let events = collector.events();
+            let op_events = events
+                .iter()
+                .filter(|ev| ev.name() == Some("qsim.kernel.op"));
+            assert!(
+                op_events.clone().all(|ev| matches!(
+                    ev,
+                    qmkp_obs::Event::Observe { labels, .. } if *labels == label
+                )),
+                "{backend}: an op event that is not a {backend} observation"
+            );
+            op_events.count()
+        };
+        let ctx = RtContext::unlimited();
+        let runs = [
+            observed("dense", &|| {
+                DenseState::zero(6)
+                    .unwrap()
+                    .run_compiled(&compiled)
+                    .unwrap()
+            }),
+            observed("dense", &|| {
+                let mut s = DenseState::zero(6).unwrap();
+                s.run_compiled_ctx(&compiled, &ctx).unwrap()
+            }),
+            observed("sparse", &|| {
+                SparseState::zero(6).run_compiled(&compiled).unwrap()
+            }),
+            observed("sparse", &|| {
+                let mut s = SparseState::zero(6);
+                s.run_compiled_ctx(&compiled, &ctx).unwrap()
+            }),
+        ];
+        drop(guard);
+        assert_eq!(runs, [compiled.len(); 4], "observations per run");
+    }
+
     /// A random ladder over all 128 bits. Keys vary only on `free`, so a
     /// step that wants a `fixed` bit opposite to `base` can never fire and
     /// is dropped by the dead-step filter; one that wants it equal always
@@ -1797,9 +1765,9 @@ mod tests {
             .collect()
     }
 
-    /// A sorted support of `support` distinct keys and a random sliced
-    /// ladder over it (at least [`SLICED_LADDER_MIN`] steps). Keys share
-    /// `base` outside twelve free bits in each key half.
+    /// A sorted support of `support` distinct keys and a random ladder of
+    /// 1 to 200 steps over it. Keys share `base` outside twelve free bits
+    /// in each key half.
     fn random_support_and_ladder(
         rng: &mut StdRng,
         support: usize,
@@ -1820,17 +1788,21 @@ mod tests {
             .enumerate()
             .map(|(i, key)| (key, Complex::new(i as f64, -(i as f64))))
             .collect();
-        let len = rng.gen_range(SLICED_LADDER_MIN..SLICED_LADDER_MIN + 200);
+        let len = rng.gen_range(1..=200);
         (amps, random_ladder(rng, len, free, base))
     }
 
     #[test]
     fn sliced_ladder_matches_the_per_key_steps() {
         let mut rng = StdRng::seed_from_u64(2125);
+        // Ladders of a few steps (the interpreter lowers one gate to one
+        // step) run the same sliced pass, so some cases must be short.
+        let mut short = 0;
         for support in [1usize, 63, 64, 65, 1000] {
             for _ in 0..8 {
                 let (amps, steps) = random_support_and_ladder(&mut rng, support);
                 let len = steps.len();
+                short += usize::from(len < 8);
                 let mut core = SparseCore::from_basis(0);
                 core.amps = amps.clone();
                 core.apply_permutation(&steps);
@@ -1843,6 +1815,7 @@ mod tests {
                 assert_eq!(core.sorted, ascending, "support {support}: order flag");
             }
         }
+        assert!(short > 0, "no ladder shorter than 8 steps");
     }
 
     #[test]
@@ -1901,7 +1874,6 @@ mod tests {
                 _ => Vec::new(),
             })
             .collect();
-        assert!(steps.len() >= SLICED_LADDER_MIN);
         s.apply_op(&Op::Permutation(steps));
         assert!(
             !s.core.sorted,

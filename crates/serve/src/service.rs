@@ -68,7 +68,8 @@ impl Default for ServiceConfig {
     /// Splits the machine's parallelism across the three lanes (at
     /// least one worker each) with a 64 MiB oracle cache.
     fn default() -> Self {
-        let per_lane = (rayon::current_num_threads() / 3).clamp(1, 8);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let per_lane = (threads / 3).clamp(1, 8);
         ServiceConfig {
             queue_capacity: 64,
             dense_workers: per_lane,
