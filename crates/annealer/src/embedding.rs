@@ -490,66 +490,6 @@ fn try_embedding(
     None
 }
 
-/// Diagnostic variant of [`find_embedding`] that prints per-pass overlap
-/// counts to stderr. Not part of the stable API.
-#[doc(hidden)]
-pub fn find_embedding_traced(
-    logical_edges: &[(usize, usize)],
-    num_logical: usize,
-    hw: &Chimera,
-    seed: u64,
-    max_passes: usize,
-) -> Option<Embedding> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let nq = hw.num_qubits();
-    let mut lg_adj = vec![Vec::new(); num_logical];
-    for &(a, b) in logical_edges {
-        lg_adj[a].push(b);
-        lg_adj[b].push(a);
-    }
-    let mut chains: Vec<Vec<usize>> = vec![Vec::new(); num_logical];
-    let mut usage = vec![0u32; nq];
-    let mut order: Vec<usize> = (0..num_logical).collect();
-    order.shuffle(&mut rng);
-    for pass in 0..max_passes.max(1) {
-        order.shuffle(&mut rng);
-        let penalty = 4.0f64 * (1u64 << pass.min(16)) as f64;
-        for &v in &order {
-            for &q in &chains[v] {
-                usage[q] -= 1;
-            }
-            chains[v].clear();
-            let chain = embed_one(
-                v,
-                &lg_adj,
-                &mut chains,
-                &mut usage,
-                hw,
-                penalty,
-                true,
-                &mut rng,
-            )?;
-            for &q in &chain {
-                usage[q] += 1;
-            }
-            chains[v] = chain;
-        }
-        let over: usize = usage.iter().filter(|&&u| u > 1).count();
-        let sizes: Vec<usize> = chains.iter().map(|c| c.len()).collect();
-        qmkp_obs::message(&format!(
-            "pass {pass}: penalty {penalty}, overloaded qubits {over}, chain sizes {sizes:?}"
-        ));
-        if usage.iter().all(|&u| u <= 1) && chains.iter().all(|c| !c.is_empty()) {
-            let mut emb = Embedding { chains };
-            for c in &mut emb.chains {
-                c.sort_unstable();
-            }
-            return Some(emb);
-        }
-    }
-    None
-}
-
 /// Embeds one variable against the currently-embedded neighbours.
 /// Returns the new chain (may overlap other chains; the caller's usage
 /// penalties shrink overlaps over passes).

@@ -31,12 +31,8 @@ pub struct TwoClubOracle {
     t: usize,
     width: usize,
     vertices: Register,
-    /// One ancilla per non-adjacent vertex pair, aligned with `bad_pairs`.
-    bad: Register,
     bad_pairs: Vec<(usize, usize)>,
     club: usize,
-    size: Register,
-    t_reg: Register,
     size_ge_t: usize,
     oracle: usize,
     u_check: Circuit,
@@ -104,11 +100,8 @@ impl TwoClubOracle {
             t,
             width,
             vertices,
-            bad,
             bad_pairs,
             club,
-            size,
-            t_reg,
             size_ge_t,
             oracle,
             u_check: c,
@@ -119,17 +112,6 @@ impl TwoClubOracle {
     /// The non-adjacent pairs the oracle checks.
     pub fn bad_pairs(&self) -> &[(usize, usize)] {
         &self.bad_pairs
-    }
-
-    /// The per-pair violation ancilla register.
-    pub fn bad_register(&self) -> &Register {
-        &self.bad
-    }
-
-    /// The size counter and threshold registers (shared layout with the
-    /// k-plex oracle's Challenge IV).
-    pub fn size_registers(&self) -> (&Register, &Register) {
-        (&self.size, &self.t_reg)
     }
 
     /// Classical 2-club test: every selected pair adjacent or sharing a

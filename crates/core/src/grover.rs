@@ -255,7 +255,7 @@ pub fn diffusion_circuit(width: usize, vertices: &Register) -> Circuit {
 
 /// Drives Grover iterations of a phase oracle, by default on the sparse
 /// backend (the dense backend is reachable through the second type
-/// parameter, used by the degradation ladder's top rung).
+/// parameter, which the cross-backend tests use).
 ///
 /// The three circuits of an iteration (`U_check`, `U_check†`, diffusion)
 /// are compiled once at construction — mask-precomputed and fused into

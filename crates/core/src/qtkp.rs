@@ -161,10 +161,10 @@ pub fn qtkp(g: &Graph, k: usize, t: usize, config: &QtkpConfig) -> QtkpOutcome {
 }
 
 /// Runs qTKP under an execution-runtime context, on an explicit backend
-/// (the sparse default, or the dense statevector for the degradation
-/// ladder's top rung). The configuration is validated up front; the
-/// context is polled at Grover-iteration granularity and charged per
-/// kernel section.
+/// (the sparse default, or the dense statevector, which holds oracles of
+/// at most `MAX_DENSE_QUBITS` qubits). The configuration is validated
+/// up front; the context is polled at Grover-iteration granularity and
+/// charged per kernel section.
 ///
 /// # Errors
 /// [`RtError::InvalidConfig`] for a rejected configuration, or the

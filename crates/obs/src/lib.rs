@@ -343,20 +343,6 @@ pub fn message(text: &str) {
     }
 }
 
-/// Like [`message`], but the text is built lazily and nothing is printed
-/// when recording is off — for progress lines that should only appear
-/// when tracing is active.
-pub fn message_if_enabled(text: impl FnOnce() -> String) {
-    if enabled() {
-        let text = text();
-        eprintln!("{text}");
-        emit(&Event::Message {
-            thread: thread_id(),
-            text,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,15 +47,6 @@ impl BitVec {
         v
     }
 
-    /// A bitset from little-endian words (word `i` holds bits
-    /// `64i..64i+64`). Trailing zero words are trimmed.
-    #[must_use]
-    pub fn from_words(words: Vec<u64>) -> Self {
-        let mut v = BitVec { words };
-        v.trim();
-        v
-    }
-
     /// The bitset as a `u128`, when it fits in 128 bits.
     #[must_use]
     pub fn as_u128(&self) -> Option<u128> {

@@ -347,8 +347,8 @@ impl Sampler {
 }
 
 /// Backend-generic construction, letting budget-aware drivers pick where
-/// the state lives (the degradation ladder constructs dense, then sparse,
-/// through this one interface).
+/// the state lives (the solve plan constructs sparse states, the
+/// cross-backend tests dense ones, through this one interface).
 pub trait BackendState: QuantumState + Sized {
     /// Failpoint site consulted by [`BackendState::zero_budgeted`] before
     /// allocating.

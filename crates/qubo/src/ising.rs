@@ -103,12 +103,6 @@ impl IsingModel {
         ising
     }
 
-    /// Converts a spin bit mask back to the corresponding QUBO assignment
-    /// bit mask (`s = +1 → x = 1`).
-    pub fn spins_to_bits(bits: u128) -> u128 {
-        bits
-    }
-
     /// Per-spin neighbour lists for incremental samplers.
     pub fn neighbor_lists(&self) -> Vec<Vec<(usize, f64)>> {
         let mut adj = vec![Vec::new(); self.num_spins()];

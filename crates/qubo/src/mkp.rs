@@ -181,18 +181,6 @@ impl MkpQubo {
         qmkp_graph::plex::greedy_extend(&self.graph, self.decode_repaired(bits), self.params.k)
     }
 
-    /// The slack value `s_i` encoded in an assignment.
-    pub fn slack_value(&self, bits: u128, i: usize) -> u64 {
-        let (s0, width) = self.slack[i];
-        let mut v = 0u64;
-        for b in 0..width {
-            if (bits >> (s0 + b)) & 1 == 1 {
-                v |= 1 << b;
-            }
-        }
-        v
-    }
-
     /// Encodes a *feasible* k-plex with its optimal (penalty-zeroing)
     /// slack values. The energy of the result is exactly `−|p|`.
     ///

@@ -5,9 +5,9 @@
 //!
 //! * [`SolveService`] — bounded admission queues (a full lane rejects
 //!   immediately, it never blocks the submitter), a worker pool sharded
-//!   by the preflight cost model (`dense` / `sparse` / `classical`
-//!   lanes so cheap classical requests never queue behind statevector
-//!   runs), and per-request budgets + cooperative cancellation: every
+//!   by the preflight cost model (`sparse` / `classical` lanes so cheap
+//!   classical requests never queue behind statevector runs), and
+//!   per-request budgets + cooperative cancellation: every
 //!   request runs under its own [`qmkp_rt::RtContext`], so cancelling
 //!   one ticket touches nothing else.
 //! * [`OracleCache`] — a shared compiled-oracle cache keyed by

@@ -9,9 +9,9 @@
 //!    [`ServeError::QueueFull`] immediately — admission never blocks
 //!    the submitting thread, mirroring how
 //!    [`qmkp_rt::RtContext::admit_bytes`] rejects rather than waits.
-//! 2. **Sharding** — each lane (`dense` / `sparse` / `classical`) has
-//!    its own worker pool, so cheap classical floors never queue
-//!    behind multi-second statevector runs.
+//! 2. **Sharding** — each lane (`sparse` / `classical`) has its own
+//!    worker pool, so cheap classical floors never queue behind
+//!    multi-second statevector runs.
 //! 3. **Execution** — a worker builds a per-request
 //!    [`RtContext`] from the request's [`Budget`] and the ticket's
 //!    [`CancelToken`], then runs [`qmkp::solve_with`] against the
@@ -54,7 +54,8 @@ pub struct ServiceConfig {
     /// Bound of each lane's admission queue; a lane holding this many
     /// waiting requests rejects further submissions.
     pub queue_capacity: usize,
-    /// Workers on the dense-statevector lane.
+    /// Ignored: the service has no dense lane, because `qmkp::solve`
+    /// plans no dense rung. The field stays for callers that set it.
     pub dense_workers: usize,
     /// Workers on the sparse-statevector lane.
     pub sparse_workers: usize,
@@ -65,14 +66,14 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Splits the machine's parallelism across the three lanes (at
+    /// Splits the machine's parallelism across the two lanes (at
     /// least one worker each) with a 64 MiB oracle cache.
     fn default() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let per_lane = (threads / 3).clamp(1, 8);
+        let per_lane = (threads / 2).clamp(1, 8);
         ServiceConfig {
             queue_capacity: 64,
-            dense_workers: per_lane,
+            dense_workers: 0,
             sparse_workers: per_lane,
             classical_workers: per_lane,
             cache_bytes: 64 << 20,
@@ -230,23 +231,16 @@ struct Job {
 struct Shared {
     cache: Arc<OracleCache>,
     completed: AtomicU64,
+    /// Queue depth per lane, indexed by `PreflightLane as usize`.
     /// Signed: a worker can dequeue (and decrement) before the
     /// submitting thread increments, so the count transiently dips
     /// below zero. The gauge clamps at zero.
-    depths: [AtomicI64; 3],
+    depths: [AtomicI64; 2],
 }
 
 impl Shared {
-    fn lane_index(lane: PreflightLane) -> usize {
-        match lane {
-            PreflightLane::Dense => 0,
-            PreflightLane::Sparse => 1,
-            PreflightLane::Classical => 2,
-        }
-    }
-
     fn depth_changed(&self, lane: PreflightLane, delta: i64) {
-        let idx = Self::lane_index(lane);
+        let idx = lane as usize;
         let depth = (self.depths[idx].fetch_add(delta, Ordering::Relaxed) + delta).max(0);
         qmkp_obs::gauge("serve.queue_depth", &[("lane", lane.name())], depth as f64);
     }
@@ -279,12 +273,11 @@ impl SolveService {
         let shared = Arc::new(Shared {
             cache: Arc::new(OracleCache::new(config.cache_bytes)),
             completed: AtomicU64::new(0),
-            depths: [AtomicI64::new(0), AtomicI64::new(0), AtomicI64::new(0)],
+            depths: [AtomicI64::new(0), AtomicI64::new(0)],
         });
         let mut lanes = Vec::new();
         let mut workers = Vec::new();
         let pools = [
-            (PreflightLane::Dense, config.dense_workers),
             (PreflightLane::Sparse, config.sparse_workers),
             (PreflightLane::Classical, config.classical_workers),
         ];
@@ -391,8 +384,7 @@ impl SolveService {
             .config(
                 "workers",
                 format!(
-                    "dense={} sparse={} classical={}",
-                    self.config.dense_workers.max(1),
+                    "sparse={} classical={}",
                     self.config.sparse_workers.max(1),
                     self.config.classical_workers.max(1)
                 ),
@@ -560,8 +552,8 @@ mod tests {
     #[test]
     fn portfolio_contains_provider_panics_per_racer() {
         // Same panicking provider, portfolio on (the default for this
-        // instance): only the quantum racers die — the panic is
-        // contained per racer, a survivor still answers, and the race
+        // instance): only the quantum racer dies — the panic is
+        // contained per racer, the survivor still answers, and the race
         // summary records the loss. Exact branch & bound can win fig-1
         // before the sparse racer first calls its provider, so the
         // classical lane runs a long GRASP instead; GRASP polls the

@@ -33,10 +33,10 @@ fn slow_classical_request() -> SolveRequest {
 fn admission_rejects_instead_of_blocking() {
     let service = SolveService::new(ServiceConfig {
         queue_capacity: 1,
-        dense_workers: 1,
         sparse_workers: 1,
         classical_workers: 1,
         cache_bytes: 64 << 20,
+        ..ServiceConfig::default()
     });
     // One slow job occupies the single classical worker, one more can
     // sit in the capacity-1 queue; a third submission within the same
@@ -80,10 +80,10 @@ fn admission_rejects_instead_of_blocking() {
 fn cancellation_is_scoped_to_one_ticket() {
     let service = SolveService::new(ServiceConfig {
         queue_capacity: 8,
-        dense_workers: 1,
         sparse_workers: 1,
         classical_workers: 1,
         cache_bytes: 64 << 20,
+        ..ServiceConfig::default()
     });
     // The slow job occupies the single classical worker ...
     let slow = service.submit(slow_classical_request()).unwrap();
@@ -129,10 +129,10 @@ fn z_stress_mixed_tenants() {
     let session = Session::from_env("serve_stress");
     let service = Arc::new(SolveService::new(ServiceConfig {
         queue_capacity: 512,
-        dense_workers: 2,
         sparse_workers: 4,
         classical_workers: 2,
         cache_bytes: 64 << 20,
+        ..ServiceConfig::default()
     }));
 
     // A small pool of repeating instances so the compiled-oracle cache

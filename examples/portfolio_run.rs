@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Solves the paper's Figure 1 instance with the default configuration,
-//! which races the preflighted quantum rungs and the classical body
+//! which races the preflighted quantum rung and the classical body
 //! concurrently under one `CancelToken` (see DESIGN.md §16;
 //! `SolveConfig::portfolio: Some(false)` walks the ladder instead). CI
 //! runs this with `QMKP_OBS_METRICS` / `QMKP_OBS_REPORT` armed and

@@ -18,9 +18,9 @@
 //!   retries, checkpoint/resume, deterministic fault injection
 //!   (`QMKP_RT_DEADLINE_MS` / `QMKP_RT_MAX_BYTES` / `QMKP_RT_MAX_OPS`).
 //! * [`mod@solve`] — one budgeted solve plan, raced or walked: the
-//!   fitting quantum rungs and the classical body race under one
-//!   cancel token (first verified k-plex wins), or walk the
-//!   degradation ladder dense → sparse → classical (`degraded = true`
+//!   sparse-statevector quantum rung (when it fits) and the classical
+//!   body race under one cancel token (first verified k-plex wins), or
+//!   walk the degradation ladder sparse → classical (`degraded = true`
 //!   when the quantum pipeline does not fit the budget).
 //!
 //! ## Quickstart
@@ -51,6 +51,6 @@ pub use qmkp_qubo as qubo;
 pub use qmkp_rt as rt;
 
 pub use solve::{
-    dense_cost, preflight_lane, solve, solve_with, sparse_cost, PreflightLane, RaceSummary,
-    SolveBackend, SolveConfig, SolveOutcome,
+    preflight_lane, solve, solve_with, sparse_cost, PreflightLane, RaceSummary, SolveBackend,
+    SolveConfig, SolveOutcome,
 };

@@ -1,39 +1,37 @@
 //! One solve plan, walked or raced: budgeted end-to-end solving.
 //!
-//! The quantum pipeline is memory-hungry (a dense statevector is
-//! `16·2^w` bytes; the sparse backend's support still grows to `2^n`
-//! entries under the uniform superposition), so a budgeted run must
-//! decide *before* allocating whether the simulation fits — and, when it
-//! does not, still return a valid k-plex. [`solve`] plans every run the
-//! same way: a preflight keeps the quantum rungs that fit the
-//! [`Budget`]'s byte ceiling, in ladder order, and every solver body —
-//! quantum (dense or sparse) or classical (branch & bound or GRASP) —
-//! verifies its own answer (a non-empty [`is_kplex`] set, or
+//! The quantum pipeline is memory-hungry (the sparse backend's support
+//! grows to `2^n` entries under the uniform superposition), so a
+//! budgeted run must decide *before* allocating whether the simulation
+//! fits — and, when it does not, still return a valid k-plex. [`solve`]
+//! plans every run the same way: a preflight prices the one quantum
+//! rung, the sparse statevector, against the [`Budget`]'s byte ceiling,
+//! and every solver body — quantum or classical (branch & bound or
+//! GRASP) — verifies its own answer (a non-empty [`is_kplex`] set, or
 //! [`RtError::Faulted`]). The plan then runs one of two ways:
 //!
 //! * **Walked** — the degradation ladder, in the caller's thread and
 //!   under the caller's context:
 //!
 //!   ```text
-//!   dense statevector → sparse statevector → classical (BnB / GRASP)
+//!   sparse statevector → classical (BnB / GRASP)
 //!   ```
 //!
-//!   A rung interrupted by the byte ceiling falls through to the next
-//!   rung; op-budget, deadline, and fault(-after-retries) interruptions
-//!   degrade straight to the classical floor, since a lower quantum rung
-//!   would spend the same exhausted budget. Either way the run is marked
-//!   `degraded = true` (and counted in `rt.degradations`).
-//! * **Raced** — the portfolio, the default whenever a quantum rung fits
-//!   ([`SolveConfig::portfolio`] overrides the choice): the staked rungs
-//!   and the classical body run on their own threads under one shared
+//!   A quantum attempt that does not fit, or that a byte ceiling, op
+//!   budget, deadline or fault (after retries) interrupts, degrades to
+//!   the classical floor. The run is then marked `degraded = true` (and
+//!   counted in `rt.degradations`).
+//! * **Raced** — the portfolio, the default whenever the quantum rung
+//!   fits ([`SolveConfig::portfolio`] overrides the choice): the quantum
+//!   and classical bodies run on their own threads under one shared
 //!   cancel token ([`qmkp_rt::race()`]), and the first verified k-plex
-//!   wins. Up to the classical body's exact threshold every racer
-//!   searches for a maximum k-plex: branch & bound exactly, qMKP up to
+//!   wins. Up to the classical body's exact threshold both racers
+//!   search for a maximum k-plex: branch & bound exactly, qMKP up to
 //!   its error bound. The token is all the racers share: each body's
 //!   answer depends only on the graph, `k`, the seed and its own budget
 //!   slice, so the race decides only which body answers first. A
 //!   panicking racer becomes [`RtError::Faulted`] without touching its
-//!   siblings; when every racer fails the caller gets
+//!   sibling; when every racer fails the caller gets
 //!   [`RtError::AllRacersFailed`]. A race win is never degraded.
 //!
 //! Explicit cancellation and configuration errors are never degraded —
@@ -52,13 +50,15 @@ use qmkp_core::{
 };
 use qmkp_graph::{is_kplex, Graph, VertexSet};
 use qmkp_obs::RunReport;
-use qmkp_qsim::{DenseState, SparseState, MAX_DENSE_QUBITS};
+use qmkp_qsim::SparseState;
 use qmkp_rt::{retry, Budget, Interrupted, Racer, RacerOutcome, RetryPolicy, RtContext, RtError};
 
 /// Which rung of the ladder produced the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveBackend {
-    /// Dense statevector simulation of the Grover pipeline.
+    /// Dense statevector simulation of the Grover pipeline. No solve
+    /// plan produces it any more; the variant stays for callers that
+    /// match on it.
     Dense,
     /// Sparse (sorted-vec) statevector simulation.
     Sparse,
@@ -101,25 +101,25 @@ pub struct SolveConfig {
     /// default (64).
     pub grasp_iterations: Option<usize>,
     /// Whether to race the plan concurrently instead of walking it as
-    /// the sequential ladder. `None` is automatic: race whenever at
-    /// least one quantum rung preflights under the byte budget.
+    /// the sequential ladder. `None` is automatic: race whenever the
+    /// quantum rung preflights under the byte budget.
     pub portfolio: Option<bool>,
 }
 
 /// Outcome of a budgeted [`solve`] run.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
-    /// A maximum (quantum / exact rungs) or maximal-effort (heuristic
+    /// A maximum (quantum / exact bodies) or maximal-effort (heuristic
     /// rung) k-plex, always verified against [`is_kplex`].
     pub best: VertexSet,
     /// The rung that produced `best`.
     pub backend: SolveBackend,
-    /// Whether the solver fell below the preflight-selected rung — to a
-    /// lower quantum rung or all the way to the classical floor.
+    /// Whether a walked solve fell to the classical floor because the
+    /// quantum rung did not fit or did not finish.
     pub degraded: bool,
     /// Why the solver degraded, when it did.
     pub degraded_because: Option<RtError>,
-    /// Full quantum outcome when a quantum rung completed.
+    /// Full quantum outcome when the quantum rung completed.
     pub quantum: Option<QmkpOutcome>,
     /// Race accounting when the portfolio produced the answer; `None`
     /// for sequential-ladder runs.
@@ -150,10 +150,9 @@ impl SolveOutcome {
 /// How one raced [`solve`] went, carried on [`SolveOutcome::race`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceSummary {
-    /// The racer that produced the answer (`dense`, `sparse`,
-    /// `classical`).
+    /// The racer that produced the answer (`sparse` or `classical`).
     pub winner: String,
-    /// Every racer staked, in staking (preflight-cost) order.
+    /// Every racer staked, the quantum one first.
     pub launched: Vec<&'static str>,
     /// Losers cancelled by the win.
     pub cancelled: usize,
@@ -166,26 +165,16 @@ pub struct RaceSummary {
     pub win_margin: Option<Duration>,
 }
 
-/// Estimated peak bytes for a dense simulation of `width` qubits:
-/// 16-byte amplitudes plus an equal-size permutation scratch buffer,
-/// `32·2^width` in total. Saturates to [`usize::MAX`] when the figure
-/// does not fit a `usize` — never silently wraps (`checked_shl` loses
-/// shifted-out bits without erroring, so the previous
-/// `2usize.checked_shl(w)` formulation returned 0 bytes at width 63 and
-/// let over-wide instances preflight as "fits any budget").
-pub fn dense_cost(width: usize) -> usize {
-    if width as u32 >= usize::BITS {
-        return usize::MAX;
-    }
-    (1usize << width).saturating_mul(32)
-}
-
 /// Estimated peak bytes for a sparse simulation of a graph with `n`
 /// vertices: the support holds `2^n` basis states (the uniform vertex
 /// register; the Grover driver keeps only the `|O⟩ = 0` half of the `|−⟩`
 /// oracle qubit), and a single-qubit gate's scratch vecs hold twice that
 /// — `3·2^n·32` for 32-byte `(basis, amplitude)` entries. Saturates to
-/// [`usize::MAX`] like [`dense_cost`].
+/// [`usize::MAX`] when the figure does not fit a `usize` — never
+/// silently wraps (`checked_shl` loses shifted-out bits without
+/// erroring, so a `2usize.checked_shl(w)` formulation returns 0 bytes at
+/// width 63 and lets over-wide instances preflight as "fits any
+/// budget").
 pub fn sparse_cost(n: usize) -> usize {
     let entry = std::mem::size_of::<(u128, [f64; 2])>();
     if n as u32 >= usize::BITS {
@@ -194,44 +183,33 @@ pub fn sparse_cost(n: usize) -> usize {
     (1usize << n).saturating_mul(3 * entry)
 }
 
-fn fits(budget: &Budget, bytes: usize) -> bool {
-    budget.max_bytes.is_none_or(|limit| bytes <= limit)
-}
-
-/// The preflight: every quantum rung that fits the budget's byte
-/// ceiling, in ladder order (which is also the staking order), each with
-/// its projected bytes. Also returns the cheapest quantum footprint,
-/// fitting or not — what a walk with no rung to try names in its
-/// `MemoryBudget` — which is `usize::MAX` when the oracle is wider than
-/// 128 qubits and no quantum rung can run at all.
-fn preflight(g: &Graph, k: usize, budget: &Budget) -> (Vec<(SolveBackend, usize)>, usize) {
+/// The preflight: the quantum rung's projected bytes when they fit the
+/// budget's byte ceiling, or else the footprint a walk names in its
+/// `MemoryBudget` — `usize::MAX` when the oracle is wider than 128
+/// qubits and the quantum rung cannot run at all.
+fn preflight(g: &Graph, k: usize, budget: &Budget) -> Result<usize, usize> {
     // The oracle's width is independent of the probe threshold, which
     // only pads constant registers.
-    let Some(width) = OracleLayout::try_new(g, k, 1).map(|layout| layout.width) else {
-        return (Vec::new(), usize::MAX);
-    };
-    let (dense, sparse) = (dense_cost(width), sparse_cost(g.n()));
-    let mut rungs = Vec::new();
-    if width <= MAX_DENSE_QUBITS && fits(budget, dense) {
-        rungs.push((SolveBackend::Dense, dense));
+    if OracleLayout::try_new(g, k, 1).is_none() {
+        return Err(usize::MAX);
     }
-    if fits(budget, sparse) {
-        rungs.push((SolveBackend::Sparse, sparse));
+    let bytes = sparse_cost(g.n());
+    match budget.max_bytes {
+        Some(limit) if bytes > limit => Err(bytes),
+        _ => Ok(bytes),
     }
-    (rungs, dense.min(sparse))
 }
 
-/// The lane a request lands in before any work happens: the rung the
-/// preflight cost model would pick for this `(graph, k, budget)`. The
-/// serving layer shards its worker pools by this, so cheap classical
-/// requests never queue behind statevector runs.
+/// The lane a request lands in before any work happens: whether the
+/// preflight cost model admits the quantum rung for this
+/// `(graph, k, budget)`. The serving layer shards its worker pools by
+/// this, so cheap classical requests never queue behind statevector
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreflightLane {
-    /// Dense statevector simulation fits the byte ceiling.
-    Dense,
-    /// Only the sparse backend fits.
+    /// The sparse statevector fits the byte ceiling.
     Sparse,
-    /// No quantum rung fits (or the oracle exceeds 128 qubits).
+    /// The quantum rung does not fit (or the oracle exceeds 128 qubits).
     Classical,
 }
 
@@ -239,7 +217,6 @@ impl PreflightLane {
     /// Stable lowercase name for reports and metrics labels.
     pub fn name(self) -> &'static str {
         match self {
-            PreflightLane::Dense => "dense",
             PreflightLane::Sparse => "sparse",
             PreflightLane::Classical => "classical",
         }
@@ -247,13 +224,12 @@ impl PreflightLane {
 }
 
 /// Classifies a request by the preflight cost model without running
-/// anything: the first rung [`solve`]'s preflight selects, exposed so a
-/// scheduler can shard work before committing a worker to it.
+/// anything, so a scheduler can shard work before committing a worker
+/// to it.
 pub fn preflight_lane(g: &Graph, k: usize, budget: &Budget) -> PreflightLane {
-    match preflight(g, k, budget).0.first() {
-        Some((SolveBackend::Dense, _)) => PreflightLane::Dense,
-        Some(_) => PreflightLane::Sparse,
-        None => PreflightLane::Classical,
+    match preflight(g, k, budget) {
+        Ok(_) => PreflightLane::Sparse,
+        Err(_) => PreflightLane::Classical,
     }
 }
 
@@ -294,19 +270,17 @@ pub fn solve_with(
         return Err(RtError::InvalidConfig("k must be ≥ 1".into()));
     }
     let span = qmkp_obs::span("solve.run");
-    let (rungs, cheapest) = preflight(g, k, ctx.budget());
     let plan = Plan {
         g,
         k,
         config,
         provider,
-        rungs,
-        cheapest,
+        preflight: preflight(g, k, ctx.budget()),
     };
-    // The automatic gate races exactly when a quantum rung preflighted:
+    // The automatic gate races exactly when the quantum rung preflighted:
     // that is when a race can save the quantum pipeline's worst case,
     // while a pure-classical instance has only one lane to run.
-    let result = if config.portfolio.unwrap_or(!plan.rungs.is_empty()) {
+    let result = if config.portfolio.unwrap_or(plan.preflight.is_ok()) {
         plan.race(ctx)
     } else {
         plan.walk(ctx)
@@ -331,10 +305,10 @@ struct Finish {
 }
 
 /// Builds the [`SolveOutcome`] of a finished plan — the one place that
-/// does. A walked answer that came from below the preflight's first
-/// choice carries why and counts on `rt.degradations`; a raced answer
-/// carries its summary and is never degraded, since a verified answer
-/// from any lane is a first-class answer.
+/// does. A walked answer from the classical floor carries why and
+/// counts on `rt.degradations`; a raced answer carries its summary and
+/// is never degraded, since a verified answer from any lane is a
+/// first-class answer.
 fn outcome(
     finish: Finish,
     degraded_because: Option<RtError>,
@@ -378,11 +352,9 @@ struct Plan<'a> {
     k: usize,
     config: &'a SolveConfig,
     provider: &'a dyn OracleProvider,
-    /// The preflight's quantum rungs, in ladder order, each with its
-    /// projected bytes.
-    rungs: Vec<(SolveBackend, usize)>,
-    /// The cheapest quantum footprint, fitting or not.
-    cheapest: usize,
+    /// The preflight's verdict on the quantum rung: its projected bytes
+    /// when they fit, or the footprint that did not.
+    preflight: Result<usize, usize>,
 }
 
 impl Plan<'_> {
@@ -406,24 +378,17 @@ impl Plan<'_> {
         })
     }
 
-    /// The quantum body: one qMKP search on `backend`'s statevector,
+    /// The quantum body: one qMKP search on the sparse statevector,
     /// resuming from `resume` and leaving an interrupted attempt's
     /// checkpoint there for the next one.
     fn quantum(
         &self,
-        backend: SolveBackend,
         ctx: &RtContext,
         resume: &mut Option<QmkpCheckpoint>,
     ) -> Result<Finish, RtError> {
-        let (g, k, qmkp, provider) = (self.g, self.k, &self.config.qmkp, self.provider);
-        let searched = match backend {
-            SolveBackend::Dense => {
-                qmkp_ctx_with::<DenseState>(g, k, qmkp, ctx, resume.as_ref(), provider)
-            }
-            _ => qmkp_ctx_with::<SparseState>(g, k, qmkp, ctx, resume.as_ref(), provider),
-        };
-        match searched {
-            Ok(out) => self.verified(out.best, backend, Some(out)),
+        let (g, k, qmkp) = (self.g, self.k, &self.config.qmkp);
+        match qmkp_ctx_with::<SparseState>(g, k, qmkp, ctx, resume.as_ref(), self.provider) {
+            Ok(out) => self.verified(out.best, SolveBackend::Sparse, Some(out)),
             Err(Interrupted { error, checkpoint }) => {
                 *resume = Some(*checkpoint);
                 Err(error)
@@ -449,49 +414,38 @@ impl Plan<'_> {
     /// Walks the plan as the degradation ladder, in the caller's thread
     /// and under the caller's context (see the module docs).
     fn walk(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
-        // Transient faults are retried with deterministic jittered
-        // backoff, each retry resuming from the checkpoint the
-        // interrupted attempt handed back — a retry never repeats
-        // completed probes. Terminal errors end the rung unchanged.
-        let policy = RetryPolicy {
-            seed: self.config.qmkp.qtkp.seed,
-            ..RetryPolicy::default()
-        };
-        let mut degraded_because: Option<RtError> = None;
-        for &(backend, projected) in &self.rungs {
-            qmkp_obs::gauge("solve.preflight_bytes", &[], projected as f64);
-            let start = qmkp_obs::enabled_for("solve.rung").then(Instant::now);
-            let mut resume = None;
-            let attempt = retry(&policy, ctx, |_attempt| {
-                self.quantum(backend, ctx, &mut resume)
-            });
-            let degraded = attempt.is_err() || degraded_because.is_some();
-            rung_metric(start, backend, degraded);
-            match attempt {
-                // A success after a failed higher rung is still a
-                // degradation, just not all the way to the floor.
-                Ok(finish) => return Ok(outcome(finish, degraded_because, None)),
-                Err(error @ (RtError::Cancelled | RtError::InvalidConfig(_))) => return Err(error),
-                // The byte ceiling: the next rung preflighted cheaper
-                // and may still fit.
-                Err(error @ RtError::MemoryBudget { .. }) => {
-                    degraded_because.get_or_insert(error);
-                }
-                // Op budget, deadline, fault-after-retries: a lower
-                // quantum rung would spend the same exhausted budget.
-                Err(error) => {
-                    degraded_because.get_or_insert(error);
-                    break;
+        let because = match self.preflight {
+            Ok(projected) => {
+                qmkp_obs::gauge("solve.preflight_bytes", &[], projected as f64);
+                // Transient faults are retried with deterministic jittered
+                // backoff, each retry resuming from the checkpoint the
+                // interrupted attempt handed back — a retry never repeats
+                // completed probes. Terminal errors end the attempt
+                // unchanged.
+                let policy = RetryPolicy {
+                    seed: self.config.qmkp.qtkp.seed,
+                    ..RetryPolicy::default()
+                };
+                let start = qmkp_obs::enabled_for("solve.rung").then(Instant::now);
+                let mut resume = None;
+                let attempt = retry(&policy, ctx, |_attempt| self.quantum(ctx, &mut resume));
+                rung_metric(start, SolveBackend::Sparse, attempt.is_err());
+                match attempt {
+                    Ok(finish) => return Ok(outcome(finish, None, None)),
+                    Err(error @ (RtError::Cancelled | RtError::InvalidConfig(_))) => {
+                        return Err(error)
+                    }
+                    // Byte ceiling, op budget, deadline, fault after
+                    // retries: the classical floor still answers.
+                    Err(error) => error,
                 }
             }
-        }
+            Err(required) => RtError::MemoryBudget {
+                required,
+                limit: ctx.budget().max_bytes.unwrap_or(usize::MAX),
+            },
+        };
 
-        // Preflight rejected every quantum rung, or every attempted rung
-        // failed; the first failure names the cause.
-        let because = degraded_because.unwrap_or(RtError::MemoryBudget {
-            required: self.cheapest,
-            limit: ctx.budget().max_bytes.unwrap_or(usize::MAX),
-        });
         // One last chance for the caller to stop before the floor spends
         // CPU (a cancelled context must never degrade).
         ctx.check()?;
@@ -502,8 +456,9 @@ impl Plan<'_> {
         Ok(outcome(finish, Some(because), None))
     }
 
-    /// Races the plan: every staked quantum rung and the classical body
-    /// on their own threads under one shared token (see the module docs).
+    /// Races the plan: the quantum rung, when it preflighted, and the
+    /// classical body on their own threads under one shared token (see
+    /// the module docs).
     fn race(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
         // A cancelled caller must not spend threads; an invalid quantum
         // configuration must surface as an error even if a heuristic
@@ -511,50 +466,29 @@ impl Plan<'_> {
         ctx.check()?;
         self.config.qmkp.qtkp.validate()?;
 
-        // Each quantum racer gets its own preflight estimate as a private
-        // byte ceiling, carved greedily out of the caller's ceiling so
-        // concurrent statevectors cannot jointly exceed it. A rung that
-        // no longer fits what is left is not launched.
         let budget = ctx.budget();
-        let mut staked: Vec<(SolveBackend, Option<usize>)> = Vec::new();
-        let mut remaining = budget.max_bytes;
-        for &(backend, projected) in &self.rungs {
-            match remaining {
-                None => staked.push((backend, None)),
-                Some(rem) if projected <= rem => {
-                    remaining = Some(rem - projected);
-                    staked.push((backend, Some(projected)));
-                }
-                Some(_) => {}
-            }
-        }
-        let ops_each = budget
-            .max_ops
-            .map(|total| (total / staked.len().max(1) as u64).max(1));
         let slice = |max_bytes, max_ops| Budget {
             deadline: budget.deadline,
             max_bytes,
             max_ops,
         };
-
-        let launched: Vec<&'static str> = staked
-            .iter()
-            .map(|&(backend, _)| backend.name())
-            .chain(["classical"])
-            .collect();
-        // Quantum racers get a single attempt, no retry loop: the sibling
-        // racers *are* the recovery mechanism, so a faulting rung loses
-        // its lane at once instead of spending its slice on backoff.
-        let mut racers: Vec<Racer<'_, Finish>> = staked
-            .iter()
-            .map(|&(backend, bytes)| {
-                Racer::new(
-                    backend.name(),
-                    slice(bytes, ops_each),
-                    move |rctx: &RtContext| self.quantum(backend, rctx, &mut None),
-                )
-            })
-            .collect();
+        let mut launched: Vec<&'static str> = Vec::new();
+        let mut racers: Vec<Racer<'_, Finish>> = Vec::new();
+        // Under a byte ceiling the quantum racer's private ceiling is its
+        // own preflight estimate; it keeps the caller's whole op budget.
+        // It gets a single attempt, no retry loop: the classical racer
+        // *is* the recovery mechanism, so a faulting rung loses its lane
+        // at once instead of spending its slice on backoff.
+        if let Ok(projected) = self.preflight {
+            let name = SolveBackend::Sparse.name();
+            launched.push(name);
+            racers.push(Racer::new(
+                name,
+                slice(budget.max_bytes.and(Some(projected)), budget.max_ops),
+                move |rctx: &RtContext| self.quantum(rctx, &mut None),
+            ));
+        }
+        launched.push("classical");
         racers.push(Racer::new(
             "classical",
             slice(None, None),
@@ -632,10 +566,7 @@ mod tests {
         let out = solve(&g, 2, &ladder_config(), &RtContext::unlimited()).unwrap();
         assert_eq!(out.best.len(), 4);
         assert!(!out.degraded);
-        assert!(matches!(
-            out.backend,
-            SolveBackend::Dense | SolveBackend::Sparse
-        ));
+        assert_eq!(out.backend, SolveBackend::Sparse);
         assert!(out.quantum.is_some());
     }
 
@@ -737,23 +668,16 @@ mod tests {
     #[test]
     fn cost_models_saturate_instead_of_wrapping() {
         // Regression: `2usize.checked_shl(63)` is `Some(0)` — shifted-out
-        // bits are not an error — so the old dense cost model priced a
+        // bits are not an error — so a cost model built on it priced a
         // 63-qubit simulation at 0 bytes and any budget admitted it.
-        assert_ne!(dense_cost(63), 0, "width 63 must not wrap to zero");
-        for width in 62..=65 {
-            assert_eq!(dense_cost(width), usize::MAX, "width {width}");
-        }
         for n in 62..=65 {
             assert_eq!(sparse_cost(n), usize::MAX, "n {n}");
         }
-        // Small widths keep the exact documented formulas.
-        assert_eq!(dense_cost(10), 32 << 10);
-        assert_eq!(dense_cost(0), 32);
+        // Small widths keep the exact documented formula.
         assert_eq!(sparse_cost(6), 3 * (32 << 6));
         // Monotone up to the saturation point.
-        for w in 0..usize::BITS as usize {
-            assert!(dense_cost(w) <= dense_cost(w + 1));
-            assert!(sparse_cost(w) <= sparse_cost(w + 1));
+        for n in 0..usize::BITS as usize {
+            assert!(sparse_cost(n) <= sparse_cost(n + 1));
         }
     }
 
@@ -804,7 +728,7 @@ mod tests {
 
     /// An [`OracleProvider`] whose *first* compile dies on a memory
     /// limit and which behaves normally afterwards — the deterministic
-    /// stand-in for a dense rung that preflights under the ceiling but
+    /// stand-in for a quantum rung that preflights under the ceiling but
     /// trips it mid-run.
     struct FailFirstCompile {
         failed: std::sync::atomic::AtomicBool,
@@ -829,42 +753,67 @@ mod tests {
     }
 
     #[test]
-    fn dense_memory_failure_falls_through_to_sparse() {
-        // Regression: the ladder used to jump from a mid-run dense
-        // MemoryBudget failure straight to the classical floor, skipping
-        // the sparse rung the module doc promises. Only tiny oracles fit
-        // the dense rung (`MAX_DENSE_QUBITS`), so the dense-first
-        // preflight needs a single-vertex graph.
-        let g = Graph::new(1).unwrap();
+    fn mid_run_memory_failure_degrades_to_classical() {
+        // The preflight admits the quantum rung, then its first compile
+        // trips the byte ceiling: the walk must fall to the classical
+        // floor and name that failure, not the preflight's figure.
+        let g = paper_fig1_graph();
         assert_eq!(
-            preflight_lane(&g, 1, &Budget::unlimited()),
-            PreflightLane::Dense,
-            "precondition: preflight must select the dense rung"
+            preflight_lane(&g, 2, &Budget::unlimited()),
+            PreflightLane::Sparse,
+            "precondition: preflight must admit the quantum rung"
         );
         let provider = FailFirstCompile {
             failed: std::sync::atomic::AtomicBool::new(false),
         };
-        let out = solve_with(&g, 1, &ladder_config(), &RtContext::unlimited(), &provider).unwrap();
-        assert_eq!(
-            out.backend,
-            SolveBackend::Sparse,
-            "the sparse rung must run before the classical floor"
-        );
+        let out = solve_with(&g, 2, &ladder_config(), &RtContext::unlimited(), &provider).unwrap();
+        assert_eq!(out.backend, SolveBackend::ClassicalExact);
         assert!(out.degraded);
-        assert!(
-            matches!(
-                out.degraded_because,
-                Some(RtError::MemoryBudget {
-                    required,
-                    limit: 1
-                }) if required == 1 << 40
-            ),
-            "degraded_because must name the dense failure: {:?}",
-            out.degraded_because
+        assert_eq!(
+            out.degraded_because,
+            Some(RtError::MemoryBudget {
+                required: 1 << 40,
+                limit: 1
+            })
         );
-        assert!(out.quantum.is_some(), "a quantum rung did complete");
-        assert_eq!(out.best.len(), 1);
-        assert!(is_kplex(&g, out.best, 1));
+        assert!(out.quantum.is_none());
+        assert_eq!(out.best.len(), 4);
+        assert!(is_kplex(&g, out.best, 2));
+    }
+
+    /// Every labelled graph on 1–3 vertices, at k = 1 and 2, runs the
+    /// quantum rung: these are the smallest oracles (15–26 qubits), and
+    /// they answer like every other graph that fits.
+    #[test]
+    fn the_smallest_graphs_run_the_quantum_rung() {
+        use qmkp_classical::naive::max_kplex_naive;
+        let pairs = [(0, 1), (0, 2), (1, 2)];
+        let mut graphs = vec![Graph::new(1).unwrap()];
+        for edges in 0..2 {
+            graphs.push(Graph::from_edges(2, pairs.into_iter().take(edges)).unwrap());
+        }
+        for mask in 0..8 {
+            let edges = (0..3).filter(|i| (mask >> i) & 1 == 1).map(|i| pairs[i]);
+            graphs.push(Graph::from_edges(3, edges).unwrap());
+        }
+        assert_eq!(graphs.len(), 11);
+        for g in &graphs {
+            for k in 1..=2 {
+                let case = format!("n {} m {} k {k}", g.n(), g.m());
+                assert_eq!(
+                    preflight_lane(g, k, &Budget::unlimited()),
+                    PreflightLane::Sparse,
+                    "{case}"
+                );
+                let optimum = max_kplex_naive(g, k).len();
+                let walked = solve(g, k, &ladder_config(), &RtContext::unlimited()).unwrap();
+                assert_eq!(walked.backend, SolveBackend::Sparse, "{case}");
+                assert!(!walked.degraded, "{case}");
+                assert_eq!(walked.best.len(), optimum, "{case}");
+                let raced = solve(g, k, &SolveConfig::default(), &RtContext::unlimited()).unwrap();
+                assert_eq!(raced.best.len(), optimum, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -943,20 +892,14 @@ mod tests {
 
     #[test]
     fn preflight_lane_matches_rung_selection() {
-        // The fig-1 oracle is 68 qubits wide — beyond `MAX_DENSE_QUBITS`
-        // — so the sparse rung is its ceiling; a single-vertex oracle
-        // (15 qubits) fits the dense rung.
+        // A single-vertex oracle (15 qubits) needs 192 bytes, so even a
+        // 1 KiB ceiling admits it.
         let tiny = Graph::new(1).unwrap();
-        assert_eq!(
-            preflight_lane(&tiny, 1, &Budget::unlimited()),
-            PreflightLane::Dense
-        );
-        // A budget below the dense footprint but above the sparse one
-        // drops the tiny instance one lane.
         assert_eq!(
             preflight_lane(&tiny, 1, &Budget::unlimited().with_max_bytes(1024)),
             PreflightLane::Sparse
         );
+        // The fig-1 oracle's six vertices need 6 KiB.
         let g = paper_fig1_graph();
         assert_eq!(
             preflight_lane(&g, 2, &Budget::unlimited()),
