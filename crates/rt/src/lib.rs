@@ -24,9 +24,10 @@
 //!   solver state (qMKP's binary search), plus [`Interrupted`] — the
 //!   "error + resume state" pair a resumable `*_ctx` entry point returns.
 //! * [`race()`] — first-verified-wins portfolio racing: fault-contained
-//!   racers on scoped threads under one shared token, panics mapped to
-//!   structured [`RtError::Faulted`], aggregate
-//!   [`RtError::AllRacersFailed`] when nobody wins.
+//!   racers on scoped threads under one shared token, hedged starts
+//!   ([`Racer::start_after`]), panics mapped to structured
+//!   [`RtError::Faulted`], aggregate [`RtError::AllRacersFailed`] when
+//!   nobody wins.
 //! * [`failpoint`] — deterministic fault injection at named sites,
 //!   compiled in only under the `failpoints` feature.
 //!

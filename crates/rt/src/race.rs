@@ -5,19 +5,24 @@
 //! Each [`Racer`] runs on its own scoped thread with a private
 //! [`RtContext`] over its own [`Budget`] slice; every context polls one
 //! shared token, so the first racer to return `Ok` cancels the rest
-//! cooperatively. Robustness contract:
+//! cooperatively. A racer staked with [`Racer::start_after`] is a
+//! *hedge* (Dean and Barroso, "The Tail at Scale", CACM 2013): it starts
+//! only if no racer has answered once its delay has passed, so a race
+//! whose first racer answers quickly spawns one thread, not one per
+//! racer. Robustness contract:
 //!
 //! * a panicking racer is caught with `catch_unwind` and recorded as a
 //!   structured [`RtError::Faulted`] — one bad kernel never kills the
 //!   process or the race;
 //! * a racer failing with `Faulted`/`OpBudget`/`MemoryBudget`/
-//!   `DeadlineExceeded` is recorded and the race continues;
+//!   `DeadlineExceeded` is recorded and the race continues — a hedge
+//!   that is still waiting starts at once when no racer is left running;
 //! * if *every* racer fails the caller gets
 //!   [`RtError::AllRacersFailed`] naming each racer's individual error —
 //!   never a panic, never silence;
 //! * the caller's own token is honoured: cancellation observed on it is
 //!   propagated to the shared race token and surfaces as
-//!   [`RtError::Cancelled`].
+//!   [`RtError::Cancelled`]; no hedge starts after it, nor after a win.
 
 use crate::{Budget, CancelToken, RtContext, RtError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,18 +39,20 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(5);
 type RacerFn<'f, T> = Box<dyn FnOnce(&RtContext) -> Result<T, RtError> + Send + 'f>;
 
 /// One entrant in a race: a name (used in reports, metrics labels and
-/// aggregate errors), a private [`Budget`] slice, and the closure to run.
+/// aggregate errors), a private [`Budget`] slice, when it starts, and the
+/// closure to run.
 pub struct Racer<'f, T> {
     name: String,
     budget: Budget,
+    start_after: Duration,
     run: RacerFn<'f, T>,
 }
 
 impl<'f, T> Racer<'f, T> {
-    /// Builds a racer. The closure receives the racer's private
-    /// [`RtContext`] (its budget slice bound to the shared race token)
-    /// and must return a *verified* result — the race declares the first
-    /// `Ok` the winner without re-checking it.
+    /// Builds a racer that starts with the race. The closure receives the
+    /// racer's private [`RtContext`] (its budget slice bound to the shared
+    /// race token) and must return a *verified* result — the race
+    /// declares the first `Ok` the winner without re-checking it.
     pub fn new<F>(name: impl Into<String>, budget: Budget, run: F) -> Self
     where
         F: FnOnce(&RtContext) -> Result<T, RtError> + Send + 'f,
@@ -53,8 +60,22 @@ impl<'f, T> Racer<'f, T> {
         Racer {
             name: name.into(),
             budget,
+            start_after: Duration::ZERO,
             run: Box::new(run),
         }
+    }
+
+    /// Stakes the racer as a hedge: it starts once `delay` has passed
+    /// since the race's start with no winner. It starts earlier, at once,
+    /// when no racer is running — every racer started so far has failed,
+    /// or none has started — since no answer can come while it waits. It
+    /// never starts after a win or a caller cancel, and then reports
+    /// [`RacerOutcome::NotStarted`]. A zero delay, the default, starts the
+    /// racer with the race.
+    #[must_use]
+    pub fn start_after(mut self, delay: Duration) -> Self {
+        self.start_after = delay;
+        self
     }
 
     /// The racer's name.
@@ -73,6 +94,7 @@ impl<T> std::fmt::Debug for Racer<'_, T> {
         f.debug_struct("Racer")
             .field("name", &self.name)
             .field("budget", &self.budget)
+            .field("start_after", &self.start_after)
             .finish_non_exhaustive()
     }
 }
@@ -88,6 +110,9 @@ pub enum RacerOutcome {
     /// Failed on its own: fault, exhausted budget slice, or a panic
     /// mapped to [`RtError::Faulted`].
     Failed(RtError),
+    /// A hedge ([`Racer::start_after`]) whose closure never ran: the race
+    /// was won, or the caller cancelled, before it was due.
+    NotStarted,
 }
 
 /// Per-racer account of a finished race, in staking order.
@@ -99,7 +124,8 @@ pub struct RacerReport {
     pub outcome: RacerOutcome,
     /// Wall-clock time from the race's start (one instant, taken before
     /// any racer is spawned) to the racer's return, so every report reads
-    /// the same clock and a late thread start is not hidden.
+    /// the same clock and a late thread start is not hidden; a hedge's
+    /// includes its delay. Zero for a racer that never started.
     pub elapsed: Duration,
 }
 
@@ -112,14 +138,15 @@ pub struct RaceWin<T> {
     pub winner: String,
     /// How much longer the slowest losing racer kept running past the
     /// winner's finish: its [`RacerReport::elapsed`] minus the winner's,
-    /// both from the race's start. `None` for a single-racer field.
+    /// both from the race's start. `None` when no loser started.
     pub win_margin: Option<Duration>,
     /// One report per racer, in staking order.
     pub reports: Vec<RacerReport>,
 }
 
-/// Runs every racer concurrently; the first `Ok` wins and cancels the
-/// rest through the shared race token.
+/// Runs the racers concurrently, each from its start time
+/// ([`Racer::start_after`]); the first `Ok` wins and cancels the rest
+/// through the shared race token.
 ///
 /// `caller` is the *outer* cancellation token (e.g. the solve context's):
 /// it is only peeked, never burned, and a cancellation observed on it is
@@ -144,44 +171,75 @@ pub fn race<'f, T: Send>(
     let (tx, rx) = mpsc::channel::<(usize, Result<T, RtError>, Duration)>();
     let mut slots: Vec<Option<(Result<T, RtError>, Duration)>> = Vec::new();
     slots.resize_with(total, || None);
+    // Racers not started yet, by staking index; a racer still here when
+    // the race ends never started.
+    let mut waiting: Vec<Option<Racer<'f, T>>> = racers.into_iter().map(Some).collect();
     let mut winner: Option<usize> = None;
 
     let race_start = Instant::now();
     std::thread::scope(|scope| {
-        for (idx, racer) in racers.into_iter().enumerate() {
-            let tx = tx.clone();
-            let token = shared.clone();
-            scope.spawn(move || {
-                let Racer { name, budget, run } = racer;
-                let ctx = RtContext::new(budget, token);
-                let result = match catch_unwind(AssertUnwindSafe(|| run(&ctx))) {
-                    Ok(r) => r,
-                    Err(_) => Err(RtError::Faulted {
-                        site: format!("race.{name}.panic"),
-                    }),
+        let mut running = 0usize;
+        loop {
+            if caller.peek() {
+                shared.cancel();
+            }
+            // Start every racer that is due, earliest first. One that is
+            // not due yet starts anyway when none is running: no answer
+            // can come while it waits. A win or a cancel starts nothing.
+            let mut next_due = None;
+            while !shared.peek() {
+                let Some((delay, idx)) = waiting
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(idx, r)| r.as_ref().map(|r| (r.start_after, idx)))
+                    .min()
+                else {
+                    break;
                 };
-                // A send can only fail if the supervisor already gave up
-                // (disconnected receiver); the racer's work is moot then.
-                let _ = tx.send((idx, result, race_start.elapsed()));
+                let due = race_start + delay;
+                if running > 0 && Instant::now() < due {
+                    next_due = Some(due);
+                    break;
+                }
+                let Some(racer) = waiting[idx].take() else {
+                    break;
+                };
+                let (tx, token) = (tx.clone(), shared.clone());
+                scope.spawn(move || {
+                    let Racer {
+                        name, budget, run, ..
+                    } = racer;
+                    let ctx = RtContext::new(budget, token);
+                    let result = match catch_unwind(AssertUnwindSafe(|| run(&ctx))) {
+                        Ok(r) => r,
+                        Err(_) => Err(RtError::Faulted {
+                            site: format!("race.{name}.panic"),
+                        }),
+                    };
+                    // A send can only fail if the supervisor already gave
+                    // up (disconnected receiver); the racer's work is moot
+                    // then.
+                    let _ = tx.send((idx, result, race_start.elapsed()));
+                });
+                running += 1;
+            }
+            if running == 0 {
+                break;
+            }
+            let wait = next_due.map_or(SUPERVISOR_POLL, |due: Instant| {
+                due.saturating_duration_since(Instant::now())
+                    .min(SUPERVISOR_POLL)
             });
-        }
-        drop(tx);
-        let mut received = 0;
-        while received < total {
-            match rx.recv_timeout(SUPERVISOR_POLL) {
+            match rx.recv_timeout(wait) {
                 Ok((idx, result, elapsed)) => {
-                    received += 1;
+                    running -= 1;
                     if winner.is_none() && result.is_ok() {
                         winner = Some(idx);
                         shared.cancel();
                     }
                     slots[idx] = Some((result, elapsed));
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if caller.peek() {
-                        shared.cancel();
-                    }
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
@@ -199,27 +257,19 @@ pub fn race<'f, T: Send>(
     let mut reports: Vec<RacerReport> = Vec::with_capacity(total);
     let mut errors: Vec<(String, RtError)> = Vec::new();
     let mut slowest_loser: Option<Duration> = None;
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let name = names[idx].clone();
-        match slot {
-            None if Some(idx) == winner => reports.push(RacerReport {
-                name,
-                outcome: RacerOutcome::Won,
-                elapsed: winner_elapsed,
-            }),
+    for (idx, (name, slot)) in names.iter().zip(slots).enumerate() {
+        let (outcome, elapsed) = match slot {
+            None if Some(idx) == winner => (RacerOutcome::Won, winner_elapsed),
+            None if waiting[idx].is_some() => (RacerOutcome::NotStarted, Duration::ZERO),
             None => {
-                // Unreachable in practice (every spawned racer sends),
+                // Unreachable in practice (every started racer sends),
                 // but account for it structurally rather than trusting
                 // the channel.
                 let err = RtError::Faulted {
                     site: format!("race.{name}.no-result"),
                 };
                 errors.push((name.clone(), err.clone()));
-                reports.push(RacerReport {
-                    name,
-                    outcome: RacerOutcome::Failed(err),
-                    elapsed: Duration::ZERO,
-                });
+                (RacerOutcome::Failed(err), Duration::ZERO)
             }
             Some((result, elapsed)) => {
                 if winner.is_some() {
@@ -234,13 +284,14 @@ pub fn race<'f, T: Send>(
                         RacerOutcome::Failed(e)
                     }
                 };
-                reports.push(RacerReport {
-                    name,
-                    outcome,
-                    elapsed,
-                });
+                (outcome, elapsed)
             }
-        }
+        };
+        reports.push(RacerReport {
+            name: name.clone(),
+            outcome,
+            elapsed,
+        });
     }
 
     match (winner, value) {
@@ -415,6 +466,128 @@ mod tests {
             Racer::new("spinner", Budget::unlimited(), spin_until_cancelled),
         ];
         assert!(matches!(race(racers, &caller), Err(RtError::Cancelled)));
+    }
+
+    /// Long enough that a hedge with this delay never comes due in a
+    /// test: whether it starts depends on the other racers, not on timing.
+    const NEVER: Duration = Duration::from_secs(60);
+
+    /// A racer body that records whether it ran, then answers `value`.
+    fn flagged(
+        ran: &std::sync::atomic::AtomicBool,
+        value: usize,
+    ) -> impl FnOnce(&RtContext) -> Result<usize, RtError> + Send + '_ {
+        move |_ctx: &RtContext| {
+            ran.store(true, std::sync::atomic::Ordering::SeqCst);
+            Ok(value)
+        }
+    }
+
+    #[test]
+    fn a_hedge_never_starts_after_an_earlier_win() {
+        let caller = CancelToken::new();
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let racers = vec![
+            Racer::new("hedge", Budget::unlimited(), flagged(&ran, 1)).start_after(NEVER),
+            Racer::new("fast", Budget::unlimited(), |_ctx: &RtContext| Ok(2usize)),
+        ];
+        let win = race(racers, &caller).expect("the fast racer wins");
+        assert_eq!(win.winner, "fast");
+        assert_eq!(win.value, 2);
+        assert_eq!(win.reports[0].name, "hedge");
+        assert_eq!(win.reports[0].outcome, RacerOutcome::NotStarted);
+        assert_eq!(win.reports[0].elapsed, Duration::ZERO);
+        assert_eq!(win.reports[1].outcome, RacerOutcome::Won);
+        assert_eq!(win.win_margin, None, "no loser started");
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_hedge_starts_after_its_delay_when_no_answer_has_come() {
+        // The spinner never answers on its own, so only the hedge can win,
+        // and it cannot start before its delay while the spinner runs.
+        let delay = Duration::from_millis(20);
+        let caller = CancelToken::new();
+        let racers = vec![
+            Racer::new("hedge", Budget::unlimited(), |_ctx: &RtContext| Ok(3usize))
+                .start_after(delay),
+            Racer::new("spinner", Budget::unlimited(), spin_until_cancelled),
+        ];
+        let win = race(racers, &caller).expect("the hedge wins");
+        assert_eq!(win.winner, "hedge");
+        assert_eq!(win.reports[0].outcome, RacerOutcome::Won);
+        assert!(
+            win.reports[0].elapsed >= delay,
+            "the hedge answered at {:?}, before its {delay:?} delay",
+            win.reports[0].elapsed
+        );
+        assert_eq!(win.reports[1].outcome, RacerOutcome::Cancelled);
+    }
+
+    #[test]
+    fn a_hedge_starts_at_once_when_every_started_racer_has_failed() {
+        let caller = CancelToken::new();
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let racers = vec![
+            Racer::new("hedge", Budget::unlimited(), flagged(&ran, 4)).start_after(NEVER),
+            Racer::new("doomed", Budget::unlimited(), |_ctx: &RtContext| {
+                Err(RtError::Faulted { site: "x".into() })
+            }),
+        ];
+        let win = race(racers, &caller).expect("the hedge answers for the failed racer");
+        assert_eq!(win.winner, "hedge");
+        assert_eq!(win.value, 4);
+        assert!(ran.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(
+            win.reports[0].elapsed < NEVER,
+            "the hedge waited out its delay"
+        );
+        assert_eq!(
+            win.reports[1].outcome,
+            RacerOutcome::Failed(RtError::Faulted { site: "x".into() })
+        );
+    }
+
+    #[test]
+    fn hedged_failures_aggregate_in_staking_order() {
+        // The hedge is staked first but fails last: the aggregate still
+        // names it first.
+        let caller = CancelToken::new();
+        let racers: Vec<Racer<'_, usize>> = vec![
+            Racer::new("hedge", Budget::unlimited(), |_ctx: &RtContext| {
+                Err(RtError::OpBudget { used: 2, limit: 1 })
+            })
+            .start_after(NEVER),
+            Racer::new("first", Budget::unlimited(), |_ctx: &RtContext| {
+                Err(RtError::Faulted { site: "x".into() })
+            }),
+        ];
+        match race(racers, &caller).expect_err("no racer can win") {
+            RtError::AllRacersFailed { failures } => assert_eq!(
+                failures,
+                vec![
+                    ("hedge".to_string(), RtError::OpBudget { used: 2, limit: 1 }),
+                    ("first".to_string(), RtError::Faulted { site: "x".into() }),
+                ]
+            ),
+            other => panic!("expected AllRacersFailed, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_caller_cancel_before_the_delay_leaves_the_hedge_unstarted() {
+        let caller = CancelToken::new();
+        let trigger = caller.clone();
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let racers = vec![
+            Racer::new("hedge", Budget::unlimited(), flagged(&ran, 5)).start_after(NEVER),
+            Racer::new("canceller", Budget::unlimited(), move |ctx: &RtContext| {
+                trigger.cancel();
+                spin_until_cancelled(ctx)
+            }),
+        ];
+        assert!(matches!(race(racers, &caller), Err(RtError::Cancelled)));
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst));
     }
 
     #[test]

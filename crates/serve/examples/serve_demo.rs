@@ -9,6 +9,7 @@
 //! `QMKP_OBS_METRICS=serve_demo.prom`) to capture the run's telemetry.
 
 use qmkp::graph::gen::paper_fig1_graph;
+use qmkp::SolveConfig;
 use qmkp_obs::Session;
 use qmkp_serve::{ServiceConfig, SolveRequest, SolveService};
 
@@ -16,13 +17,20 @@ fn main() {
     let session = Session::from_env("serve_demo");
     let service = SolveService::new(ServiceConfig::default());
 
-    // Three tenants per k: the first compiles the oracles, the repeats
-    // ride the cache.
+    // Three tenants per k, each walking the ladder so the quantum rung
+    // runs: the first compiles the oracles, the repeats ride the cache.
+    // (A raced request, the default, usually answers from branch & bound
+    // before its quantum hedge starts, and never reaches the cache.)
+    let walked = SolveConfig {
+        portfolio: Some(false),
+        ..SolveConfig::default()
+    };
     let mut tickets = Vec::new();
     for round in 0..3 {
         for k in 1..=3 {
+            let request = SolveRequest::new(paper_fig1_graph(), k).with_config(walked.clone());
             let ticket = service
-                .submit(SolveRequest::new(paper_fig1_graph(), k))
+                .submit(request)
                 .expect("default queues are deep enough for 9 requests");
             tickets.push((round, k, ticket));
         }

@@ -208,15 +208,28 @@ fn z_stress_mixed_tenants() {
                         responses += 1;
                     }
                     // Plain tenants: every answer is a verified k-plex.
-                    _ => {
+                    // A raced request usually answers from the classical
+                    // body before its quantum hedge starts, so it never
+                    // reaches the cache; kind 4 walks the ladder instead,
+                    // running the quantum rung through the shared cache,
+                    // and its repeats hit it.
+                    kind => {
                         let (g, k) = pool[(thread + i) % pool.len()].clone();
+                        let walked = kind == 4;
+                        let config = SolveConfig {
+                            portfolio: walked.then_some(false),
+                            ..SolveConfig::default()
+                        };
                         let ticket = service
-                            .submit(SolveRequest::new(g.clone(), k))
+                            .submit(SolveRequest::new(g.clone(), k).with_config(config))
                             .expect("512-deep queues never fill in this test");
                         let response = ticket.wait();
                         let out = response.outcome.expect("unbudgeted solve succeeds");
                         assert!(is_kplex(&g, out.best, k));
                         assert!(!out.degraded, "unlimited budget never degrades");
+                        if walked {
+                            assert_eq!(out.backend, qmkp::SolveBackend::Sparse);
+                        }
                         responses += 1;
                     }
                 }

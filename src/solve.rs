@@ -6,9 +6,10 @@
 //! fits — and, when it does not, still return a valid k-plex. [`solve`]
 //! plans every run the same way: a preflight prices the one quantum
 //! rung, the sparse statevector, against the [`Budget`]'s byte ceiling,
-//! and every solver body — quantum or classical (branch & bound or
-//! GRASP) — verifies its own answer (a non-empty [`is_kplex`] set, or
-//! [`RtError::Faulted`]). The plan then runs one of two ways:
+//! and every solver body — quantum or classical (branch & bound up to
+//! the exact threshold, GRASP above it) — verifies its own answer (a
+//! non-empty [`is_kplex`] set, or [`RtError::Faulted`]). The plan then
+//! runs one of two ways:
 //!
 //! * **Walked** — the degradation ladder, in the caller's thread and
 //!   under the caller's context:
@@ -22,17 +23,22 @@
 //!   the classical floor. The run is then marked `degraded = true` (and
 //!   counted in `rt.degradations`).
 //! * **Raced** — the portfolio, the default whenever the quantum rung
-//!   fits ([`SolveConfig::portfolio`] overrides the choice): the quantum
-//!   and classical bodies run on their own threads under one shared
-//!   cancel token ([`qmkp_rt::race()`]), and the first verified k-plex
-//!   wins. Up to the classical body's exact threshold both racers
-//!   search for a maximum k-plex: branch & bound exactly, qMKP up to
-//!   its error bound. The token is all the racers share: each body's
-//!   answer depends only on the graph, `k`, the seed and its own budget
-//!   slice, so the race decides only which body answers first. A
-//!   panicking racer becomes [`RtError::Faulted`] without touching its
-//!   sibling; when every racer fails the caller gets
-//!   [`RtError::AllRacersFailed`]. A race win is never degraded.
+//!   fits ([`SolveConfig::portfolio`] overrides the choice): the
+//!   classical body starts at once on its own thread, and the quantum
+//!   body is a hedge ([`qmkp_rt::Racer::start_after`]) that starts on a
+//!   second thread only if no answer has come within 2 ms, or at once if
+//!   the classical body fails first. Both run under one shared cancel
+//!   token ([`qmkp_rt::race()`]), and the first verified k-plex wins.
+//!   Up to the classical body's exact threshold both racers search for
+//!   a maximum k-plex: branch & bound exactly, qMKP up to its error
+//!   bound. Branch & bound answers most such instances before the hedge
+//!   is due, so the quantum racer then never starts. The token is all
+//!   the racers share: each body's answer depends only on the graph,
+//!   `k`, the seed and its own budget slice, so the race decides only
+//!   which body answers first. A panicking racer becomes
+//!   [`RtError::Faulted`] without touching its sibling; when every racer
+//!   fails the caller gets [`RtError::AllRacersFailed`]. A race win is
+//!   never degraded.
 //!
 //! Explicit cancellation and configuration errors are never degraded —
 //! they surface as errors, because the caller asked for them.
@@ -100,9 +106,12 @@ pub struct SolveConfig {
     /// GRASP restarts for the heuristic classical body. `None` keeps the
     /// default (64).
     pub grasp_iterations: Option<usize>,
-    /// Whether to race the plan concurrently instead of walking it as
-    /// the sequential ladder. `None` is automatic: race whenever the
-    /// quantum rung preflights under the byte budget.
+    /// Whether to race the plan instead of walking it as the sequential
+    /// ladder. A race runs the classical body at once and starts the
+    /// quantum body as a hedge only if no answer has come within 2 ms, so
+    /// a raced solve usually answers from the classical body; `Some(false)`
+    /// runs the quantum rung first. `None` is automatic: race whenever
+    /// the quantum rung preflights under the byte budget.
     pub portfolio: Option<bool>,
 }
 
@@ -141,7 +150,8 @@ impl SolveOutcome {
             report = report
                 .outcome("race_winner", race.winner.as_str())
                 .outcome("race_launched", race.launched.len())
-                .outcome("race_faulted", race.faulted);
+                .outcome("race_faulted", race.faulted)
+                .outcome("race_not_started", race.not_started);
         }
         report
     }
@@ -152,16 +162,19 @@ impl SolveOutcome {
 pub struct RaceSummary {
     /// The racer that produced the answer (`sparse` or `classical`).
     pub winner: String,
-    /// Every racer staked, the quantum one first.
+    /// Every racer staked, started or not, the quantum one first.
     pub launched: Vec<&'static str>,
     /// Losers cancelled by the win.
     pub cancelled: usize,
     /// Losers that failed (budget slice, fault, contained panic) before
     /// the win.
     pub faulted: usize,
+    /// Hedged racers that never started: the win came before their delay
+    /// ran out.
+    pub not_started: usize,
     /// How much longer the slowest losing racer ran past the winner's
     /// finish, every racer timed from the race's start
-    /// ([`qmkp_rt::RaceWin::win_margin`]); `None` for a single racer.
+    /// ([`qmkp_rt::RaceWin::win_margin`]); `None` when no loser started.
     pub win_margin: Option<Duration>,
 }
 
@@ -289,13 +302,18 @@ pub fn solve_with(
     result
 }
 
-/// Restarts of the quick GRASP pass the exact classical body runs
-/// before branch & bound: enough for a useful initial lower bound, cheap
-/// enough not to delay the bound search.
-const QUICK_GRASP_ITERATIONS: usize = 8;
-
 /// The greedy/random balance of every GRASP pass.
 const GRASP_ALPHA: f64 = 0.3;
+
+/// How long a race gives the classical body before it starts the quantum
+/// racer as a hedge. In release timings on a 2-vCPU Xeon VM, branch &
+/// bound answered the paper's gate instances and random dense graphs of
+/// 8–12 vertices in 2–17 µs (median of 400 runs each), and 180 random
+/// `gnm` graphs of 12–20 vertices in at most 1.7 ms. The walked quantum
+/// body took 0.1–4.9 ms on the gate instances with a warm oracle cache,
+/// over 30 times as long as branch & bound on each, so on such instances
+/// the quantum racer never starts.
+const HEDGE_AFTER: Duration = Duration::from_millis(2);
 
 /// What a solver body hands back: its verified answer and who found it.
 struct Finish {
@@ -396,18 +414,17 @@ impl Plan<'_> {
         }
     }
 
-    /// The classical body. Up to the exact threshold, a quick GRASP pass
-    /// gives an exact branch & bound its initial lower bound; above it,
-    /// the full GRASP run.
+    /// The classical body. Up to the exact threshold, branch & bound,
+    /// which seeds its own lower bound greedily; above it, GRASP.
     fn classical(&self, ctx: &RtContext) -> Result<Finish, RtError> {
-        let (g, k, seed) = (self.g, self.k, self.config.qmkp.qtkp.seed);
-        let grasp = |iterations| grasp_kplex_ctx(g, k, iterations, GRASP_ALPHA, seed, ctx);
+        let (g, k) = (self.g, self.k);
         if g.n() > self.config.exact_threshold.unwrap_or(20) {
-            let best = grasp(self.config.grasp_iterations.unwrap_or(64))?;
+            let iterations = self.config.grasp_iterations.unwrap_or(64);
+            let seed = self.config.qmkp.qtkp.seed;
+            let best = grasp_kplex_ctx(g, k, iterations, GRASP_ALPHA, seed, ctx)?;
             return self.verified(best, SolveBackend::ClassicalHeuristic, None);
         }
-        let quick = grasp(QUICK_GRASP_ITERATIONS)?;
-        let out = max_kplex_bnb_ctx(g, k, ctx, Some(quick), None)?;
+        let out = max_kplex_bnb_ctx(g, k, ctx, None, None)?;
         self.verified(out.best, SolveBackend::ClassicalExact, None)
     }
 
@@ -456,9 +473,9 @@ impl Plan<'_> {
         Ok(outcome(finish, Some(because), None))
     }
 
-    /// Races the plan: the quantum rung, when it preflighted, and the
-    /// classical body on their own threads under one shared token (see
-    /// the module docs).
+    /// Races the plan: the classical body at once and the quantum rung,
+    /// when it preflighted, as a hedge after [`HEDGE_AFTER`], each on its
+    /// own thread under one shared token (see the module docs).
     fn race(&self, ctx: &RtContext) -> Result<SolveOutcome, RtError> {
         // A cancelled caller must not spend threads; an invalid quantum
         // configuration must surface as an error even if a heuristic
@@ -478,15 +495,20 @@ impl Plan<'_> {
         // own preflight estimate; it keeps the caller's whole op budget.
         // It gets a single attempt, no retry loop: the classical racer
         // *is* the recovery mechanism, so a faulting rung loses its lane
-        // at once instead of spending its slice on backoff.
+        // at once instead of spending its slice on backoff. It is a
+        // hedge: it starts only if the classical body has not answered
+        // within `HEDGE_AFTER`, or at once if that body fails first.
         if let Ok(projected) = self.preflight {
             let name = SolveBackend::Sparse.name();
             launched.push(name);
-            racers.push(Racer::new(
-                name,
-                slice(budget.max_bytes.and(Some(projected)), budget.max_ops),
-                move |rctx: &RtContext| self.quantum(rctx, &mut None),
-            ));
+            racers.push(
+                Racer::new(
+                    name,
+                    slice(budget.max_bytes.and(Some(projected)), budget.max_ops),
+                    move |rctx: &RtContext| self.quantum(rctx, &mut None),
+                )
+                .start_after(HEDGE_AFTER),
+            );
         }
         launched.push("classical");
         racers.push(Racer::new(
@@ -516,6 +538,7 @@ impl Plan<'_> {
         // trace collectors see it.
         let mut cancelled = 0;
         let mut faulted = 0;
+        let mut not_started = 0;
         for report in &win.reports {
             let metric = match report.outcome {
                 RacerOutcome::Won => "solve.race.won",
@@ -526,6 +549,10 @@ impl Plan<'_> {
                 RacerOutcome::Failed(_) => {
                     faulted += 1;
                     "solve.race.faulted"
+                }
+                RacerOutcome::NotStarted => {
+                    not_started += 1;
+                    "solve.race.not_started"
                 }
             };
             qmkp_obs::counter(metric, &[("racer", report.name.as_str())], 1);
@@ -538,6 +565,7 @@ impl Plan<'_> {
             launched,
             cancelled,
             faulted,
+            not_started,
             win_margin: win.win_margin,
         };
         Ok(outcome(win.value, None, Some(summary)))
@@ -847,8 +875,10 @@ mod tests {
             .race
             .expect("the auto gate races when a quantum rung preflights");
         // Fig-1's oracle is 68 qubits wide: no dense racer, but the
-        // sparse and classical lanes both stake.
+        // sparse and classical lanes both stake. Whichever lost was
+        // cancelled, failed, or (the sparse hedge) never started.
         assert_eq!(race.launched, vec!["sparse", "classical"]);
+        assert_eq!(race.cancelled + race.faulted + race.not_started, 1);
         assert!(
             race.launched.iter().any(|&r| r == race.winner),
             "winner {} must be a launched racer",
@@ -860,6 +890,28 @@ mod tests {
             other => other.name(),
         };
         assert_eq!(race.winner, expected);
+    }
+
+    #[test]
+    fn the_quantum_racer_is_a_hedge() {
+        // Branch & bound answers fig-1 in microseconds, far inside the
+        // 2 ms before the quantum hedge is due, so a raced solve almost
+        // never starts it. Twenty races that all start it would mean the
+        // quantum racer starts with the race.
+        let g = paper_fig1_graph();
+        let mut unstarted = 0;
+        for _ in 0..20 {
+            let out = solve(&g, 2, &SolveConfig::default(), &RtContext::unlimited()).unwrap();
+            let race = out.race.expect("fig-1 races");
+            if race.not_started == 1 {
+                unstarted += 1;
+                assert_eq!(race.winner, "classical");
+                assert_eq!(out.backend, SolveBackend::ClassicalExact);
+                assert!(out.quantum.is_none());
+                assert_eq!(race.win_margin, None, "no loser started");
+            }
+        }
+        assert!(unstarted > 0, "the quantum racer started in all 20 races");
     }
 
     #[test]

@@ -232,20 +232,20 @@ fn interrupt_inside_a_probe_resumes_from_the_iteration_boundary() {
     assert_eq!(resumed.total_iterations, straight.total_iterations);
 }
 
-/// Races run per site until the armed site is hit. Over 30 runs of the
-/// matrix below, every sparse site was hit in the first race and
-/// `classical.bnb.node` within four, so 50 races leave a miss
-/// negligible.
+/// Races run per site until the armed site is hit. The classical racer
+/// starts with every race, so its sites are hit in the first; over 30
+/// debug and 30 release runs of the matrix below, every sparse site was
+/// hit in the first race too, so 50 races leave a miss negligible.
 const RACES_PER_SITE: usize = 50;
 
 /// GRASP restarts for the classical racer when a test needs the sparse
 /// racer to reach its sites. On fig-1, exact branch & bound answers in
-/// tens of microseconds, usually before the sparse racer has compiled
-/// its oracle and hit its first site; the win then cancels the sparse
-/// racer and the site is never consulted. Forcing GRASP (exact threshold
-/// 0) with this many restarts keeps the classical lane busy for longer,
-/// and GRASP polls the cancel token on every restart, so the lane still
-/// stops as soon as the sparse racer wins.
+/// microseconds, long before the sparse hedge is due to start, so the
+/// sparse racer never runs and its sites are never consulted. Forcing
+/// GRASP (exact threshold 0) with this many restarts keeps the classical
+/// lane busy past the hedge's delay, and GRASP polls the cancel token on
+/// every restart, so the lane still stops as soon as the sparse racer
+/// wins.
 const SLOW_CLASSICAL_GRASP_ITERATIONS: usize = 20_000;
 
 /// A forced race whose classical lane is the slow GRASP run above.
@@ -269,13 +269,19 @@ fn single_racer_faults_still_yield_a_verified_winner() {
         portfolio: Some(true),
         ..SolveConfig::default()
     };
+    // Fig-1 is under the exact threshold, so only a forced GRASP body
+    // reaches the GRASP site.
+    let forced_grasp = SolveConfig {
+        exact_threshold: Some(0),
+        ..forced.clone()
+    };
     let slow_classical = race_with_slow_classical();
     for (site, racer, config) in [
         ("core.qmkp.probe", "sparse", &slow_classical),
         ("core.grover.iterate", "sparse", &slow_classical),
         ("qsim.run.op", "sparse", &slow_classical),
         ("qsim.sparse.alloc", "sparse", &slow_classical),
-        ("classical.grasp.iter", "classical", &forced),
+        ("classical.grasp.iter", "classical", &forced_grasp),
         ("classical.bnb.node", "classical", &forced),
     ] {
         // An `after = 0` arm faults the racer on its first site hit. A
@@ -322,7 +328,7 @@ fn all_racers_failing_yields_an_aggregate_error() {
     let _guard = failpoint::exclusive();
     failpoint::reset();
     failpoint::arm("core.qmkp.probe", 0); // kills the sparse racer
-    failpoint::arm("classical.grasp.iter", 0); // kills the classical racer
+    failpoint::arm("classical.bnb.node", 0); // kills the classical racer
     let g = qmkp::graph::gen::paper_fig1_graph();
     let config = SolveConfig {
         portfolio: Some(true),
@@ -336,7 +342,7 @@ fn all_racers_failing_yields_an_aggregate_error() {
             assert_eq!(names, ["sparse", "classical"]);
             let expected = [
                 ("sparse", "core.qmkp.probe"),
-                ("classical", "classical.grasp.iter"),
+                ("classical", "classical.bnb.node"),
             ];
             for ((name, e), (_, site)) in failures.iter().zip(expected) {
                 assert_eq!(e, &faulted(site), "racer {name}");
@@ -375,6 +381,8 @@ fn provider_panic_is_contained_to_the_quantum_racer() {
     let race = out.race.expect("a forced portfolio must race");
     assert_ne!(race.winner, "sparse", "the panicking racer cannot win");
     // The panic fires on the sparse racer's first oracle compilation,
-    // long before the slow classical lane can win and cancel it.
+    // as soon as the hedge starts 2 ms in: long before the slow
+    // classical lane (about 14 ms of GRASP in a release build) can win
+    // and cancel it.
     assert!(race.faulted >= 1, "the panic must be accounted as a fault");
 }
