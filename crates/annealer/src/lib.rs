@@ -23,6 +23,15 @@
 
 #![deny(unsafe_code)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 pub mod embedding;
 pub mod hybrid;
 pub mod result;

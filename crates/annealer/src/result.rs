@@ -16,56 +16,3 @@ pub struct AnnealOutcome {
     /// Total wall time.
     pub elapsed: Duration,
 }
-
-impl AnnealOutcome {
-    /// Best-so-far energy after the first `d` of simulated runtime — the
-    /// last trace entry at or before `d`, or the first shot's energy if
-    /// `d` precedes everything.
-    pub fn energy_at(&self, d: Duration) -> f64 {
-        let mut current = self
-            .trace
-            .first()
-            .map(|&(_, e)| e)
-            .unwrap_or(self.best_energy);
-        for &(t, e) in &self.trace {
-            if t <= d {
-                current = e;
-            } else {
-                break;
-            }
-        }
-        current
-    }
-
-    /// Number of shots whose final energy reached the best energy.
-    pub fn hits(&self) -> usize {
-        self.shot_energies
-            .iter()
-            .filter(|&&e| (e - self.best_energy).abs() < 1e-9)
-            .count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn energy_at_walks_the_trace() {
-        let o = AnnealOutcome {
-            best: vec![],
-            best_energy: -3.0,
-            shot_energies: vec![-1.0, -3.0, -2.0],
-            trace: vec![
-                (Duration::from_millis(1), -1.0),
-                (Duration::from_millis(5), -3.0),
-            ],
-            elapsed: Duration::from_millis(6),
-        };
-        assert_eq!(o.energy_at(Duration::from_millis(0)), -1.0);
-        assert_eq!(o.energy_at(Duration::from_millis(2)), -1.0);
-        assert_eq!(o.energy_at(Duration::from_millis(5)), -3.0);
-        assert_eq!(o.energy_at(Duration::from_millis(60)), -3.0);
-        assert_eq!(o.hits(), 1);
-    }
-}

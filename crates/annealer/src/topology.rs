@@ -68,12 +68,6 @@ impl Chimera {
         Chimera { m, n, t, adjacency }
     }
 
-    /// The default substrate used by the experiments: `C(16, 16, 4)`
-    /// (2048 qubits — the D-Wave 2000Q generation).
-    pub fn c16() -> Self {
-        Chimera::new(16, 16, 4)
-    }
-
     fn index_of(
         _m: usize,
         n: usize,
@@ -97,11 +91,6 @@ impl Chimera {
         self.adjacency.len()
     }
 
-    /// Number of couplers (undirected edges).
-    pub fn num_couplers(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Neighbours of a qubit.
     pub fn neighbors(&self, q: usize) -> &[usize] {
         &self.adjacency[q]
@@ -123,12 +112,16 @@ mod tests {
         assert_eq!(c.num_qubits(), 2 * 3 * 8);
         // Couplers: per cell t² = 16 internal → 6·16 = 96;
         // vertical: (m−1)·n·t = 1·3·4 = 12; horizontal: m·(n−1)·t = 2·2·4 = 16.
-        assert_eq!(c.num_couplers(), 96 + 12 + 16);
+        let couplers = (0..c.num_qubits())
+            .map(|q| c.neighbors(q).len())
+            .sum::<usize>()
+            / 2;
+        assert_eq!(couplers, 96 + 12 + 16);
     }
 
     #[test]
     fn degree_bounds() {
-        let c = Chimera::c16();
+        let c = Chimera::new(16, 16, 4);
         assert_eq!(c.num_qubits(), 2048);
         // Interior qubits have degree t + 2 = 6, boundary t + 1 = 5.
         let degrees: Vec<usize> = (0..c.num_qubits()).map(|q| c.neighbors(q).len()).collect();

@@ -21,21 +21,6 @@ pub fn max_kplex_naive(g: &Graph, k: usize) -> VertexSet {
     best
 }
 
-/// Counts the k-plexes of each size; index `i` holds the number of
-/// k-plexes with exactly `i` vertices. Useful for the Grover `M` census
-/// cross-checks and for instance characterization.
-pub fn kplex_size_profile(g: &Graph, k: usize) -> Vec<u64> {
-    assert!(g.n() <= 25, "naive enumeration is limited to 25 vertices");
-    let mut profile = vec![0u64; g.n() + 1];
-    for bits in 0..(1u128 << g.n()) {
-        let s = VertexSet::from_bits(bits);
-        if is_kplex(g, s, k) {
-            profile[s.len()] += 1;
-        }
-    }
-    profile
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,17 +41,6 @@ mod tests {
         assert_eq!(max_kplex_naive(&empty, 3).len(), 3, "k isolated vertices");
         let complete = Graph::complete(5).unwrap();
         assert_eq!(max_kplex_naive(&complete, 1).len(), 5);
-    }
-
-    #[test]
-    fn size_profile_sums_to_kplex_count() {
-        let g = paper_fig1_graph();
-        let profile = kplex_size_profile(&g, 2);
-        assert_eq!(profile[0], 1, "the empty set");
-        assert_eq!(profile[1], 6, "all singletons");
-        assert_eq!(profile[4], 1, "the unique maximum");
-        assert_eq!(profile[5], 0);
-        assert_eq!(profile[6], 0);
     }
 
     #[test]

@@ -53,6 +53,10 @@ pub fn exact_solution_count(oracle: &Oracle) -> u64 {
 ///
 /// # Panics
 /// Panics if `precision` is 0 or greater than 20, or `m > 2^n_qubits`.
+#[expect(
+    clippy::expect_used,
+    reason = "unlimited-context wrapper: only an invalid precision can fail"
+)]
 pub fn quantum_count<R: Rng>(n_qubits: usize, m: u64, precision: usize, rng: &mut R) -> u64 {
     quantum_count_ctx(n_qubits, m, precision, rng, &RtContext::unlimited())
         .expect("unlimited context: only an invalid precision can fail")
@@ -157,6 +161,7 @@ pub fn qft(circuit: &mut Circuit, qubits: &[usize]) {
 
 /// Appends the inverse quantum Fourier transform over `qubits`
 /// (`qubits[i]` = bit `i`): the exact inverse of [`qft`].
+#[expect(clippy::expect_used, reason = "QFT and its inverse share one width")]
 pub fn inverse_qft(circuit: &mut Circuit, qubits: &[usize]) {
     let mut fwd = Circuit::new(circuit.width());
     qft(&mut fwd, qubits);

@@ -292,6 +292,10 @@ impl<O: PhaseOracle> GroverDriver<O, SparseState> {
     /// Panics if the oracle's circuits do not compile (e.g. the register
     /// exceeds the simulator's 128-qubit encoding); use
     /// [`GroverDriver::try_new`] to handle that as an error.
+    #[expect(
+        clippy::expect_used,
+        reason = "compile cannot fail for validated oracles"
+    )]
     pub fn new(oracle: O) -> Self {
         Self::try_new(oracle).expect("oracle circuits must compile")
     }

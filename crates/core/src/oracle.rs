@@ -172,6 +172,10 @@ impl Oracle {
     /// Statically analyzes the full `U_check · flip · U_check†` circuit:
     /// structural checks, exact ancilla verification, and the closed-form
     /// resource audit, as one machine-readable report.
+    #[expect(
+        clippy::expect_used,
+        reason = "U_check and U_check† share one layout width by construction"
+    )]
     pub fn lint_report(&self) -> qmkp_lint::AnalysisReport {
         let mut full = self.u_check.clone();
         full.push_unchecked(self.flip_gate());
@@ -230,6 +234,10 @@ impl Oracle {
                 "degree_count" => cost.degree_count = stats.elementary_cost,
                 "degree_compare" => cost.degree_compare = stats.elementary_cost,
                 "size_check" => cost.size_check = stats.elementary_cost,
+                #[expect(
+                    clippy::unreachable,
+                    reason = "section names are fixed by `Oracle::new`"
+                )]
                 other => unreachable!("unknown oracle section {other}"),
             }
         }

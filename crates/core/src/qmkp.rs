@@ -248,6 +248,10 @@ impl Checkpoint for QmkpCheckpoint {
 /// # Panics
 /// Panics if the graph is empty, `k == 0`, or the configuration is
 /// invalid (see [`QtkpConfig::validate`]).
+#[expect(
+    clippy::expect_used,
+    reason = "unlimited-context wrapper: only invalid configuration can fail"
+)]
 pub fn qmkp(g: &Graph, k: usize, config: &QmkpConfig) -> QmkpOutcome {
     qmkp_ctx::<SparseState>(g, k, config, &RtContext::unlimited(), None)
         .map_err(|i| i.error)

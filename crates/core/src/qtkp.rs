@@ -155,6 +155,10 @@ pub struct ProbeInterrupt {
 /// # Panics
 /// Panics on invalid `k` / `t` (see [`crate::layout::OracleLayout::new`])
 /// and on an invalid configuration (see [`QtkpConfig::validate`]).
+#[expect(
+    clippy::expect_used,
+    reason = "unlimited-context wrapper: only invalid configuration can fail"
+)]
 pub fn qtkp(g: &Graph, k: usize, t: usize, config: &QtkpConfig) -> QtkpOutcome {
     qtkp_ctx::<SparseState>(g, k, t, config, &RtContext::unlimited())
         .expect("unlimited context: only invalid configuration can fail")

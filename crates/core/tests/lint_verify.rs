@@ -28,18 +28,30 @@ fn full_circuit(oracle: &Oracle) -> Circuit {
 
 #[test]
 fn paper_oracles_have_zero_diagnostics() {
-    let g = paper_fig1_graph();
-    for (k, t) in [(1, 2), (2, 3), (2, 4), (3, 4)] {
+    // Fig. 1 at four (k, t) and the two random shapes of the resource
+    // audit below. Every one is small enough to enumerate, yet the
+    // symbolic pass alone decides it.
+    let fig1 = paper_fig1_graph();
+    let instances = [
+        (fig1.clone(), 1, 2),
+        (fig1.clone(), 2, 3),
+        (fig1.clone(), 2, 4),
+        (fig1, 3, 4),
+        (gnm(7, 9, 0).unwrap(), 2, 3),
+        (gnm(9, 15, 1).unwrap(), 3, 5),
+    ];
+    for (g, k, t) in instances {
+        let n = g.n();
         let report = Oracle::new(&g, k, t).lint_report();
         assert!(
             !report.has_errors(),
-            "fig1 oracle (k={k}, t={t}) failed verification:\n{}",
+            "n={n} oracle (k={k}, t={t}) failed verification:\n{}",
             report.render()
         );
-        assert!(report.exhaustive, "n=6 must be proven exhaustively");
+        assert!(report.exhaustive, "n={n} must be proven exhaustively");
         assert_eq!(report.proof, ProofMethod::Symbolic);
         let (_, warnings, _) = report.counts();
-        assert_eq!(warnings, 0, "no warnings expected at n=6");
+        assert_eq!(warnings, 0, "no warnings expected at n={n}");
     }
 }
 

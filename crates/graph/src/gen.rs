@@ -59,28 +59,6 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Result<Graph, GraphError> {
     Graph::from_edges(n, pairs.into_iter().take(m))
 }
 
-/// Erdős–Rényi random graph: each pair is an edge independently with
-/// probability `p`.
-///
-/// # Errors
-/// Fails if `n > 128`.
-///
-/// # Panics
-/// Panics if `p` is not in `[0, 1]`.
-pub fn gnp(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n)?;
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p) {
-                let _ = g.add_edge(u, v);
-            }
-        }
-    }
-    Ok(g)
-}
-
 /// A random graph with a *planted* k-plex: `q` designated vertices form a
 /// k-plex of size `q` (a clique with up to `k-1` incident edges removed per
 /// planted vertex), embedded in background `G(n, p)` noise.
@@ -342,12 +320,6 @@ mod tests {
         assert!(matches!(gnm(4, 7, 0), Err(GraphError::TooManyEdges { .. })));
         assert!(gnm(4, 6, 0).is_ok());
         assert!(matches!(gnm(1, 1, 0), Err(GraphError::TooManyEdges { .. })));
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert_eq!(gnp(10, 0.0, 1).unwrap().m(), 0);
-        assert_eq!(gnp(10, 1.0, 1).unwrap().m(), 45);
     }
 
     #[test]

@@ -200,26 +200,6 @@ impl Graph {
         }
     }
 
-    /// Whether the induced subgraph on `s` is connected
-    /// (vacuously true for empty and singleton sets).
-    pub fn is_connected_on(&self, s: VertexSet) -> bool {
-        let Some(start) = s.min_vertex() else {
-            return true;
-        };
-        let mut seen = VertexSet::singleton(start);
-        let mut frontier = seen;
-        while !frontier.is_empty() {
-            let mut next = VertexSet::EMPTY;
-            for v in frontier.iter() {
-                next |= self.adj[v] & s;
-            }
-            next -= seen;
-            seen |= next;
-            frontier = next;
-        }
-        seen == s
-    }
-
     /// Common neighbours of `u` and `v` within `s`.
     #[inline]
     pub fn common_neighbors_in(&self, u: usize, v: usize, s: VertexSet) -> VertexSet {
@@ -378,16 +358,6 @@ mod tests {
         assert!(sub.has_edge(0, 1));
         assert!(sub.has_edge(0, 2));
         assert!(!sub.has_edge(1, 2));
-    }
-
-    #[test]
-    fn connectivity_checks() {
-        let g = triangle_plus_pendant();
-        assert!(g.is_connected_on(g.vertices()));
-        assert!(g.is_connected_on(VertexSet::EMPTY));
-        assert!(g.is_connected_on(VertexSet::singleton(2)));
-        assert!(!g.is_connected_on(VertexSet::from_iter([1, 3]))); // 1 and 3 not adjacent
-        assert!(g.is_connected_on(VertexSet::from_iter([0, 1, 3])));
     }
 
     #[test]

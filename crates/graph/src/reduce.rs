@@ -43,24 +43,6 @@ pub fn core_numbers(g: &Graph) -> Vec<usize> {
     core
 }
 
-/// The maximal `c`-core: the (unique) maximal vertex set where every vertex
-/// has at least `c` neighbours inside the set. May be empty.
-pub fn kcore(g: &Graph, c: usize) -> VertexSet {
-    let mut alive = g.vertices();
-    loop {
-        let mut removed = false;
-        for v in alive.iter() {
-            if g.degree_in(v, alive) < c {
-                alive.remove(v);
-                removed = true;
-            }
-        }
-        if !removed {
-            return alive;
-        }
-    }
-}
-
 /// Degeneracy ordering: repeatedly removes a minimum-degree vertex.
 /// Returns `(order, degeneracy)`.
 pub fn degeneracy_order(g: &Graph) -> (Vec<usize>, usize) {
@@ -193,15 +175,6 @@ mod tests {
         let cores = core_numbers(&g);
         assert_eq!(cores[4], 1);
         assert_eq!(&cores[..4], &[3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn kcore_peels_correctly() {
-        let g =
-            Graph::from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4)]).unwrap();
-        assert_eq!(kcore(&g, 3), VertexSet::from_iter([0, 1, 2, 3]));
-        assert_eq!(kcore(&g, 1), g.vertices());
-        assert!(kcore(&g, 4).is_empty());
     }
 
     #[test]

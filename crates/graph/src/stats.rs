@@ -6,11 +6,6 @@
 
 use crate::graph::Graph;
 
-/// The degree of every vertex.
-pub fn degree_sequence(g: &Graph) -> Vec<usize> {
-    (0..g.n()).map(|v| g.degree(v)).collect()
-}
-
 /// Histogram of degrees: index `d` holds the number of vertices with
 /// degree `d`.
 pub fn degree_histogram(g: &Graph) -> Vec<usize> {
@@ -110,7 +105,6 @@ mod tests {
     #[test]
     fn degree_stats() {
         let g = triangle_with_tail();
-        assert_eq!(degree_sequence(&g), vec![2, 2, 3, 2, 1]);
         assert_eq!(degree_histogram(&g), vec![0, 1, 3, 1]);
     }
 

@@ -128,12 +128,6 @@ impl VertexSet {
         self.0 & !other.0 == 0
     }
 
-    /// Whether the two sets share no vertices.
-    #[inline]
-    pub const fn is_disjoint(self, other: VertexSet) -> bool {
-        self.0 & other.0 == 0
-    }
-
     /// Set intersection.
     #[inline]
     pub const fn intersection(self, other: VertexSet) -> VertexSet {
@@ -162,28 +156,10 @@ impl VertexSet {
         }
     }
 
-    /// The highest-indexed vertex, if any.
-    #[inline]
-    pub fn max_vertex(self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(127 - self.0.leading_zeros() as usize)
-        }
-    }
-
     /// Iterates over the vertex indices in ascending order.
     #[inline]
     pub fn iter(self) -> VertexIter {
         VertexIter(self.0)
-    }
-
-    /// Removes and returns the lowest-indexed vertex, if any.
-    #[inline]
-    pub fn pop_min(&mut self) -> Option<usize> {
-        let v = self.min_vertex()?;
-        self.remove(v);
-        Some(v)
     }
 }
 
@@ -370,28 +346,15 @@ mod tests {
         assert_eq!(a ^ b, VertexSet::from_iter([0, 1, 4, 5]));
         assert!(VertexSet::from_iter([2, 3]).is_subset_of(a));
         assert!(!a.is_subset_of(b));
-        assert!(a.is_disjoint(VertexSet::from_iter([6, 7])));
-        assert!(!a.is_disjoint(b));
     }
 
     #[test]
-    fn min_max_and_iteration_order() {
+    fn min_vertex_and_iteration_order() {
         let s = VertexSet::from_iter([9, 3, 120, 44]);
         assert_eq!(s.min_vertex(), Some(3));
-        assert_eq!(s.max_vertex(), Some(120));
         let vs: Vec<usize> = s.iter().collect();
         assert_eq!(vs, vec![3, 9, 44, 120]);
         assert_eq!(VertexSet::EMPTY.min_vertex(), None);
-        assert_eq!(VertexSet::EMPTY.max_vertex(), None);
-    }
-
-    #[test]
-    fn pop_min_drains_in_order() {
-        let mut s = VertexSet::from_iter([5, 1, 9]);
-        assert_eq!(s.pop_min(), Some(1));
-        assert_eq!(s.pop_min(), Some(5));
-        assert_eq!(s.pop_min(), Some(9));
-        assert_eq!(s.pop_min(), None);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub enum ProofMethod {
 }
 
 impl ProofMethod {
-    /// Stable lowercase label, used in rendered and JSON reports.
+    /// Stable lowercase label, used in rendered reports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {

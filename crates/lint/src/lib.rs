@@ -39,6 +39,15 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod ancilla;
 pub mod diagnostic;

@@ -3,16 +3,12 @@
 //! [`analyze`] runs every pass — structural diagnostics, ancilla
 //! verification, the optional closed-form resource audit, and the
 //! peephole estimate — over one circuit and folds the results into an
-//! [`AnalysisReport`]. The report serializes to JSON (via the
-//! `qmkp-obs` json helpers, keeping the workspace serde-free) so CI and
-//! the `lint` binary can archive and diff analyzer output across
-//! commits.
+//! [`AnalysisReport`].
 
 use crate::ancilla::{verify_ancillas, AncillaSpec, ProofMethod};
 use crate::diagnostic::{self, Diagnostic, Severity};
 use crate::resource::{audit, circuit_depth, ResourceModel};
 use crate::structural::{scheduled_peephole_estimate, structural_diagnostics, PeepholeEstimate};
-use qmkp_obs::json::{number, quote};
 use qmkp_qsim::compile::CompileStats;
 use qmkp_qsim::Circuit;
 
@@ -77,73 +73,6 @@ impl AnalysisReport {
         );
         out.push_str(&diagnostic::render(&self.diagnostics));
         out
-    }
-
-    /// Serializes the report as one JSON object. Stable schema:
-    /// scalars (including the ancilla `proof` method label), a
-    /// `sections` array of `{name, gates}`, a `peephole` object, and a
-    /// `diagnostics` array of
-    /// `{severity, code, message, gate?, qubit?, section?}`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"name\":{},", quote(&self.name)));
-        s.push_str(&format!("\"width\":{},", number(self.width as f64)));
-        s.push_str(&format!("\"gates\":{},", number(self.gates as f64)));
-        s.push_str(&format!("\"depth\":{},", number(self.depth as f64)));
-        s.push_str(&format!("\"exhaustive\":{},", self.exhaustive));
-        s.push_str(&format!("\"proof\":{},", quote(self.proof.label())));
-        s.push_str(&format!(
-            "\"inputs_checked\":{},",
-            number(self.inputs_checked as f64)
-        ));
-        let (errors, warnings, notes) = self.counts();
-        s.push_str(&format!("\"errors\":{},", number(errors as f64)));
-        s.push_str(&format!("\"warnings\":{},", number(warnings as f64)));
-        s.push_str(&format!("\"notes\":{},", number(notes as f64)));
-        s.push_str("\"sections\":[");
-        for (i, (name, gates)) in self.sections.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"gates\":{}}}",
-                quote(name),
-                number(*gates as f64)
-            ));
-        }
-        s.push_str("],");
-        s.push_str(&format!(
-            "\"peephole\":{{\"cancelled_flips\":{},\"merged_phases\":{},\
-             \"merged_singles\":{},\"commuted_diagonals\":{}}},",
-            number(self.peephole.cancelled_flips as f64),
-            number(self.peephole.merged_phases as f64),
-            number(self.peephole.merged_singles as f64),
-            number(self.peephole.commuted_diagonals as f64)
-        ));
-        s.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"severity\":{},\"code\":{},\"message\":{}",
-                quote(d.severity.label()),
-                quote(d.code),
-                quote(&d.message)
-            ));
-            if let Some(g) = d.span.gate {
-                s.push_str(&format!(",\"gate\":{}", number(g as f64)));
-            }
-            if let Some(q) = d.span.qubit {
-                s.push_str(&format!(",\"qubit\":{}", number(q as f64)));
-            }
-            if let Some(sec) = &d.span.section {
-                s.push_str(&format!(",\"section\":{}", quote(sec)));
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -289,45 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_obs_parser() {
-        let (c, spec) = sandwich();
-        let report = analyze("sandwich", &c, &spec, None);
-        let parsed = qmkp_obs::json::parse(&report.to_json()).expect("report JSON must parse");
-        assert_eq!(
-            parsed.get("name").and_then(|j| j.as_str()),
-            Some("sandwich")
-        );
-        assert_eq!(parsed.get("gates").and_then(|j| j.as_f64()), Some(3.0));
-        assert_eq!(
-            parsed
-                .get("sections")
-                .and_then(|j| j.as_array())
-                .map(|a| a.len()),
-            Some(2)
-        );
-        assert_eq!(parsed.get("errors").and_then(|j| j.as_f64()), Some(0.0));
-        assert_eq!(
-            parsed.get("proof").and_then(|j| j.as_str()),
-            Some("symbolic")
-        );
-    }
-
-    #[test]
-    fn dirty_circuit_serializes_its_diagnostics() {
+    fn dirty_circuit_reports_its_diagnostics() {
         let mut c = Circuit::new(2);
         c.push_unchecked(Gate::cnot(0, 1)); // ancilla 1 left dirty
         let report = analyze("dirty", &c, &AncillaSpec::new(vec![0], vec![]), None);
         assert!(report.has_errors());
-        let parsed = qmkp_obs::json::parse(&report.to_json()).unwrap();
-        let diags = parsed
-            .get("diagnostics")
-            .and_then(|j| j.as_array())
-            .unwrap();
-        assert!(!diags.is_empty());
-        assert_eq!(
-            diags[0].get("severity").and_then(|j| j.as_str()),
-            Some("error")
-        );
+        assert_eq!(report.diagnostics[0].severity, Severity::Error);
     }
 
     #[test]

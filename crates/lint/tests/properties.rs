@@ -17,7 +17,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use qmkp_lint::{
-    analyze, circuit_depth, cross_check_compile, scheduled_peephole_estimate, verify_ancillas,
+    circuit_depth, cross_check_compile, scheduled_peephole_estimate, verify_ancillas,
     AncillaReport, AncillaSpec, ProofMethod, ResourceModel, SectionBudget, Severity,
 };
 use qmkp_qsim::{Circuit, CompiledCircuit, Gate};
@@ -202,18 +202,6 @@ proptest! {
             diags.iter().any(|d| d.code == "resource-gate-count"),
             "tampered circuit not flagged: {diags:?}"
         );
-    }
-
-    #[test]
-    fn analysis_report_json_always_parses(
-        width in 2usize..=5,
-        seeds in vec(any::<u64>(), 0..25),
-    ) {
-        let c = decode_circuit(width, &seeds);
-        let spec = AncillaSpec::new((0..width.min(2)).collect(), (width.min(2)..width).collect());
-        let report = analyze("prop", &c, &spec, None);
-        let parsed = qmkp_obs::json::parse(&report.to_json());
-        prop_assert!(parsed.is_ok(), "unparseable report JSON: {:?}", parsed.err());
     }
 }
 

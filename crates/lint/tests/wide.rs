@@ -125,10 +125,4 @@ fn the_full_analyzer_handles_width_300() {
     assert_eq!(report.proof, ProofMethod::Symbolic);
     assert_eq!(report.width, WIDTH);
     assert_eq!(report.peephole, Default::default());
-    let parsed = qmkp_obs::json::parse(&report.to_json()).expect("report JSON parses");
-    assert_eq!(
-        parsed.get("proof").and_then(|j| j.as_str()),
-        Some("symbolic")
-    );
-    assert_eq!(parsed.get("width").and_then(|j| j.as_f64()), Some(300.0));
 }

@@ -41,6 +41,19 @@
 //! rounding); values below 32 are exact. This bound is proptest-verified
 //! against an exact sorted reference in this module's tests.
 
+// This sink folds every event of an attached run, so it is held to the
+// panic-free rule of the hot-path crates: a poisoned lock is recovered
+// with `into_inner`, never unwrapped.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::event::Event;
 use crate::json;
 use crate::sink::Sink;

@@ -92,6 +92,10 @@ impl Circuit {
     /// Appends a gate, panicking on invalid input. Intended for circuit
     /// builders whose indices come from a [`crate::register::QubitAllocator`]
     /// and are correct by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "push_unchecked's documented panic contract"
+    )]
     pub fn push_unchecked(&mut self, gate: Gate) {
         gate.validate(self.width)
             .expect("gate must reference valid qubits");

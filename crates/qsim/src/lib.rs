@@ -22,6 +22,15 @@
 
 #![deny(unsafe_code)]
 #![warn(clippy::dbg_macro, clippy::todo, clippy::print_stdout)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 pub mod bits;
 pub mod circuit;
 pub mod compile;

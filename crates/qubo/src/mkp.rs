@@ -152,11 +152,6 @@ impl MkpQubo {
         self.num_vars() - self.n
     }
 
-    /// The slack block `(first var, bits)` of vertex `i`.
-    pub fn slack_block(&self, i: usize) -> (usize, usize) {
-        self.slack[i]
-    }
-
     /// The big-M of vertex `i`.
     pub fn big_m(&self, i: usize) -> usize {
         self.big_m[i]
@@ -345,8 +340,8 @@ mod tests {
         let q = MkpQubo::new(&g, MkpQuboParams { k: 3, r: 2.0 });
         for i in 0..4 {
             assert_eq!(q.big_m(i), 0);
-            assert_eq!(q.slack_block(i).1, 2);
         }
+        assert_eq!(q.num_slack_vars(), 4 * 2);
         let (bits, e) = q.model.brute_force_min();
         assert_eq!(q.decode(bits), VertexSet::full(4));
         assert!((e + 4.0).abs() < 1e-9);

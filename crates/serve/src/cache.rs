@@ -42,12 +42,24 @@ struct Flight {
 }
 
 impl Flight {
+    #[expect(
+        clippy::expect_used,
+        reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+    )]
     fn publish(&self, result: Result<Arc<CompiledOracle>, RtError>) {
         *self.result.lock().expect("flight lock") = Some(result);
         self.done.notify_all();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+    )]
     fn wait(&self) -> Result<Arc<CompiledOracle>, RtError> {
+        #[expect(
+            clippy::expect_used,
+            reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+        )]
         let mut slot = self.result.lock().expect("flight lock");
         loop {
             if let Some(result) = slot.as_ref() {
@@ -133,6 +145,10 @@ impl OracleCache {
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
+        #[expect(
+            clippy::expect_used,
+            reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+        )]
         let state = self.state.lock().expect("cache lock");
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -159,6 +175,10 @@ impl OracleCache {
     ) -> Result<Arc<CompiledOracle>, RtError> {
         let key = (g.digest(), k, t);
         let flight = {
+            #[expect(
+                clippy::expect_used,
+                reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+            )]
             let mut state = self.state.lock().expect("cache lock");
             state.tick += 1;
             let tick = state.tick;
@@ -196,6 +216,10 @@ impl OracleCache {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let built = CompiledOracle::build(g, k, t).map(Arc::new);
 
+        #[expect(
+            clippy::expect_used,
+            reason = "mutex/condvar poisoning: a panicked worker already aborted the process-level invariant; propagating is the only sound option"
+        )]
         let mut state = self.state.lock().expect("cache lock");
         match &built {
             Ok(artifact) => {

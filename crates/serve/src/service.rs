@@ -287,6 +287,10 @@ impl SolveService {
             for worker in 0..pool.max(1) {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread spawn at startup is an unrecoverable service-construction failure"
+                )]
                 let handle = std::thread::Builder::new()
                     .name(format!("qmkp-serve-{}-{worker}", lane.name()))
                     .spawn(move || worker_loop(&rx, &shared))
@@ -344,6 +348,10 @@ impl SolveService {
             cancel: cancel.clone(),
             reply,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "`new` opens a queue for each lane `preflight_lane` can return"
+        )]
         let slot = self
             .lanes
             .iter()
@@ -399,14 +407,10 @@ impl SolveService {
             .outcome("cache_compiles", stats.compiles)
             .outcome("cache_bytes", stats.bytes)
     }
+}
 
-    /// Closes the admission queues and joins every worker. Admitted
-    /// requests finish first; this blocks until they have.
-    pub fn shutdown(mut self) {
-        self.close_and_join();
-    }
-
-    fn close_and_join(&mut self) {
+impl Drop for SolveService {
+    fn drop(&mut self) {
         self.lanes.clear(); // drop the senders: workers drain and exit
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -414,16 +418,14 @@ impl SolveService {
     }
 }
 
-impl Drop for SolveService {
-    fn drop(&mut self) {
-        self.close_and_join();
-    }
-}
-
 fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Shared>) {
     loop {
         // Hold the lane lock only for the dequeue itself.
         let job = {
+            #[expect(
+                clippy::expect_used,
+                reason = "lane-queue lock poisoning is an unrecoverable service failure"
+            )]
             let guard = rx.lock().expect("lane queue lock");
             guard.recv()
         };
